@@ -9,12 +9,11 @@ Kernel state for the collapse solver:
   avail    uint8 (n, M)   avail[v, c] = 1 while color c+1 is still open for v
   entropy  int32 (n,)     row popcount of avail, tracked incrementally
   colors   int32 (n,)     0 = uncolored, else assigned color (1-based)
-  meta     int64 (4,)     [entry count, entropy floor, forced count, colored count]
+  meta     int64 (2,)     [forced count, colored count]
 
-Minimum-entropy lookup uses a bucket array indexed by entropy value with lazy
-repair: every entropy change appends a (vertex, entropy) entry to its bucket;
-entries whose vertex moved on are unlinked when a lookup walks past them.
-Each entry is discarded at most once, so lookups are O(1) amortized.
+Selection keeps no index: each observe is one vectorized O(n) scan for the
+minimum entropy over the uncolored vertices, then a tie-break among the
+vertices at that minimum.
 """
 from __future__ import annotations
 
@@ -42,15 +41,12 @@ def _jit(fn):
 OK = 0
 RESTART = 1
 OBSERVE_RESTART = -1
-OBSERVE_EXHAUSTED = -2
 TIE_DEGREE = 0
 TIE_RANDOM = 1
 
 # meta slots
-_ENTRIES = 0
-_FLOOR = 1
-_FORCED = 2
-_COLORED = 3
+_FORCED = 0
+_COLORED = 1
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 
@@ -68,76 +64,20 @@ def rng_next(state):
 
 
 @_jit
-def bucket_push(ent_v, ent_next, bkt_head, meta, v, e):
-    k = meta[_ENTRIES]
-    ent_v[k] = v
-    ent_next[k] = bkt_head[e]
-    bkt_head[e] = k
-    meta[_ENTRIES] = k + 1
-    if e < meta[_FLOOR]:
-        meta[_FLOOR] = e
-
-
-@_jit
-def state_init(avail, entropy, colors, ent_v, ent_next, bkt_head, meta):
-    n = colors.shape[0]
-    m_colors = avail.shape[1]
-    avail[:, :] = 1
-    entropy[:] = m_colors
-    colors[:] = 0
-    bkt_head[:] = -1
-    meta[_ENTRIES] = 0
-    meta[_FLOOR] = m_colors
-    meta[_FORCED] = 0
-    meta[_COLORED] = 0
-    for v in range(n):
-        bucket_push(ent_v, ent_next, bkt_head, meta, v, m_colors)
-
-
-@_jit
-def observe(entropy, colors, degrees, ent_v, ent_next, bkt_head, meta,
-            tie_mode, rng_state):
+def observe(entropy, colors, degrees, tie_mode, rng_state):
     """Uncolored vertex of minimum entropy, or OBSERVE_RESTART when that
     minimum is 0.  Ties go to the highest degree then lowest id, or to a
-    seeded-uniform pick in TIE_RANDOM mode."""
-    n_buckets = bkt_head.shape[0]
-    e = meta[_FLOOR]
-    if e < 0:
-        e = 0
-    while e < n_buckets:
-        prev = -1
-        k = bkt_head[e]
-        best = -1
-        best_deg = -1
-        ties = 0
-        while k != -1:
-            v = ent_v[k]
-            nxt = ent_next[k]
-            if colors[v] != 0 or entropy[v] != e:
-                # stale entry: unlink for good
-                if prev == -1:
-                    bkt_head[e] = nxt
-                else:
-                    ent_next[prev] = nxt
-            else:
-                prev = k
-                if tie_mode == TIE_RANDOM:
-                    ties += 1
-                    if rng_next(rng_state) % ties == 0:
-                        best = v
-                else:
-                    d = degrees[v]
-                    if best == -1 or d > best_deg or (d == best_deg and v < best):
-                        best = v
-                        best_deg = d
-            k = nxt
-        if best != -1:
-            meta[_FLOOR] = e
-            if e == 0:
-                return OBSERVE_RESTART
-            return best
-        e += 1
-    return OBSERVE_EXHAUSTED
+    seeded-uniform pick among them in TIE_RANDOM mode.  Needs at least one
+    uncolored vertex."""
+    unc = colors == 0
+    e = entropy[unc].min()
+    if e == 0:
+        return OBSERVE_RESTART
+    ties = np.flatnonzero(unc & (entropy == e))
+    if tie_mode == TIE_RANDOM:
+        return ties[rng_next(rng_state) % ties.shape[0]]
+    # argmax takes the first maximum: the lowest id among the highest degree
+    return ties[np.argmax(degrees[ties])]
 
 
 @_jit
@@ -154,9 +94,9 @@ def collapse(avail, entropy, colors, meta, v):
 
 
 @_jit
-def propagate(indptr, indices, avail, entropy, colors,
-              ent_v, ent_next, bkt_head, meta, stack, start, gated):
-    """Depth-first domain restriction from the freshly colored vertex.
+def propagate(indptr, indices, avail, entropy, colors, meta, stack, start,
+              gated):
+    """Depth-first domain restriction from the vertex just colored.
 
     Pops a colored vertex, strikes its color from uncolored neighbors'
     domains, and force-colors any neighbor left with a single color (pushing
@@ -203,37 +143,32 @@ def propagate(indptr, indices, avail, entropy, colors,
                 meta[_COLORED] += 1
                 stack[top] = w
                 top += 1
-            else:
-                bucket_push(ent_v, ent_next, bkt_head, meta, w, e)
     return OK
 
 
 @_jit
-def wfc_attempt(indptr, indices, degrees, avail, entropy, colors,
-                ent_v, ent_next, bkt_head, meta, stack,
+def wfc_attempt(indptr, indices, degrees, avail, entropy, colors, meta, stack,
                 tie_mode, rng_state, gated):
-    """One full solve attempt at a fixed color budget M = avail.shape[1]:
-    seed the lowest-id maximum-degree vertex with color 1, then loop
-    observe/collapse/propagate until done or RESTART."""
+    """One full solve attempt at a fixed color budget M = avail.shape[1] on
+    a newly built state: seed the lowest-id maximum-degree vertex with
+    color 1, then loop observe/collapse/propagate until done or RESTART."""
     n = colors.shape[0]
-    state_init(avail, entropy, colors, ent_v, ent_next, bkt_head, meta)
     seed = 0
     for v in range(1, n):
         if degrees[v] > degrees[seed]:
             seed = v
     colors[seed] = 1
     meta[_COLORED] += 1
-    if propagate(indptr, indices, avail, entropy, colors,
-                 ent_v, ent_next, bkt_head, meta, stack, seed, gated) == RESTART:
+    if propagate(indptr, indices, avail, entropy, colors, meta, stack, seed,
+                 gated) == RESTART:
         return RESTART
     while meta[_COLORED] < n:
-        v = observe(entropy, colors, degrees, ent_v, ent_next, bkt_head, meta,
-                    tie_mode, rng_state)
+        v = observe(entropy, colors, degrees, tie_mode, rng_state)
         if v < 0:
             return RESTART
         collapse(avail, entropy, colors, meta, v)
-        if propagate(indptr, indices, avail, entropy, colors,
-                     ent_v, ent_next, bkt_head, meta, stack, v, gated) == RESTART:
+        if propagate(indptr, indices, avail, entropy, colors, meta, stack, v,
+                     gated) == RESTART:
             return RESTART
     return OK
 

@@ -5,8 +5,15 @@ The solver keeps, for every uncolored vertex, the set of colors still open
 to it (its domain) and the domain's size (its entropy).  Each iteration
 picks an uncolored vertex of minimum entropy, fixes it to its smallest
 available color, and strikes that color from neighboring domains, cascading
-depth-first whenever a domain shrinks to a single color.  If any domain
-empties, the whole attempt is abandoned and rerun with one more color.
+depth-first whenever a domain shrinks to a single color.  The budget
+starts at max(max_degree, 1) colors; if a domain empties or a forced color
+clashes, the attempt is abandoned and rerun once with one more color.
+
+There is at most one restart, because max_degree + 1 colors cannot fail: a
+vertex loses at most one color per neighbor, so no domain empties, and a
+domain shrinks to one color only after every neighbor has struck a distinct
+color, so it cannot clash.  This holds in every tie-break and propagation
+mode.
 """
 from __future__ import annotations
 
@@ -49,6 +56,11 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A coloring with its color count k.  For the collapse solver,
+    restarts is 0 or 1 (at most one restart, because max_degree + 1 colors
+    cannot fail) and final_m = max(max_degree, 1) + restarts is the budget
+    of the attempt that succeeded."""
+
     coloring: Coloring
     k: int
     restarts: int = 0
@@ -70,23 +82,12 @@ class DomainState:
         self.g = g
         self.m = m
         self.degrees = g.degrees
-        self.avail = np.empty((n, m), dtype=np.uint8)
-        self.entropy = np.empty(n, dtype=np.int32)
-        self.colors = np.empty(n, dtype=np.int32)
-        # entry pool: one slot per initial vertex plus one per possible
-        # entropy decrement (at most one per directed edge)
-        self.ent_v = np.empty(n + g.indices.shape[0] + 1, dtype=np.int32)
-        self.ent_next = np.empty_like(self.ent_v)
-        self.bkt_head = np.empty(m + 1, dtype=np.int32)
-        self.meta = np.zeros(4, dtype=np.int64)
+        self.avail = np.ones((n, m), dtype=np.uint8)
+        self.entropy = np.full(n, m, dtype=np.int32)
+        self.colors = np.zeros(n, dtype=np.int32)
+        self.meta = np.zeros(2, dtype=np.int64)
         self.stack = np.empty(max(n, 1), dtype=np.int32)
         self.rng_state = _k.seeded_rng_state(seed)
-        _k.state_init(self.avail, self.entropy, self.colors,
-                      self.ent_v, self.ent_next, self.bkt_head, self.meta)
-
-    @classmethod
-    def fresh(cls, g: Graph, m: int, seed: int = 0) -> "DomainState":
-        return cls(g, m, seed=seed)
 
     @classmethod
     def from_domains(cls, g: Graph, m: int,
@@ -101,10 +102,6 @@ class DomainState:
             if not 1 <= c <= m:
                 raise ValueError(f"color {c} outside 1..{m}")
             st.colors[v] = c
-        st.bkt_head[:] = -1
-        st.meta[_k._ENTRIES] = 0
-        st.meta[_k._FLOOR] = m
-        st.meta[_k._FORCED] = 0
         st.meta[_k._COLORED] = len(colors)
         for v in range(g.n):
             if st.colors[v] != 0:
@@ -118,8 +115,6 @@ class DomainState:
             for c in dom:
                 st.avail[v, c - 1] = 1
             st.entropy[v] = len(dom)
-            _k.bucket_push(st.ent_v, st.ent_next, st.bkt_head, st.meta,
-                           v, len(dom))
         return st
 
     # -- counters ---------------------------------------------------------
@@ -166,9 +161,8 @@ class DomainState:
         if self.colored_count >= self.g.n:
             raise ValueError("observe() called with no uncolored vertices")
         tie = _k.TIE_RANDOM if tie_break == "random" else _k.TIE_DEGREE
-        v = _k.observe(self.entropy, self.colors, self.degrees,
-                       self.ent_v, self.ent_next, self.bkt_head, self.meta,
-                       tie, self.rng_state)
+        v = _k.observe(self.entropy, self.colors, self.degrees, tie,
+                       self.rng_state)
         return RESTART if v == _k.OBSERVE_RESTART else int(v)
 
     def collapse(self, v: int) -> int:
@@ -187,34 +181,17 @@ class DomainState:
             raise ValueError(f"vertex {v} is not colored")
         status = _k.propagate(self.g.indptr, self.g.indices,
                               self.avail, self.entropy, self.colors,
-                              self.ent_v, self.ent_next, self.bkt_head,
                               self.meta, self.stack, v, gated)
         return status == _k.OK
 
-    def check_index(self) -> None:
-        """Assert the lazy entropy index still describes every uncolored
-        vertex (test support)."""
-        floor = int(self.meta[_k._FLOOR])
-        seen = set()
-        for e in range(self.bkt_head.shape[0]):
-            k = self.bkt_head[e]
-            while k != -1:
-                v = int(self.ent_v[k])
-                if self.colors[v] == 0 and self.entropy[v] == e:
-                    seen.add(v)
-                k = self.ent_next[k]
-        for v in self.uncolored():
-            assert v in seen, f"vertex {v} missing from entropy index"
-            assert floor <= self.entropy[v], "entropy floor above a live entry"
-
 
 def solve(g: Graph, config: SolveConfig | None = None) -> SolveResult:
-    """Color g, growing the color budget on demand.
+    """Color g with a budget of max(max_degree, 1) colors, or one more.
 
-    The budget starts at max(max_degree, 1).  Each attempt seeds the
-    lowest-id maximum-degree vertex with color 1, propagates, then loops
-    observe/collapse/propagate.  Any dead end restarts from scratch with one
-    extra color; a budget of n always succeeds, so this terminates.
+    Each attempt seeds the lowest-id maximum-degree vertex with color 1,
+    propagates, then loops observe/collapse/propagate.  A dead end restarts
+    from scratch with one extra color.  That happens at most once, because
+    max_degree + 1 colors cannot fail (see the module docstring).
     """
     cfg = config or SolveConfig()
     if g.n < 1:
@@ -223,15 +200,15 @@ def solve(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     tie = _k.TIE_RANDOM if cfg.tie_break == "random" else _k.TIE_DEGREE
     gated = cfg.propagation == "gated"
     m0 = max(g.max_degree, 1)
-    for m in range(m0, g.n + 1):
+    for m in (m0, m0 + 1):
         st = DomainState(g, m, seed=cfg.seed)
         status = _k.wfc_attempt(g.indptr, g.indices, degrees,
                                 st.avail, st.entropy, st.colors,
-                                st.ent_v, st.ent_next, st.bkt_head,
                                 st.meta, st.stack, tie, st.rng_state, gated)
         if status == _k.OK:
             coloring = Coloring(st.colors.copy())
             return SolveResult(coloring=coloring, k=coloring.k,
                                restarts=m - m0, final_m=m,
                                forced_colorings=st.forced_count)
-    raise AssertionError("a budget of n colors cannot fail")  # pragma: no cover
+    raise AssertionError(
+        "max_degree + 1 colors cannot fail")  # pragma: no cover

@@ -56,8 +56,8 @@ def test_validity_suite():
         for alg, r in results.items():
             assert validate(g, r.coloring).ok, f"{alg} invalid on graph {i}"
         w = results["wfcc"]
-        assert w.restarts <= g.n
-        assert w.final_m <= g.n
+        assert w.restarts <= 1
+        assert w.final_m == max(g.max_degree, 1) + w.restarts
     _passed("validity-suite")
 
 
@@ -185,8 +185,8 @@ def test_termination_and_clique_bound():
         n = int(rng.integers(2, 50))
         g = random_gnp(n, [0.1, 0.5, 0.9][i % 3], seed=8000 + i)
         r = solve(g)
-        assert r.restarts <= g.n
-        assert r.final_m <= g.n
+        assert r.restarts <= 1
+        assert r.final_m == max(g.max_degree, 1) + r.restarts
     for n in range(2, 9):
         assert solve(complete_graph(n)).k == n
     _passed("termination-and-bound")

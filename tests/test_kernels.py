@@ -40,11 +40,10 @@ def test_observe_pyfunc_matches_jit():
         b = DomainState(g, 4, seed=trial)
         a.set_color(0, 1)
         b.set_color(0, 1)
-        va = _k.observe(a.entropy, a.colors, a.degrees, a.ent_v, a.ent_next,
-                        a.bkt_head, a.meta, _k.TIE_DEGREE, a.rng_state)
-        vb = _k.observe.py_func(b.entropy, b.colors, b.degrees, b.ent_v,
-                                b.ent_next, b.bkt_head, b.meta,
-                                _k.TIE_DEGREE, b.rng_state)
+        va = _k.observe(a.entropy, a.colors, a.degrees, _k.TIE_DEGREE,
+                        a.rng_state)
+        vb = _k.observe.py_func(b.entropy, b.colors, b.degrees, _k.TIE_DEGREE,
+                                b.rng_state)
         assert va == vb
 
 
@@ -58,11 +57,9 @@ def test_propagate_pyfunc_matches_jit():
         a.set_color(0, 1)
         b.set_color(0, 1)
         sa = _k.propagate(g.indptr, g.indices, a.avail, a.entropy, a.colors,
-                          a.ent_v, a.ent_next, a.bkt_head, a.meta, a.stack,
-                          0, False)
+                          a.meta, a.stack, 0, False)
         sb = _k.propagate.py_func(g.indptr, g.indices, b.avail, b.entropy,
-                                  b.colors, b.ent_v, b.ent_next, b.bkt_head,
-                                  b.meta, b.stack, 0, False)
+                                  b.colors, b.meta, b.stack, 0, False)
         assert sa == sb
         assert np.array_equal(a.colors, b.colors)
         assert np.array_equal(a.avail, b.avail)

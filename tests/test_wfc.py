@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from util import complete_graph, path_graph, star_graph
+from wfcolor.baselines import dsatur
 from wfcolor.coloring import validate
 from wfcolor.exact import exact_chromatic
 from wfcolor.graph import Graph, crown_graph, random_gnp
@@ -108,9 +109,9 @@ def test_budget_accounting():
     for seed in range(15):
         g = random_gnp(25, [0.2, 0.5, 0.8][seed % 3], seed=seed)
         r = solve(g)
-        assert r.k <= r.final_m <= g.n
+        assert r.k <= r.final_m
         assert r.final_m == max(g.max_degree, 1) + r.restarts
-        assert r.restarts <= g.n - max(g.max_degree, 1) + 1
+        assert r.restarts <= 1
 
 
 def test_dominates_exact_chromatic_on_small_graphs():
@@ -126,6 +127,34 @@ def test_solve_output_is_always_proper(n, p, seed):
     r = solve(g)
     assert validate(g, r.coloring).ok
     assert r.coloring.k == r.k
+
+
+@st.composite
+def _graphs(draw):
+    family = draw(st.sampled_from(["gnp", "crown", "complete", "star",
+                                   "edgeless"]))
+    if family == "gnp":
+        return random_gnp(draw(st.integers(1, 60)),
+                          draw(st.sampled_from([0.05, 0.3, 0.5, 0.8, 0.95])),
+                          draw(st.integers(0, 10_000)))
+    if family == "crown":
+        return crown_graph(draw(st.integers(2, 30)))
+    if family == "complete":
+        return complete_graph(draw(st.integers(1, 20)))
+    if family == "star":
+        return star_graph(draw(st.integers(1, 40)))
+    return Graph.from_edges(draw(st.integers(1, 40)), [])
+
+
+@given(g=_graphs())
+def test_solve_is_dsatur(g):
+    # entropy = budget - saturation and both break ties by degree, then id;
+    # max_degree + 1 colors cannot fail, so one restart is the most there is
+    r = solve(g)
+    assert r.coloring.assignment.tobytes() == \
+        dsatur(g).coloring.assignment.tobytes()
+    assert r.restarts <= 1
+    assert r.final_m == max(g.max_degree, 1) + r.restarts
 
 
 # -- observe ----------------------------------------------------------------
@@ -174,23 +203,35 @@ def test_observe_random_mode_stays_on_minimum():
 
 
 def test_observe_agrees_with_plain_scan():
-    """The lazy bucket index must return exactly what a full scan would."""
+    """observe() returns exactly what a plain scan over the uncolored
+    vertices would, on states with mixed domain sizes, some colored vertices
+    and equal entropies at different degrees; in random mode every pick
+    still has the minimum entropy."""
     rng = np.random.default_rng(0)
     for trial in range(60):
         n = int(rng.integers(2, 12))
         g = random_gnp(n, 0.5, seed=trial)
         m = int(rng.integers(2, 6))
-        st_ = DomainState(g, m, seed=trial)
-        st_.set_color(int(rng.integers(0, n)), 1)
+        colored = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+        colors = {int(v): int(rng.integers(1, m + 1)) for v in colored}
+        domains = {v: {int(c) for c in rng.choice(
+                       np.arange(1, m + 1), size=int(rng.integers(0, m + 1)),
+                       replace=False)}
+                   for v in range(n) if v not in colors}
+        st_ = DomainState.from_domains(g, m, domains, colors, seed=trial)
         uncolored = st_.uncolored()
-        if not uncolored:
-            continue
-        expected = min(
-            uncolored,
-            key=lambda v: (st_.entropy[v], -st_.degrees[v], v))
-        got = st_.observe()
-        assert got == expected
-        st_.check_index()
+        low = min(len(domains[v]) for v in uncolored)
+        expected = min(uncolored, key=lambda v: (len(domains[v]),
+                                                 -st_.degrees[v], v))
+        assert st_.observe() == (RESTART if low == 0 else expected)
+        for seed in range(5):
+            st_ = DomainState.from_domains(g, m, domains, colors, seed=seed)
+            for _ in range(3):
+                got = st_.observe(tie_break="random")
+                if low == 0:
+                    assert got == RESTART
+                else:
+                    assert got in uncolored and len(domains[got]) == low
 
 
 # -- collapse ---------------------------------------------------------------
@@ -289,7 +330,6 @@ def test_propagate_keeps_colored_neighbor_exclusion():
             for w in g.neighbors(u):
                 if st_.color_of(int(w)) is None:
                     assert st_.color_of(u) not in st_.domain(int(w))
-        st_.check_index()
 
 
 def test_propagate_only_shrinks_domains():
