@@ -5,6 +5,9 @@ in a fresh interpreter so the env flag takes effect) and prints mean solve
 times side by side:
 
     python benchmarks/backend_bench.py --n 250 --p 0.5 --reps 20
+
+If a requested backend did not run (numba not installed), it prints a note
+and exits 1 without a table.
 """
 from __future__ import annotations
 
@@ -62,13 +65,15 @@ def main() -> int:
         worker(args.n, args.p, args.seed, args.reps)
         return 0
 
+    results = {b: run_backend(b, args) for b in ("numba", "python")}
+    missing = [b for b, r in results.items() if r["backend"] != b]
+    for b in missing:
+        print(f"note: requested {b}, ran {results[b]['backend']} "
+              f"(numba missing?); no comparison to report", file=sys.stderr)
+    if missing:
+        return 1
     print(f"instance: gnp(n={args.n}, p={args.p}, seed={args.seed}), "
           f"{args.reps} reps per algorithm\n")
-    results = {b: run_backend(b, args) for b in ("numba", "python")}
-    for b, r in results.items():
-        if r["backend"] != b:
-            print(f"note: requested {b}, ran {r['backend']} "
-                  f"(numba missing?)", file=sys.stderr)
     print(f"{'algorithm':<10} {'numba (us)':>14} {'python (us)':>14} {'speedup':>9}")
     for alg in ALGS:
         jit = results["numba"]["means_us"][alg]

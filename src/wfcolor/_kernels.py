@@ -81,7 +81,7 @@ def observe(entropy, colors, degrees, tie_mode, rng_state):
 
 
 @_jit
-def collapse(avail, entropy, colors, meta, v):
+def collapse(avail, colors, meta, v):
     """Fix v to the smallest color left in its domain.  Returns the color,
     or 0 if the domain was empty (caller contract violation)."""
     m_colors = avail.shape[1]
@@ -94,21 +94,14 @@ def collapse(avail, entropy, colors, meta, v):
 
 
 @_jit
-def propagate(indptr, indices, avail, entropy, colors, meta, stack, start,
-              gated):
+def propagate(indptr, indices, avail, entropy, colors, meta, stack, start):
     """Depth-first domain restriction from the vertex just colored.
 
-    Pops a colored vertex, strikes its color from uncolored neighbors'
-    domains, and force-colors any neighbor left with a single color (pushing
+    Pops a colored vertex, strikes its color from every uncolored neighbor's
+    domain, and force-colors any neighbor left with a single color (pushing
     it to cascade further).  Returns RESTART when a domain empties or a
     forced color clashes with an already-colored neighbor.
-
-    With gated=True, neighbors whose entropy is already 1 are skipped before
-    the removal, which can leave a unit domain holding a conflicting color.
-    Kept for side-by-side comparison; the default restricts every uncolored
-    neighbor.
     """
-    m_colors = avail.shape[1]
     top = 0
     stack[top] = start
     top += 1
@@ -118,11 +111,7 @@ def propagate(indptr, indices, avail, entropy, colors, meta, stack, start,
         cu = colors[u] - 1
         for idx in range(indptr[u], indptr[u + 1]):
             w = indices[idx]
-            if colors[w] != 0:
-                continue
-            if gated and entropy[w] <= 1:
-                continue
-            if avail[w, cu] == 0:
+            if colors[w] != 0 or avail[w, cu] == 0:
                 continue
             avail[w, cu] = 0
             e = entropy[w] - 1
@@ -130,17 +119,13 @@ def propagate(indptr, indices, avail, entropy, colors, meta, stack, start,
             if e == 0:
                 return RESTART
             if e == 1:
-                forced_c = 0
-                for c in range(m_colors):
-                    if avail[w, c] != 0:
-                        forced_c = c + 1
-                        break
+                # w is never its own neighbor, so coloring it before the
+                # clash check cannot hide a clash
+                forced_c = collapse(avail, colors, meta, w)
                 for jdx in range(indptr[w], indptr[w + 1]):
                     if colors[indices[jdx]] == forced_c:
                         return RESTART
-                colors[w] = forced_c
                 meta[_FORCED] += 1
-                meta[_COLORED] += 1
                 stack[top] = w
                 top += 1
     return OK
@@ -148,7 +133,7 @@ def propagate(indptr, indices, avail, entropy, colors, meta, stack, start,
 
 @_jit
 def wfc_attempt(indptr, indices, degrees, avail, entropy, colors, meta, stack,
-                tie_mode, rng_state, gated):
+                tie_mode, rng_state):
     """One full solve attempt at a fixed color budget M = avail.shape[1] on
     a newly built state: seed the lowest-id maximum-degree vertex with
     color 1, then loop observe/collapse/propagate until done or RESTART."""
@@ -159,16 +144,16 @@ def wfc_attempt(indptr, indices, degrees, avail, entropy, colors, meta, stack,
             seed = v
     colors[seed] = 1
     meta[_COLORED] += 1
-    if propagate(indptr, indices, avail, entropy, colors, meta, stack, seed,
-                 gated) == RESTART:
+    if propagate(indptr, indices, avail, entropy, colors, meta, stack,
+                 seed) == RESTART:
         return RESTART
     while meta[_COLORED] < n:
         v = observe(entropy, colors, degrees, tie_mode, rng_state)
         if v < 0:
             return RESTART
-        collapse(avail, entropy, colors, meta, v)
-        if propagate(indptr, indices, avail, entropy, colors, meta, stack, v,
-                     gated) == RESTART:
+        collapse(avail, colors, meta, v)
+        if propagate(indptr, indices, avail, entropy, colors, meta, stack,
+                     v) == RESTART:
             return RESTART
     return OK
 

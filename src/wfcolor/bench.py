@@ -65,7 +65,6 @@ class RunConfig:
     timeout_ms: float = 60_000.0
     jobs: int = 1
     tie_break: str = "degree"
-    propagation: str = "full"
     saturation: str = "distinct"
     rlf_tie: str = "random"
 
@@ -111,13 +110,11 @@ def resolve_instances(cfg: RunConfig) -> list[tuple[str, Graph]]:
 
 
 def run_algorithm(alg: str, g: Graph, *, seed: int = 0,
-                  tie_break: str = "degree", propagation: str = "full",
-                  saturation: str = "distinct",
+                  tie_break: str = "degree", saturation: str = "distinct",
                   rlf_tie: str = "random") -> SolveResult:
     """Dispatch one solve by algorithm name with the harness mode flags."""
     if alg == "wfcc":
-        return solve(g, SolveConfig(tie_break=tie_break,
-                                    propagation=propagation, seed=seed))
+        return solve(g, SolveConfig(tie_break=tie_break, seed=seed))
     if alg == "ig":
         return iterated_greedy(g, order="degree")
     if alg == "dsatur":
@@ -125,12 +122,6 @@ def run_algorithm(alg: str, g: Graph, *, seed: int = 0,
     if alg == "rlf":
         return rlf(g, seed=seed, tie_break=rlf_tie)
     raise ValueError(f"unknown algorithm {alg!r}; use one of {ALGORITHMS}")
-
-
-def _run_solver(alg: str, g: Graph, cfg: RunConfig) -> SolveResult:
-    return run_algorithm(alg, g, seed=cfg.seed, tie_break=cfg.tie_break,
-                         propagation=cfg.propagation, saturation=cfg.saturation,
-                         rlf_tie=cfg.rlf_tie)
 
 
 def _bench_pair(name: str, g: Graph, alg: str, cfg: RunConfig,
@@ -142,7 +133,9 @@ def _bench_pair(name: str, g: Graph, alg: str, cfg: RunConfig,
     # statistics; it still counts against the timeout
     for rep in range(cfg.reps + 1):
         t0 = time.perf_counter_ns()
-        result = _run_solver(alg, g, cfg)
+        result = run_algorithm(alg, g, seed=cfg.seed,
+                               tie_break=cfg.tie_break,
+                               saturation=cfg.saturation, rlf_tie=cfg.rlf_tie)
         dt_us = (time.perf_counter_ns() - t0) / 1000.0
         verdict = validate(g, result.coloring)
         if not verdict.ok:

@@ -9,14 +9,12 @@ from .bench import (ALGORITHMS, BenchError, RunConfig, load_best_known,
                     render_report, run_algorithm, run_bench, speedup_summary)
 from .coloring import format_coloring, parse_coloring, validate
 from .dimacs import load_dimacs
-from .wfc import PROPAGATION_MODES, TIE_BREAKS
+from .wfc import TIE_BREAKS
 
 
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tie-break", choices=TIE_BREAKS, default="degree",
                    help="observe() tie-break for wfcc")
-    p.add_argument("--propagation", choices=PROPAGATION_MODES, default="full",
-                   help="wfcc propagation mode (gated skips unit domains)")
     p.add_argument("--saturation", choices=("distinct", "count"),
                    default="distinct", help="dsatur saturation rule")
     p.add_argument("--rlf-tie", choices=("random", "lowest-id"),
@@ -74,7 +72,6 @@ def _cmd_bench(args) -> int:
         timeout_ms=args.timeout_ms,
         jobs=args.jobs,
         tie_break=args.tie_break,
-        propagation=args.propagation,
         saturation=args.saturation,
         rlf_tie=args.rlf_tie,
     )
@@ -96,7 +93,6 @@ def _cmd_color(args) -> int:
     g = load_dimacs(args.input)
     result = run_algorithm(args.alg, g, seed=args.seed,
                            tie_break=args.tie_break,
-                           propagation=args.propagation,
                            saturation=args.saturation, rlf_tie=args.rlf_tie)
     text = format_coloring(result.coloring)
     if args.out:

@@ -110,11 +110,7 @@ def validate(g: Graph, coloring: Coloring) -> Verdict:
     missing = np.nonzero(a == UNCOLORED)[0]
     if missing.size:
         return Verdict(ok=False, uncolored=int(missing[0]))
-    # endpoints in CSR order; restricting to u < w scans each edge once,
-    # in canonical (u, w) order
-    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    upper = src < g.indices
-    us, ws = src[upper], g.indices[upper]
+    us, ws = g.edge_arrays()  # each edge once, in canonical (u, w) order
     bad = np.nonzero(a[us] == a[ws])[0]
     if bad.size:
         i = int(bad[0])

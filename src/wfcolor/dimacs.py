@@ -91,10 +91,7 @@ def write_dimacs(g: Graph) -> str:
     """Emit canonical DIMACS text: problem line, then each edge once as
     ``e u v`` with u < v, 1-based.  parse_dimacs inverts this exactly."""
     out = [f"p edge {g.n} {g.m}"]
-    for u in range(g.n):
-        for w in g.neighbors(u):
-            if u < w:
-                out.append(f"e {u + 1} {w + 1}")
+    out += [f"e {u + 1} {w + 1}" for u, w in g.edges()]
     return "\n".join(out) + "\n"
 
 

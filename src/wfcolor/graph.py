@@ -47,14 +47,17 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Endpoints (us, ws) of every edge with u < w, in canonical (u, w)
+        order: the CSR arcs restricted to u < w hold each edge once."""
+        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = src < self.indices
+        return src[upper], self.indices[upper]
+
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in canonical order."""
-        out = []
-        for u in range(self.n):
-            for w in self.neighbors(u):
-                if u < w:
-                    out.append((u, int(w)))
-        return out
+        us, ws = self.edge_arrays()
+        return list(zip(us.tolist(), ws.tolist()))
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)

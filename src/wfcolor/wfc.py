@@ -12,8 +12,11 @@ clashes, the attempt is abandoned and rerun once with one more color.
 There is at most one restart, because max_degree + 1 colors cannot fail: a
 vertex loses at most one color per neighbor, so no domain empties, and a
 domain shrinks to one color only after every neighbor has struck a distinct
-color, so it cannot clash.  This holds in every tie-break and propagation
-mode.
+color, so it cannot clash.  This holds in every tie-break mode.
+
+Propagation has one rule: every uncolored domain is exactly {1..m} minus
+the colors of its colored neighbors, which is why the default tie-break
+reproduces DSatur's coloring (entropy = m - saturation).
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from .graph import Graph
 RESTART = -1
 
 TIE_BREAKS = ("degree", "random")
-PROPAGATION_MODES = ("full", "gated")
 
 
 @dataclass(frozen=True)
@@ -37,21 +39,15 @@ class SolveConfig:
 
     tie_break: how observe() breaks minimum-entropy ties - "degree" (highest
       degree, then lowest id) or "random" (seeded uniform pick).
-    propagation: "full" strikes a new color from every uncolored neighbor;
-      "gated" skips neighbors already down to one color, which can let a
-      conflicting unit domain survive.  Kept for comparison runs only.
     seed: drives all randomized tie-breaking; fixed seed means identical runs.
     """
 
     tie_break: str = "degree"
-    propagation: str = "full"
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.tie_break not in TIE_BREAKS:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-        if self.propagation not in PROPAGATION_MODES:
-            raise ValueError(f"propagation must be one of {PROPAGATION_MODES}")
 
 
 @dataclass(frozen=True)
@@ -169,19 +165,20 @@ class DomainState:
         """Assign v the smallest color in its domain and return it."""
         if self.colors[v] != 0:
             raise ValueError(f"vertex {v} already colored")
-        c = _k.collapse(self.avail, self.entropy, self.colors, self.meta, v)
+        c = _k.collapse(self.avail, self.colors, self.meta, v)
         if c == 0:
             raise ValueError(f"vertex {v} has an empty domain")
         return c
 
-    def propagate(self, v: int, gated: bool = False) -> bool:
+    def propagate(self, v: int) -> bool:
         """Cascade the domain restriction from colored vertex v.  True on
-        success, False when the attempt must restart."""
+        success, False when the attempt must restart; the state is then
+        left mid-cascade and must be discarded."""
         if self.colors[v] == 0:
             raise ValueError(f"vertex {v} is not colored")
         status = _k.propagate(self.g.indptr, self.g.indices,
                               self.avail, self.entropy, self.colors,
-                              self.meta, self.stack, v, gated)
+                              self.meta, self.stack, v)
         return status == _k.OK
 
 
@@ -198,13 +195,12 @@ def solve(g: Graph, config: SolveConfig | None = None) -> SolveResult:
         raise ValueError("cannot color the empty graph")
     degrees = g.degrees
     tie = _k.TIE_RANDOM if cfg.tie_break == "random" else _k.TIE_DEGREE
-    gated = cfg.propagation == "gated"
     m0 = max(g.max_degree, 1)
     for m in (m0, m0 + 1):
         st = DomainState(g, m, seed=cfg.seed)
         status = _k.wfc_attempt(g.indptr, g.indices, degrees,
                                 st.avail, st.entropy, st.colors,
-                                st.meta, st.stack, tie, st.rng_state, gated)
+                                st.meta, st.stack, tie, st.rng_state)
         if status == _k.OK:
             coloring = Coloring(st.colors.copy())
             return SolveResult(coloring=coloring, k=coloring.k,

@@ -1,5 +1,6 @@
 import pytest
 
+from util import one_color_solve
 from wfcolor.bench import (BenchError, BenchRow, RunConfig, default_best_known,
                            load_best_known, parse_csv, parse_generator_spec,
                            render_csv, render_markdown, render_report,
@@ -60,13 +61,13 @@ def test_timeout_yields_na_row():
     assert row.restarts is None
 
 
-def test_invalid_output_aborts_the_row(tmp_path):
-    # the gated propagation rule lets a 2-clique with budget 1 slip through
-    # with a conflict; the harness must refuse to report it
+def test_invalid_output_aborts_the_row(tmp_path, monkeypatch):
+    # a solver that colors K2 with one color; the harness must refuse to
+    # report it
+    monkeypatch.setattr("wfcolor.bench.solve", one_color_solve)
     path = tmp_path / "k2.col"
     path.write_text("p edge 2 1\ne 1 2\n")
-    cfg = RunConfig(algorithms=("wfcc",), instances=(str(path),), reps=1,
-                    propagation="gated")
+    cfg = RunConfig(algorithms=("wfcc",), instances=(str(path),), reps=1)
     with pytest.raises(BenchError):
         run_bench(cfg)
 

@@ -1,3 +1,4 @@
+from util import one_color_solve
 from wfcolor.bench import parse_csv
 from wfcolor.cli import main
 from wfcolor.coloring import parse_coloring, validate
@@ -96,12 +97,14 @@ def test_unreadable_input_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_gated_flag_reaches_the_solver(tmp_path):
+def test_bench_refuses_an_invalid_coloring(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("wfcolor.bench.solve", one_color_solve)
     graph_path = tmp_path / "k2.col"
     graph_path.write_text("p edge 2 1\ne 1 2\n")
     rc = main(["bench", "--alg", "wfcc", "--input", str(graph_path),
-               "--reps", "1", "--propagation", "gated"])
+               "--reps", "1"])
     assert rc == 2  # harness refuses the conflicting coloring
+    assert "invalid coloring" in capsys.readouterr().err
 
 
 def test_random_tie_break_flag(tmp_path):

@@ -33,6 +33,26 @@ def test_edges_listing_is_canonical():
     assert g.edges() == [(0, 1), (0, 2), (1, 2)]
 
 
+def _edges_by_neighbor_loop(g):
+    # the per-vertex loop Graph.edges() replaced, kept as the reference
+    return [(u, int(w)) for u in range(g.n) for w in g.neighbors(u) if u < w]
+
+
+@given(kind=st.sampled_from(["gnp", "crown", "edgeless", "single"]),
+       n=st.integers(2, 40), p=st.sampled_from([0.05, 0.3, 0.7, 1.0]),
+       seed=st.integers(0, 10_000))
+def test_edges_match_neighbor_loop(kind, n, p, seed):
+    g = {"gnp": lambda: random_gnp(n, p, seed),
+         "crown": lambda: crown_graph(n),
+         "edgeless": lambda: Graph.from_edges(n, []),
+         "single": lambda: Graph.from_edges(1, [])}[kind]()
+    edges = g.edges()
+    assert edges == _edges_by_neighbor_loop(g)
+    assert all(type(u) is int and type(w) is int for u, w in edges)
+    us, ws = g.edge_arrays()
+    assert list(zip(us.tolist(), ws.tolist())) == edges
+
+
 def test_crown_4_shape():
     g = crown_graph(4)
     assert g.n == 8

@@ -57,9 +57,9 @@ def test_propagate_pyfunc_matches_jit():
         a.set_color(0, 1)
         b.set_color(0, 1)
         sa = _k.propagate(g.indptr, g.indices, a.avail, a.entropy, a.colors,
-                          a.meta, a.stack, 0, False)
+                          a.meta, a.stack, 0)
         sb = _k.propagate.py_func(g.indptr, g.indices, b.avail, b.entropy,
-                                  b.colors, b.meta, b.stack, 0, False)
+                                  b.colors, b.meta, b.stack, 0)
         assert sa == sb
         assert np.array_equal(a.colors, b.colors)
         assert np.array_equal(a.avail, b.avail)

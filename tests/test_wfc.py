@@ -81,8 +81,6 @@ def test_random_tie_break_is_seeded():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(tie_break="alphabetical")
-    with pytest.raises(ValueError):
-        SolveConfig(propagation="sometimes")
 
 
 def test_concurrent_solves_share_one_graph():
@@ -306,6 +304,13 @@ def test_triangle_with_two_colors_restarts():
     assert not st_.propagate(0)
 
 
+def test_edge_with_one_color_restarts_on_empty_domain():
+    g = path_graph(2)
+    st_ = DomainState(g, 1)
+    st_.set_color(0, 1)
+    assert not st_.propagate(0)
+
+
 def test_propagate_requires_colored_start():
     g = path_graph(2)
     st_ = DomainState(g, 2)
@@ -341,35 +346,6 @@ def test_propagate_only_shrinks_domains():
     for v in range(g.n):
         if st_.color_of(v) is None:
             assert st_.domain(v) <= before[v]
-
-
-# -- gated propagation (skips unit domains before the removal) ---------------
-
-def test_gated_mode_still_restarts_on_forced_conflicts():
-    r = solve(complete_graph(3), SolveConfig(propagation="gated"))
-    assert r.k == 3
-    assert validate(complete_graph(3), r.coloring).ok
-
-
-def test_gated_mode_can_miss_unit_domain_conflicts():
-    # K2 with budget 1: the gated rule never strikes the seed color from the
-    # neighbor's unit domain, so the run "succeeds" with a conflict
-    g = complete_graph(2)
-    r = solve(g, SolveConfig(propagation="gated"))
-    assert r.restarts == 0
-    assert not validate(g, r.coloring).ok
-
-
-def test_gated_propagate_skips_unit_domains():
-    g = path_graph(2)
-    st_ = DomainState(g, 1)
-    st_.set_color(0, 1)
-    assert st_.propagate(0, gated=True)
-    assert st_.domain(1) == {1}  # untouched
-    # default mode empties the same domain and restarts
-    st2 = DomainState(g, 1)
-    st2.set_color(0, 1)
-    assert not st2.propagate(0)
 
 
 # -- forced colorings vs. observation ----------------------------------------

@@ -1,5 +1,9 @@
-"""Tiny graph builders shared across the test modules."""
+"""Tiny graph builders and solver stand-ins shared across the test modules."""
+import numpy as np
+
+from wfcolor.coloring import Coloring
 from wfcolor.graph import Graph
+from wfcolor.wfc import SolveResult
 
 
 def complete_graph(n: int) -> Graph:
@@ -17,3 +21,9 @@ def cycle_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def one_color_solve(g: Graph, config=None) -> SolveResult:
+    """A broken stand-in for wfc.solve: every vertex gets color 1, which is
+    improper on any graph with an edge."""
+    return SolveResult(coloring=Coloring(np.ones(g.n, dtype=np.int32)), k=1)
