@@ -3,6 +3,8 @@
 Vertices are 0-based ints.  All solvers and kernels in this package read the
 ``indptr``/``indices`` arrays directly, so graphs are canonicalized once at
 construction: deduplicated, symmetric, self-loop free, neighbors sorted.
+The generators and the DIMACS parser hand ``Graph.from_edges`` a (k, 2) int64
+endpoint array; the CSR is built and checked with whole-array numpy operations.
 """
 from __future__ import annotations
 
@@ -26,9 +28,9 @@ class Graph:
     indices: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        _check_canonical(self.n, self.indptr, self.indices)
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
-        _check_canonical(self.n, self.indptr, self.indices)
 
     @property
     def m(self) -> int:
@@ -65,54 +67,48 @@ class Graph:
         return i < row.shape[0] and row[i] == v
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a canonical graph from 0-based edge pairs.
+    def from_edges(cls, n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
+        """Build a canonical graph from 0-based edge pairs: a (k, 2) integer
+        array, or any iterable of (u, w) pairs.
 
         Duplicate pairs and both orientations of an edge collapse to one
         undirected edge.  Self-loops are rejected.
         """
-        pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-        if pairs.size:
-            if pairs.min() < 0 or pairs.max() >= n:
-                raise ValueError("edge endpoint out of range")
-            if np.any(pairs[:, 0] == pairs[:, 1]):
-                raise ValueError("self-loops are not allowed")
-            lo = np.minimum(pairs[:, 0], pairs[:, 1])
-            hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            uniq = np.unique(lo * n + hi)
-            lo, hi = uniq // n, uniq % n
-        else:
-            lo = hi = np.empty(0, dtype=np.int64)
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n=n, indptr=indptr, indices=dst.astype(np.int32))
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
+        u, w = pairs.reshape(-1, 2).T
+        if np.any(pairs < 0) or np.any(pairs >= n):
+            raise ValueError("edge endpoint out of range")
+        if np.any(u == w):
+            raise ValueError("self-loops are not allowed")
+        # one key per arc, both orientations; sorted keys are in (src, dst) order
+        keys = np.sort(np.concatenate([u * n + w, w * n + u]))
+        keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        return cls(n=n, indptr=indptr, indices=(keys % n).astype(np.int32))
 
 
 def _check_canonical(n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
-    if indptr.shape[0] != n + 1 or indptr[0] != 0 or indptr[-1] != indices.shape[0]:
+    if not (isinstance(indptr, np.ndarray) and isinstance(indices, np.ndarray)
+            and indptr.ndim == indices.ndim == 1
+            and indptr.dtype.kind == indices.dtype.kind == "i"):
+        raise ValueError("indptr and indices must be 1-D signed integer arrays")
+    if (indptr.shape[0] != n + 1 or indptr[0] != 0 or indptr[-1] != indices.shape[0]
+            or np.any(indptr[1:] < indptr[:-1])):
         raise ValueError("malformed CSR index")
-    if indices.shape[0] == 0:
-        return
-    if indices.min() < 0 or indices.max() >= n:
+    if np.any(indices < 0) or np.any(indices >= n):
         raise ValueError("neighbor id out of range")
-    for v in range(n):
-        row = indices[indptr[v]:indptr[v + 1]]
-        if row.shape[0] == 0:
-            continue
-        if np.any(np.diff(row) <= 0):
-            raise ValueError(f"adjacency of vertex {v} not strictly increasing")
-        if np.any(row == v):
-            raise ValueError(f"self-loop at vertex {v}")
-    # symmetry: the multiset of (u, w) arcs must equal the (w, u) arcs
     src = np.repeat(np.arange(n), np.diff(indptr))
+    # name the lowest offending vertex; on one vertex, row order beats a self-loop
+    unsorted = src[1:][(indices[1:] <= indices[:-1]) & (src[1:] == src[:-1])]
+    loops = src[indices == src]
+    if unsorted.size and not (loops.size and loops[0] < unsorted[0]):
+        raise ValueError(f"adjacency of vertex {unsorted[0]} not strictly increasing")
+    if loops.size:
+        raise ValueError(f"self-loop at vertex {loops[0]}")
+    # symmetry: the (u, w) arc keys, already sorted, must equal the (w, u) keys
     fwd = src * n + indices
     rev = indices.astype(np.int64) * n + src
-    if not np.array_equal(np.sort(fwd), np.sort(rev)):
+    if not np.array_equal(fwd, np.sort(rev)):
         raise ValueError("adjacency is not symmetric")
 
 
@@ -126,7 +122,7 @@ def crown_graph(pairs: int) -> Graph:
     if n < 2:
         raise ValueError("crown graph needs at least 2 vertex pairs")
     i, j = np.nonzero(~np.eye(n, dtype=bool))
-    return Graph.from_edges(2 * n, zip(i.tolist(), (n + j).tolist()))
+    return Graph.from_edges(2 * n, np.column_stack((i, n + j)))
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
@@ -140,4 +136,4 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
-    return Graph.from_edges(n, zip(iu[mask].tolist(), ju[mask].tolist()))
+    return Graph.from_edges(n, np.column_stack((iu[mask], ju[mask])))

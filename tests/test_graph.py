@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -128,6 +130,68 @@ def test_gnp_is_deterministic():
     assert not np.array_equal(a.indices, c.indices)
 
 
+# sha256 of the little-endian int32 indptr and indices, recorded before the
+# generators switched from tuple lists to edge arrays: the (n, p, seed) ->
+# graph mapping must not move
+@pytest.mark.parametrize("build, indptr_sha, indices_sha", [
+    (lambda: random_gnp(50, 0.5, seed=7),
+     "a7182ca640607d7eb7f1bf32b66624b4ef94f72875d6548afea406cd1ab63741",
+     "1b928defe1cb7b2dda37021505b559a62adf8dd0d082325af3fb292aac63849a"),
+    (lambda: random_gnp(300, 0.02, seed=11),
+     "0e16489831dd1ba2aacf4863c81a86897e88bfb2eb8e44039d6ffc087cf132e8",
+     "cca36436c8bf4872c5198f82b12d33f8e378357fc5c78da197f0d4a4691aa26a"),
+    (lambda: random_gnp(40, 1.0, seed=0),
+     "7a96d19ba5957ef16890aa4f161b0185c4a7e4df9620ca2cb45894a5b94102d6",
+     "5e2649d773a621cc591ca40a4b0caca8e31e0b4a034e7b70612ae80797dbcb69"),
+    (lambda: random_gnp(6, 0.0, seed=2),
+     "3addfb141cd7c9c4c6543a82191a3707ac29c7a041217782e61d4d91c691aee8",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (lambda: crown_graph(2),
+     "e528f4309e1413e6bc35aea5d8db8519384d2fcc33f9dd5d1126d73f104cf92a",
+     "e19cfc999da3dbc38ee6a0ed0e78e5ff402e920daac978b67b9e822d2e62b975"),
+    (lambda: crown_graph(13),
+     "db2f0391093edc96eb4adae849ddfb1058a086510d73c7ebc5942d1e5f93dde6",
+     "43dd092c984d883b9c2c896ae15a49e32a2695ef1602efa9c9bbba0a6755211c"),
+])
+def test_generated_csr_is_pinned(build, indptr_sha, indices_sha):
+    g = build()
+    assert g.indptr.dtype == g.indices.dtype == np.dtype("<i4")
+    assert hashlib.sha256(g.indptr.tobytes()).hexdigest() == indptr_sha
+    assert hashlib.sha256(g.indices.tobytes()).hexdigest() == indices_sha
+
+
+def _csr_by_edge_set(n, pairs):
+    # reference CSR: a set of undirected edges, then each sorted row in turn
+    edges = {(min(u, w), max(u, w)) for u, w in pairs}
+    rows = [sorted([w for u, w in edges if u == v] + [u for u, w in edges if w == v])
+            for v in range(n)]
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
+    return indptr, np.array([w for r in rows for w in r], dtype=np.int32)
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(1, 25))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=60))
+    # duplicates and reversed copies of some pairs
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(extra), max_size=len(extra)))
+    pairs += [(w, u) if f else (u, w) for (u, w), f in zip(extra, flips)]
+    return n, draw(st.permutations(pairs))
+
+
+@given(case=_edge_lists())
+def test_from_edges_matches_edge_set_reference(case):
+    n, pairs = case
+    indptr, indices = _csr_by_edge_set(n, pairs)
+    for edges in (pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)):
+        g = Graph.from_edges(n, edges)
+        assert g.indptr.dtype == g.indices.dtype == np.int32
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+
+
 def test_gnp_rejects_bad_probability():
     with pytest.raises(ValueError):
         random_gnp(5, -0.1, seed=0)
@@ -153,3 +217,91 @@ def test_graph_arrays_are_frozen():
     g = crown_graph(3)
     with pytest.raises(ValueError):
         g.indices[0] = 0
+
+
+_SHAPE = "indptr and indices must be 1-D signed integer arrays"
+_MALFORMED = "malformed CSR index"
+
+
+@pytest.mark.parametrize("n, indptr, indices, message", [
+    (2, [0, 1, 2], [1, 0], _SHAPE),  # lists, not arrays
+    (2, np.array([0, 1, 2]), np.array([1.0, 0.0]), _SHAPE),
+    (2, np.array([[0, 1, 2]]), np.array([1, 0]), _SHAPE),
+    (2, np.array([0, 1, 2]), np.array([1, 0], dtype=np.uint32), _SHAPE),
+    (2, np.array([0, 1, 2]), np.array([True, False]), _SHAPE),
+    (3, np.array([0, 1, 2]), np.array([1, 0]), _MALFORMED),  # length != n + 1
+    (2, np.array([1, 1, 2]), np.array([1, 0]), _MALFORMED),  # indptr[0] != 0
+    (2, np.array([0, 1, 1]), np.array([1, 0]), _MALFORMED),  # indptr[-1] != len
+    (3, np.array([0, 2, 1, 2]), np.array([1, 2]), _MALFORMED),  # decreasing
+    (2, np.array([0, 2, 0]), np.array([], dtype=np.int32), _MALFORMED),
+    (2, np.array([0, 1, 2]), np.array([1, 2]), "neighbor id out of range"),
+    (2, np.array([0, 1, 2]), np.array([-1, 0]), "neighbor id out of range"),
+    (3, np.array([0, 2, 2, 4]), np.array([1, 1, 1, 0]),
+     "adjacency of vertex 0 not strictly increasing"),
+    (3, np.array([0, 1, 2, 4]), np.array([1, 0, 1, 0]),
+     "adjacency of vertex 2 not strictly increasing"),
+    (3, np.array([0, 1, 2, 3]), np.array([1, 1, 2]), "self-loop at vertex 1"),
+    # the lowest offending vertex is named, whichever the fault
+    (3, np.array([0, 1, 2, 4]), np.array([1, 1, 1, 0]), "self-loop at vertex 1"),
+    # on one vertex, row order wins over the self-loop
+    (2, np.array([0, 2, 2]), np.array([1, 0]),
+     "adjacency of vertex 0 not strictly increasing"),
+    (2, np.array([0, 1, 1]), np.array([1]), "adjacency is not symmetric"),
+])
+def test_csr_rejections(n, indptr, indices, message):
+    with pytest.raises(ValueError) as info:
+        Graph(n, indptr, indices)
+    assert str(info.value) == message
+    for a in (indptr, indices):  # a rejected input is left as it was
+        assert not isinstance(a, np.ndarray) or a.flags.writeable
+
+
+def _check_by_vertex_loop(n, indptr, indices):
+    """The per-vertex canonical check that the whole-array one replaced, kept
+    as the reference; returns the error message, or None if the CSR passes."""
+    if indptr.shape[0] != n + 1 or indptr[0] != 0 or indptr[-1] != indices.shape[0]:
+        return "malformed CSR index"
+    if indices.shape[0] == 0:
+        return None
+    if indices.min() < 0 or indices.max() >= n:
+        return "neighbor id out of range"
+    for v in range(n):
+        row = indices[indptr[v]:indptr[v + 1]]
+        if row.shape[0] == 0:
+            continue
+        if np.any(np.diff(row) <= 0):
+            return f"adjacency of vertex {v} not strictly increasing"
+        if np.any(row == v):
+            return f"self-loop at vertex {v}"
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    fwd = src * n + indices
+    rev = indices.astype(np.int64) * n + src
+    if not np.array_equal(np.sort(fwd), np.sort(rev)):
+        return "adjacency is not symmetric"
+    return None
+
+
+@given(n=st.integers(1, 30), p=st.sampled_from([0.1, 0.3, 0.7, 1.0]),
+       seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["overwrite", "swap", "reverse_tail", "out_of_range"]),
+       a=st.integers(0, 10**6), b=st.integers(0, 10**6), value=st.integers(-2, 40))
+def test_canonical_check_matches_vertex_loop(n, p, seed, kind, a, b, value):
+    g = random_gnp(n, p, seed)
+    indptr, indices = g.indptr.copy(), g.indices.copy()
+    if indices.size:
+        i, j = a % indices.size, b % indices.size
+        if kind == "overwrite":
+            indices[i] = value % n
+        elif kind == "swap":
+            indices[i], indices[j] = indices[j], indices[i]
+        elif kind == "reverse_tail":
+            indices[i:] = indices[i:][::-1].copy()
+        else:
+            indices[i] = -1 if value < 0 else n + value
+    expected = _check_by_vertex_loop(n, indptr, indices)
+    try:
+        Graph(n, indptr, indices)
+        got = None
+    except ValueError as e:
+        got = str(e)
+    assert got == expected

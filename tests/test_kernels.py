@@ -87,7 +87,11 @@ print(json.dumps({
 
 def _run_child(backend: str) -> dict:
     import json
-    env = dict(os.environ, WFCOLOR_BACKEND=backend)
+    # the child imports the same wfcolor as this process, whether it came
+    # from PYTHONPATH, pytest's pythonpath setting or an install
+    src = os.path.dirname(os.path.dirname(_k.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, WFCOLOR_BACKEND=backend, PYTHONPATH=path)
     out = subprocess.run([sys.executable, "-c", _CHILD], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
