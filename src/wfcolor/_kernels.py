@@ -3,7 +3,9 @@
 Every kernel below is written as a plain loop over numpy arrays so the same
 source runs two ways: JIT-compiled through numba (default), or as pure
 Python/numpy when numba is unavailable or ``WFCOLOR_BACKEND=python`` is set.
-``benchmarks/backend_bench.py`` compares the two paths.
+Mode flags are bools.  ``propagate`` and ``wfc_attempt`` return True on
+success and False at a dead end; ``observe`` returns a vertex, or RESTART
+at a dead end.
 
 Kernel state for the collapse solver:
   avail    uint8 (n, M)   avail[v, c] = 1 while color c+1 is still open for v
@@ -37,12 +39,8 @@ def _jit(fn):
     return fn
 
 
-# status codes shared by kernels and wrappers
-OK = 0
-RESTART = 1
-OBSERVE_RESTART = -1
-TIE_DEGREE = 0
-TIE_RANDOM = 1
+# observe's dead-end result (never a vertex id)
+RESTART = -1
 
 # meta slots
 _FORCED = 0
@@ -64,17 +62,17 @@ def rng_next(state):
 
 
 @_jit
-def observe(entropy, colors, degrees, tie_mode, rng_state):
-    """Uncolored vertex of minimum entropy, or OBSERVE_RESTART when that
-    minimum is 0.  Ties go to the highest degree then lowest id, or to a
-    seeded-uniform pick among them in TIE_RANDOM mode.  Needs at least one
-    uncolored vertex."""
+def observe(entropy, colors, degrees, random_ties, rng_state):
+    """Uncolored vertex of minimum entropy, or RESTART when that minimum is
+    0.  Ties go to the highest degree then lowest id, or to a seeded-uniform
+    pick among them when random_ties is on.  Needs at least one uncolored
+    vertex."""
     unc = colors == 0
     e = entropy[unc].min()
     if e == 0:
-        return OBSERVE_RESTART
+        return RESTART
     ties = np.flatnonzero(unc & (entropy == e))
-    if tie_mode == TIE_RANDOM:
+    if random_ties:
         return ties[rng_next(rng_state) % ties.shape[0]]
     # argmax takes the first maximum: the lowest id among the highest degree
     return ties[np.argmax(degrees[ties])]
@@ -99,8 +97,8 @@ def propagate(indptr, indices, avail, entropy, colors, meta, stack, start):
 
     Pops a colored vertex, strikes its color from every uncolored neighbor's
     domain, and force-colors any neighbor left with a single color (pushing
-    it to cascade further).  Returns RESTART when a domain empties or a
-    forced color clashes with an already-colored neighbor.
+    it to cascade further).  Returns False when a domain empties or a
+    forced color clashes with an already-colored neighbor, else True.
     """
     top = 0
     stack[top] = start
@@ -117,45 +115,39 @@ def propagate(indptr, indices, avail, entropy, colors, meta, stack, start):
             e = entropy[w] - 1
             entropy[w] = e
             if e == 0:
-                return RESTART
+                return False
             if e == 1:
                 # w is never its own neighbor, so coloring it before the
                 # clash check cannot hide a clash
                 forced_c = collapse(avail, colors, meta, w)
                 for jdx in range(indptr[w], indptr[w + 1]):
                     if colors[indices[jdx]] == forced_c:
-                        return RESTART
+                        return False
                 meta[_FORCED] += 1
                 stack[top] = w
                 top += 1
-    return OK
+    return True
 
 
 @_jit
 def wfc_attempt(indptr, indices, degrees, avail, entropy, colors, meta, stack,
-                tie_mode, rng_state):
+                random_ties, rng_state):
     """One full solve attempt at a fixed color budget M = avail.shape[1] on
     a newly built state: seed the lowest-id maximum-degree vertex with
-    color 1, then loop observe/collapse/propagate until done or RESTART."""
+    color 1, then loop observe/collapse/propagate.  True once every vertex
+    is colored, False at a dead end."""
     n = colors.shape[0]
-    seed = 0
-    for v in range(1, n):
-        if degrees[v] > degrees[seed]:
-            seed = v
-    colors[seed] = 1
+    v = np.argmax(degrees)  # first maximum: the lowest id
+    colors[v] = 1
     meta[_COLORED] += 1
-    if propagate(indptr, indices, avail, entropy, colors, meta, stack,
-                 seed) == RESTART:
-        return RESTART
-    while meta[_COLORED] < n:
-        v = observe(entropy, colors, degrees, tie_mode, rng_state)
-        if v < 0:
-            return RESTART
+    while propagate(indptr, indices, avail, entropy, colors, meta, stack, v):
+        if meta[_COLORED] == n:
+            return True
+        v = observe(entropy, colors, degrees, random_ties, rng_state)
+        if v == RESTART:
+            return False
         collapse(avail, colors, meta, v)
-        if propagate(indptr, indices, avail, entropy, colors, meta, stack,
-                     v) == RESTART:
-            return RESTART
-    return OK
+    return False
 
 
 @_jit

@@ -5,6 +5,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ._kernels import BACKEND
 from .bench import (ALGORITHMS, BenchError, RunConfig, load_best_known,
                     render_report, run_algorithm, run_bench, speedup_summary)
 from .coloring import format_coloring, parse_coloring, validate
@@ -77,6 +78,7 @@ def _cmd_bench(args) -> int:
     )
     best = load_best_known(args.best_known) if args.best_known else None
     rows = run_bench(cfg, best_known=best)
+    print(f"backend: {BACKEND}", file=sys.stderr)
     report = render_report(rows, args.format)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")

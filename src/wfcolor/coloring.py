@@ -8,6 +8,7 @@ import numpy as np
 from .graph import Graph
 
 UNCOLORED = 0  # sentinel in assignment arrays; real colors start at 1
+MAX_COLOR = int(np.iinfo(np.int32).max)  # assignments are stored as int32
 
 
 @dataclass(frozen=True)
@@ -18,11 +19,12 @@ class Coloring:
     assignment: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        a = np.ascontiguousarray(self.assignment, dtype=np.int32)
+        a = np.asarray(self.assignment)
         if a.ndim != 1:
             raise ValueError("assignment must be a flat per-vertex array")
-        if a.size and a.min() < 0:
-            raise ValueError("colors must be positive (0 = unassigned)")
+        if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() > MAX_COLOR):
+            raise ValueError(f"colors must be integers in 0..{MAX_COLOR} (0 = unassigned)")
+        a = np.ascontiguousarray(a, dtype=np.int32)
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
 
@@ -46,7 +48,7 @@ class Coloring:
 
     @classmethod
     def from_list(cls, colors: list[int | None]) -> "Coloring":
-        return cls(np.array([UNCOLORED if c is None else c for c in colors], dtype=np.int32))
+        return cls(np.array([UNCOLORED if c is None else c for c in colors]))
 
 
 @dataclass(frozen=True)
@@ -94,8 +96,8 @@ def parse_coloring(text: str, n: int) -> Coloring:
             raise ValueError(f"line {line_no}: expected two integers") from None
         if not 1 <= v <= n:
             raise ValueError(f"line {line_no}: vertex {v} out of range 1..{n}")
-        if c < 1:
-            raise ValueError(f"line {line_no}: color must be positive")
+        if not 1 <= c <= MAX_COLOR:
+            raise ValueError(f"line {line_no}: color {c} out of range 1..{MAX_COLOR}")
         if assignment[v - 1] != UNCOLORED:
             raise ValueError(f"line {line_no}: vertex {v} assigned twice")
         assignment[v - 1] = c

@@ -69,15 +69,20 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
         """Build a canonical graph from 0-based edge pairs: a (k, 2) integer
-        array, or any iterable of (u, w) pairs.
+        array, or any iterable of integer (u, w) pairs.  Empty input builds
+        an edgeless graph.
 
         Duplicate pairs and both orientations of an edge collapse to one
         undirected edge.  Self-loops are rejected.
         """
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), np.int64)
-        u, w = pairs.reshape(-1, 2).T
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("edges must be (u, w) pairs of integers")
         if np.any(pairs < 0) or np.any(pairs >= n):
             raise ValueError("edge endpoint out of range")
+        u, w = pairs.astype(np.int64, copy=False).T
         if np.any(u == w):
             raise ValueError("self-loops are not allowed")
         # one key per arc, both orientations; sorted keys are in (src, dst) order

@@ -14,12 +14,11 @@ from .graph import Graph
 
 @dataclass(frozen=True)
 class OracleBudget:
-    max_vertices: int = 12
     max_orderings: int = factorial(8)  # full enumeration up to 8 vertices
 
     def __post_init__(self) -> None:
-        if self.max_vertices < 1 or self.max_orderings < 1:
-            raise ValueError("budget caps must be positive")
+        if self.max_orderings < 1:
+            raise ValueError("budget cap must be positive")
 
 
 class BudgetExceededError(ValueError):

@@ -28,7 +28,7 @@ from . import _kernels as _k
 from .coloring import Coloring
 from .graph import Graph
 
-RESTART = -1
+RESTART = _k.RESTART
 
 TIE_BREAKS = ("degree", "random")
 
@@ -156,10 +156,8 @@ class DomainState:
         RESTART if that minimum is 0 (some domain has emptied)."""
         if self.colored_count >= self.g.n:
             raise ValueError("observe() called with no uncolored vertices")
-        tie = _k.TIE_RANDOM if tie_break == "random" else _k.TIE_DEGREE
-        v = _k.observe(self.entropy, self.colors, self.degrees, tie,
-                       self.rng_state)
-        return RESTART if v == _k.OBSERVE_RESTART else int(v)
+        return int(_k.observe(self.entropy, self.colors, self.degrees,
+                              tie_break == "random", self.rng_state))
 
     def collapse(self, v: int) -> int:
         """Assign v the smallest color in its domain and return it."""
@@ -176,10 +174,9 @@ class DomainState:
         left mid-cascade and must be discarded."""
         if self.colors[v] == 0:
             raise ValueError(f"vertex {v} is not colored")
-        status = _k.propagate(self.g.indptr, self.g.indices,
-                              self.avail, self.entropy, self.colors,
-                              self.meta, self.stack, v)
-        return status == _k.OK
+        return bool(_k.propagate(self.g.indptr, self.g.indices,
+                                 self.avail, self.entropy, self.colors,
+                                 self.meta, self.stack, v))
 
 
 def solve(g: Graph, config: SolveConfig | None = None) -> SolveResult:
@@ -193,15 +190,12 @@ def solve(g: Graph, config: SolveConfig | None = None) -> SolveResult:
     cfg = config or SolveConfig()
     if g.n < 1:
         raise ValueError("cannot color the empty graph")
-    degrees = g.degrees
-    tie = _k.TIE_RANDOM if cfg.tie_break == "random" else _k.TIE_DEGREE
     m0 = max(g.max_degree, 1)
     for m in (m0, m0 + 1):
         st = DomainState(g, m, seed=cfg.seed)
-        status = _k.wfc_attempt(g.indptr, g.indices, degrees,
-                                st.avail, st.entropy, st.colors,
-                                st.meta, st.stack, tie, st.rng_state)
-        if status == _k.OK:
+        if _k.wfc_attempt(g.indptr, g.indices, st.degrees, st.avail,
+                          st.entropy, st.colors, st.meta, st.stack,
+                          cfg.tie_break == "random", st.rng_state):
             coloring = Coloring(st.colors.copy())
             return SolveResult(coloring=coloring, k=coloring.k,
                                restarts=m - m0, final_m=m,

@@ -2,7 +2,6 @@
 tolerance.  Criteria needing the standard DIMACS instances skip cleanly
 unless WFCOLOR_DIMACS points at a directory of .col files."""
 import os
-import time
 from math import factorial
 from pathlib import Path
 
@@ -30,12 +29,15 @@ def _dimacs_dir() -> Path | None:
     return path if path.is_dir() else None
 
 
-def _dimacs_instance(name: str):
+def _dimacs_path(name: str) -> Path | None:
     d = _dimacs_dir()
-    if d is None:
-        return None
-    path = d / f"{name}.col"
-    return load_dimacs(path) if path.is_file() else None
+    path = d / f"{name}.col" if d is not None else None
+    return path if path is not None and path.is_file() else None
+
+
+def _dimacs_instance(name: str):
+    path = _dimacs_path(name)
+    return load_dimacs(path) if path is not None else None
 
 
 def test_validity_suite():
@@ -152,23 +154,16 @@ def test_desk_scale_dimacs_reproduction():
 
 def test_relative_speed():
     """Mean collapse-solver time beats DSatur and RLF on a 250-vertex
-    half-density instance over 100 repetitions.  Absolute times are hardware
-    noise; only the ordering is asserted.  Ratios print for reference."""
-    g = _dimacs_instance("dsjc250.5") or random_gnp(250, 0.5, seed=0)
-    solvers = {
-        "wfcc": lambda: solve(g),
-        "dsatur": lambda: dsatur(g),
-        "rlf": lambda: rlf(g, seed=0),
-    }
-    means = {}
-    for name, fn in solvers.items():
-        fn()  # warm up (JIT compile and caches)
-        times = []
-        for _ in range(100):
-            t0 = time.perf_counter_ns()
-            fn()
-            times.append((time.perf_counter_ns() - t0) / 1000.0)
-        means[name] = sum(times) / len(times)
+    half-density instance over 100 repetitions, timed by the bench harness
+    (one warm-up per algorithm, every output validated).  Absolute times are
+    hardware noise; only the ordering is asserted.  Ratios print for
+    reference."""
+    path = _dimacs_path("dsjc250.5")
+    source = ({"instances": (str(path),)} if path is not None
+              else {"generators": ("gnp:250,0.5",)})
+    rows = run_bench(RunConfig(algorithms=("wfcc", "dsatur", "rlf"),
+                               reps=100, seed=0, **source))
+    means = {r.algorithm: r.time_mean_us for r in rows}
     print("mean us:", {k: round(v, 1) for k, v in means.items()},
           "dsatur/wfcc = %.1fx" % (means["dsatur"] / means["wfcc"]),
           "rlf/wfcc = %.1fx" % (means["rlf"] / means["wfcc"]))

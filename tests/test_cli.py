@@ -1,4 +1,5 @@
 from util import one_color_solve
+from wfcolor import BACKEND
 from wfcolor.bench import parse_csv
 from wfcolor.cli import main
 from wfcolor.coloring import parse_coloring, validate
@@ -46,6 +47,16 @@ def test_validate_exit_codes(tmp_path, capsys):
     assert "uncolored" in capsys.readouterr().out
 
 
+def test_validate_rejects_a_color_beyond_int32(tmp_path, capsys):
+    graph_path = tmp_path / "k3.col"
+    graph_path.write_text(K3_TEXT)
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1 1\n2 2\n3 2147483648\n")
+    rc = main(["validate", "--input", str(graph_path), "--coloring", str(huge)])
+    assert rc == 2  # a malformed file, not an INVALID (1) coloring
+    assert "error: line 3: color 2147483648 out of range" in capsys.readouterr().err
+
+
 def test_bench_csv_to_file(tmp_path):
     out = tmp_path / "rows.csv"
     rc = main(["bench", "--alg", "wfcc,ig", "--gen", "crown:4",
@@ -53,6 +64,14 @@ def test_bench_csv_to_file(tmp_path):
     assert rc == 0
     rows = parse_csv(out.read_text())
     assert [(r.algorithm, r.k) for r in rows] == [("wfcc", 2), ("ig", 2)]
+
+
+def test_bench_names_the_backend_on_stderr(capsys):
+    rc = main(["bench", "--alg", "ig", "--gen", "crown:3", "--reps", "1"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    assert f"backend: {BACKEND}\n" in captured.err
+    assert captured.out.startswith("instance,algorithm,")
 
 
 def test_bench_markdown_to_stdout(tmp_path, capsys):

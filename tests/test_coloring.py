@@ -63,6 +63,23 @@ def test_coloring_rejects_negative():
         Coloring(np.array([-1, 2], dtype=np.int32))
 
 
+@pytest.mark.parametrize("assignment", [
+    np.array([2**40, 1]),  # an int32 cast would wrap it to [0, 1]
+    np.array([2**31, 1], dtype=np.uint32),
+    np.array([1.7, 2.2]),  # and truncate this to [1, 2]
+    np.array([True, True]),
+])
+def test_coloring_rejects_non_int32_colors(assignment):
+    with pytest.raises(ValueError, match="colors must"):
+        Coloring(assignment)
+
+
+def test_coloring_takes_the_int32_range():
+    c = Coloring(np.array([2**31 - 1, 1], dtype=np.int64))
+    assert c.assignment.dtype == np.int32
+    assert c.assignment.tolist() == [2**31 - 1, 1]
+
+
 def test_coloring_file_round_trip():
     c = Coloring.from_list([2, 1, 3])
     text = format_coloring(c)
@@ -80,3 +97,5 @@ def test_parse_coloring_errors():
         parse_coloring("1 1\n1 2\n", 3)
     with pytest.raises(ValueError):
         parse_coloring("1 0\n", 3)
+    with pytest.raises(ValueError, match="^line 2: color 2147483648 out of range"):
+        parse_coloring("1 1\n2 2147483648\n", 3)

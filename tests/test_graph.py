@@ -23,6 +23,30 @@ def test_from_edges_rejects_self_loop_and_range():
         Graph.from_edges(3, [(0, 3)])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0.5, 1.7)],  # a cast would truncate floats to (0, 1)
+    np.array([[0.9, 2.2]]),  # and to (0, 2)
+    [0, 1, 2, 3],  # a reshape would pair these into (0, 1), (2, 3)
+    [(0, 1, 2), (1, 2, 3)],  # and these into three edges
+    [(True, False)],  # a cast would read bools as (1, 0)
+])
+def test_from_edges_rejects_non_integer_pairs(edges):
+    with pytest.raises(ValueError, match="pairs of integers"):
+        Graph.from_edges(4, edges)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_from_edges_takes_any_integer_dtype(dtype):
+    g = Graph.from_edges(3, np.array([[0, 1], [2, 1]], dtype=dtype))
+    assert g.edges() == [(0, 1), (1, 2)]
+
+
+def test_from_edges_empty_input_is_edgeless():
+    for edges in ([], (), np.array([]), np.empty((0, 2), dtype=np.uint8)):
+        g = Graph.from_edges(3, edges)
+        assert g.n == 3 and g.m == 0
+
+
 def test_degrees_and_max_degree():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert g.degrees.tolist() == [3, 1, 1, 1]

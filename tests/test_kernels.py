@@ -40,9 +40,9 @@ def test_observe_pyfunc_matches_jit():
         b = DomainState(g, 4, seed=trial)
         a.set_color(0, 1)
         b.set_color(0, 1)
-        va = _k.observe(a.entropy, a.colors, a.degrees, _k.TIE_DEGREE,
+        va = _k.observe(a.entropy, a.colors, a.degrees, False,
                         a.rng_state)
-        vb = _k.observe.py_func(b.entropy, b.colors, b.degrees, _k.TIE_DEGREE,
+        vb = _k.observe.py_func(b.entropy, b.colors, b.degrees, False,
                                 b.rng_state)
         assert va == vb
 

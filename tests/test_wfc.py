@@ -11,7 +11,7 @@ from wfcolor.coloring import validate
 from wfcolor.exact import exact_chromatic
 from wfcolor.graph import Graph, crown_graph, random_gnp
 from wfcolor.oracle import naive_propagate
-from wfcolor.wfc import RESTART, DomainState, SolveConfig, solve
+from wfcolor.wfc import RESTART, TIE_BREAKS, DomainState, SolveConfig, solve
 
 
 # -- solve ------------------------------------------------------------------
@@ -153,6 +153,35 @@ def test_solve_is_dsatur(g):
         dsatur(g).coloring.assignment.tobytes()
     assert r.restarts <= 1
     assert r.final_m == max(g.max_degree, 1) + r.restarts
+
+
+def _solve_by_hand(g, tie_break, seed):
+    """solve() one DomainState call at a time: seed the lowest-id
+    maximum-degree vertex with color 1 and propagate, then
+    observe/collapse/propagate; a dead end restarts with one more color."""
+    m0 = max(g.max_degree, 1)
+    for m in (m0, m0 + 1):
+        state = DomainState(g, m, seed=seed)
+        v = max(range(g.n), key=lambda u: (g.degrees[u], -u))
+        state.set_color(v, 1)
+        ok = state.propagate(v)
+        while ok and state.colored_count < g.n:
+            v = state.observe(tie_break)
+            ok = v != RESTART
+            if ok:
+                state.collapse(v)
+                ok = state.propagate(v)
+        if ok:
+            return state.colors.tolist(), m - m0, m, state.forced_count
+    raise AssertionError("max_degree + 1 colors cannot fail")
+
+
+@given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
+       seed=st.integers(0, 1000))
+def test_solve_equals_domain_state_by_hand(g, tie_break, seed):
+    r = solve(g, SolveConfig(tie_break=tie_break, seed=seed))
+    assert (r.coloring.assignment.tolist(), r.restarts, r.final_m,
+            r.forced_colorings) == _solve_by_hand(g, tie_break, seed)
 
 
 # -- observe ----------------------------------------------------------------
