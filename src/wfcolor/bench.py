@@ -14,11 +14,13 @@ from pathlib import Path
 from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import validate
 from .dimacs import load_dimacs
-from .graph import Graph, crown_graph, random_gnp
+from .graph import Graph, barabasi_albert, crown_graph, random_gnp, star_graph
 from .wfc import SolveConfig, SolveResult, solve
 
 ALGORITHMS = ("wfcc", "ig", "dsatur", "rlf")
 ALGORITHM_LABELS = {"wfcc": "WFC-C", "ig": "IG", "dsatur": "DSatur", "rlf": "RLF"}
+
+GENERATORS = "crown:<n>, gnp:<n>,<p>, star:<n> or ba:<n>,<k>"
 
 CSV_HEADER = ("instance,algorithm,k,k_best_known,reps,time_mean_us,"
               "time_median_us,time_stddev_us,restarts,seed")
@@ -51,10 +53,11 @@ class BenchRow:
 class RunConfig:
     """What to benchmark and how.
 
-    generators take specs like "crown:8" or "gnp:250,0.5" (the gnp seed is
-    the global seed).  timeout_ms is checked between repetitions: a running
-    solve is never interrupted, but any single repetition exceeding it marks
-    the whole row N/A, and remaining repetitions are skipped.
+    generators take specs like "crown:8", "gnp:250,0.5", "star:1000" or
+    "ba:1000,3" (the gnp and ba seed is the global seed).  timeout_ms is
+    checked between repetitions: a running solve is never interrupted, but
+    any single repetition exceeding it marks the whole row N/A, and
+    remaining repetitions are skipped.
     """
 
     algorithms: tuple[str, ...] = ("wfcc",)
@@ -83,19 +86,27 @@ class RunConfig:
 
 
 def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
-    """"crown:<n>" or "gnp:<n>,<p>" to a (name, graph) pair."""
+    """"crown:<n>", "gnp:<n>,<p>", "star:<n>" (n leaves) or "ba:<n>,<k>"
+    (Barabasi-Albert) to a (name, graph) pair.  gnp and ba draw from seed."""
     kind, _, args = spec.partition(":")
     try:
         if kind == "crown":
             n = int(args)
             return f"crown_{n}", crown_graph(n)
+        if kind == "star":
+            n = int(args)
+            return f"star_{n}", star_graph(n)
         if kind == "gnp":
             n_s, p_s = args.split(",")
             n, p = int(n_s), float(p_s)
             return f"gnp_{n}_{p:g}", random_gnp(n, p, seed)
+        if kind == "ba":
+            n_s, k_s = args.split(",")
+            n, k = int(n_s), int(k_s)
+            return f"ba_{n}_{k}", barabasi_albert(n, k, seed)
     except ValueError as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from exc
-    raise ValueError(f"unknown generator {kind!r}; use crown:<n> or gnp:<n>,<p>")
+    raise ValueError(f"unknown generator {kind!r}; use {GENERATORS}")
 
 
 def resolve_instances(cfg: RunConfig) -> list[tuple[str, Graph]]:
@@ -129,7 +140,7 @@ def _bench_pair(name: str, g: Graph, alg: str, cfg: RunConfig,
     times_us: list[float] = []
     result: SolveResult | None = None
     timed_out = False
-    # one untimed warm-up per pair so JIT compilation never lands in the
+    # one untimed warm-up per pair so first-call costs never land in the
     # statistics; it still counts against the timeout
     for rep in range(cfg.reps + 1):
         t0 = time.perf_counter_ns()

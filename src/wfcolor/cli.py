@@ -5,9 +5,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from ._kernels import BACKEND
-from .bench import (ALGORITHMS, BenchError, RunConfig, load_best_known,
-                    render_report, run_algorithm, run_bench, speedup_summary)
+from .bench import (ALGORITHMS, GENERATORS, BenchError, RunConfig,
+                    load_best_known, render_report, run_algorithm, run_bench,
+                    speedup_summary)
 from .coloring import format_coloring, parse_coloring, validate
 from .dimacs import load_dimacs
 from .wfc import TIE_BREAKS
@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--input", nargs="*", default=[], metavar="PATH",
                    help="DIMACS .col files")
     b.add_argument("--gen", action="append", default=[], metavar="SPEC",
-                   help="generated instance: crown:<n> or gnp:<n>,<p> (repeatable)")
+                   help=f"generated instance: {GENERATORS} (repeatable)")
     b.add_argument("--reps", type=int, default=100)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--timeout-ms", type=float, default=60_000.0,
@@ -78,7 +78,6 @@ def _cmd_bench(args) -> int:
     )
     best = load_best_known(args.best_known) if args.best_known else None
     rows = run_bench(cfg, best_known=best)
-    print(f"backend: {BACKEND}", file=sys.stderr)
     report = render_report(rows, args.format)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")

@@ -24,7 +24,7 @@ class Coloring:
             raise ValueError("assignment must be a flat per-vertex array")
         if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() > MAX_COLOR):
             raise ValueError(f"colors must be integers in 0..{MAX_COLOR} (0 = unassigned)")
-        a = np.ascontiguousarray(a, dtype=np.int32)
+        a = np.array(a, dtype=np.int32)  # a private copy: only it is frozen
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
 

@@ -142,3 +142,34 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
     return Graph.from_edges(n, np.column_stack((iu[mask], ju[mask])))
+
+
+def star_graph(leaves: int) -> Graph:
+    """A hub joined to ``leaves`` vertices: vertex 0 to each of 1..leaves."""
+    if leaves < 1:
+        raise ValueError("star needs at least one leaf")
+    leaf = np.arange(1, leaves + 1)
+    hub = np.zeros_like(leaf)
+    return Graph.from_edges(leaves + 1, np.column_stack((hub, leaf)))
+
+
+def barabasi_albert(n: int, k: int, seed: int) -> Graph:
+    """Preferential attachment (Barabasi & Albert 1999) with a seeded
+    generator: vertices k..n-1 arrive in turn, and each joins k distinct
+    earlier vertices, picked with probability proportional to their degree.
+    The first arrival joins vertices 0..k-1, which start with no edges."""
+    if not 1 <= k < n:
+        raise ValueError("need 1 <= k < n")
+    rng = np.random.default_rng(seed)
+    ends: list[int] = []  # both endpoints of every edge so far
+    targets = list(range(k))
+    for v in range(k, n):
+        for t in targets:
+            ends += (v, t)
+        # a uniform pick from ends hits each vertex in proportion to its degree
+        picked: set[int] = set()
+        while len(picked) < k:
+            picked.update(ends[i] for i in
+                          rng.integers(len(ends), size=k - len(picked)))
+        targets = sorted(picked)
+    return Graph.from_edges(n, np.array(ends, dtype=np.int64).reshape(-1, 2))

@@ -63,7 +63,7 @@ def best_greedy_ordering_k(g: Graph, budget: OracleBudget = OracleBudget()) -> i
 
 
 def naive_propagate(g: Graph, colors: np.ndarray, m: int, v: int):
-    """Reference re-implementation of the solver's domain cascade.
+    """Reference implementation of the paper's domain cascade.
 
     Instead of incremental bookkeeping it recomputes every uncolored
     vertex's domain from scratch (all m colors minus the colors of colored
@@ -71,8 +71,8 @@ def naive_propagate(g: Graph, colors: np.ndarray, m: int, v: int):
     lowest-id order until none remain.  Returns (colors, domains) at the
     fixed point, or None as the restart signal when a domain empties.
 
-    The final state is order-independent, so this must agree exactly with
-    the stack-based cascade started at v.
+    The final state is order-independent: coloring the forced vertices in
+    any other order reaches the same one, or empties a domain as well.
     """
     if m < 1:
         raise ValueError("need at least one color")
@@ -99,3 +99,35 @@ def naive_propagate(g: Graph, colors: np.ndarray, m: int, v: int):
         if forced == -1:
             return colors, domains
         colors[forced] = domains[forced].pop()
+
+
+def paper_wfc(g: Graph) -> tuple[np.ndarray, int, int, int]:
+    """The paper's collapse loop, built on naive_propagate.  From budget
+    m = max(max_degree, 1): seed the lowest-id maximum-degree vertex with
+    color 1 and cascade, then give the uncolored vertex of minimum entropy
+    (ties to the highest degree, then the lowest id) its smallest open
+    color and cascade, until a domain empties (start over with m + 1) or
+    all are colored.  Returns (colors, restarts, final_m, the number of
+    vertices the cascades colored in the successful run)."""
+    if g.n < 1:
+        raise ValueError("cannot color the empty graph")
+    degrees = g.degrees.tolist()
+    seed = max(range(g.n), key=lambda u: (degrees[u], -u))
+    m0 = max(g.max_degree, 1)
+    m = m0
+    while True:
+        colors = np.zeros(g.n, dtype=np.int32)
+        colors[seed] = 1
+        forced = 0
+        out = naive_propagate(g, colors, m, seed)
+        while out is not None:
+            after, domains = out
+            forced += int(np.count_nonzero(after) - np.count_nonzero(colors))
+            colors = after
+            open_ = [u for u in range(g.n) if domains[u] is not None]
+            if not open_:
+                return colors, m - m0, m, forced
+            v = min(open_, key=lambda u: (len(domains[u]), -degrees[u], u))
+            colors[v] = min(domains[v])
+            out = naive_propagate(g, colors, m, v)
+        m += 1

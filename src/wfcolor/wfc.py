@@ -1,34 +1,35 @@
-"""Wave-function-collapse coloring: domain bookkeeping plus the
-observe / collapse / propagate loop with restart-on-failure.
+"""Wave-function-collapse coloring as one saturation pass.
 
-The solver keeps, for every uncolored vertex, the set of colors still open
-to it (its domain) and the domain's size (its entropy).  Each iteration
-picks an uncolored vertex of minimum entropy, fixes it to its smallest
-available color, and strikes that color from neighboring domains, cascading
-depth-first whenever a domain shrinks to a single color.  The budget
-starts at max(max_degree, 1) colors; if a domain empties or a forced color
-clashes, the attempt is abandoned and rerun once with one more color.
+The paper's loop gives each uncolored vertex a domain, {1..m} minus its
+colored neighbors' colors, whose size (entropy) is m minus the vertex's
+saturation.  It picks a minimum-entropy vertex, fixes it to its smallest
+open color, strikes that color from the neighbors' domains and cascades
+into any domain left with one color; from m = max(max_degree, 1), an
+attempt that empties a domain restarts with one more color.
 
-There is at most one restart, because max_degree + 1 colors cannot fail: a
-vertex loses at most one color per neighbor, so no domain empties, and a
-domain shrinks to one color only after every neighbor has struck a distinct
-color, so it cannot clash.  This holds in every tie-break mode.
+Minimum entropy is maximum saturation, with the same degree-then-id
+tie-break, so the loop is DSatur (Brelaz 1979) and runs here as one pass
+with no budget.  The cascade changes no color: a forced vertex has the
+least nonzero entropy, so it is the next pick anyway.  The attempt at
+max(max_degree, 1) fails exactly when the pass needs more colors, and
+max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 
-Propagation has one rule: every uncolored domain is exactly {1..m} minus
-the colors of its colored neighbors, which is why the default tie-break
-reproduces DSatur's coloring (entropy = m - saturation).
+DomainState is the engine: a heap of (saturation, rank) keys with lazy
+deletion and a Python-int bitset of the colors around each vertex, so its
+memory grows with the colors in use, not with n times the budget.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from . import _kernels as _k
 from .coloring import Coloring
 from .graph import Graph
 
-RESTART = _k.RESTART
+# observe's dead-end result (never a vertex id)
+RESTART = -1
 
 TIE_BREAKS = ("degree", "random")
 
@@ -37,8 +38,8 @@ TIE_BREAKS = ("degree", "random")
 class SolveConfig:
     """Solver knobs.
 
-    tie_break: how observe() breaks minimum-entropy ties - "degree" (highest
-      degree, then lowest id) or "random" (seeded uniform pick).
+    tie_break: how saturation ties are broken - "degree" (highest degree,
+      then lowest id) or "random" (a seeded random order of the vertices).
     seed: drives all randomized tie-breaking; fixed seed means identical runs.
     """
 
@@ -53,152 +54,201 @@ class SolveConfig:
 @dataclass(frozen=True)
 class SolveResult:
     """A coloring with its color count k.  For the collapse solver,
-    restarts is 0 or 1 (at most one restart, because max_degree + 1 colors
-    cannot fail) and final_m = max(max_degree, 1) + restarts is the budget
-    of the attempt that succeeded."""
+    restarts is 0 or 1 and final_m = max(max_degree, 1) + restarts is the
+    budget the paper's loop succeeds with; forced_colorings counts the
+    vertices its cascade colors.  stats holds the pass's work counters:
+    selections (vertices picked from the heap), strikes (colors struck from
+    neighbors, one heap push each) and stale_pops (outdated heap keys
+    discarded)."""
 
     coloring: Coloring
     k: int
     restarts: int = 0
     final_m: int | None = None
     forced_colorings: int = 0
+    stats: dict[str, int] = field(default_factory=dict)
 
 
 class DomainState:
-    """Working state of one solve attempt at a fixed color budget m.
+    """Saturation engine for one run, with an optional color budget m.
 
-    Wraps the kernel arrays; see _kernels for their layout.  A state is
-    owned by a single run and never shared.
+    A vertex's saturation is the number of distinct colors among its
+    colored neighbors; an uncolored vertex's domain is {1..m} minus those
+    colors.  Each uncolored vertex has one live heap key ``rank - sat * n``,
+    pushed anew at every strike, so the heap's minimum is the vertex of
+    highest saturation, then lowest rank; divmod(key, n) gives back both.
+    Keys that are no longer live are dropped when they surface.  The rank
+    is the (-degree, id) order, or a seeded random permutation of the
+    vertices when tie_break is "random".  A state is owned by a single run
+    and never shared.
     """
 
-    def __init__(self, g: Graph, m: int, seed: int = 0):
-        if m < 1:
+    def __init__(self, g: Graph, m: int | None = None, seed: int = 0,
+                 tie_break: str = "degree"):
+        if m is not None and m < 1:
             raise ValueError("need at least one color")
+        if tie_break not in TIE_BREAKS:
+            raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
         n = g.n
         self.g = g
         self.m = m
-        self.degrees = g.degrees
-        self.avail = np.ones((n, m), dtype=np.uint8)
-        self.entropy = np.full(n, m, dtype=np.int32)
-        self.colors = np.zeros(n, dtype=np.int32)
-        self.meta = np.zeros(2, dtype=np.int64)
-        self.stack = np.empty(max(n, 1), dtype=np.int32)
-        self.rng_state = _k.seeded_rng_state(seed)
-
-    @classmethod
-    def from_domains(cls, g: Graph, m: int,
-                     domains: dict[int, set[int]],
-                     colors: dict[int, int] | None = None,
-                     seed: int = 0) -> "DomainState":
-        """Test helper: build a state with explicit per-vertex domains for
-        uncolored vertices and explicit colors for the rest."""
-        st = cls(g, m, seed=seed)
-        colors = colors or {}
-        for v, c in colors.items():
-            if not 1 <= c <= m:
-                raise ValueError(f"color {c} outside 1..{m}")
-            st.colors[v] = c
-        st.meta[_k._COLORED] = len(colors)
-        for v in range(g.n):
-            if st.colors[v] != 0:
-                st.entropy[v] = 0
-                st.avail[v, :] = 0
-                continue
-            dom = domains.get(v, set(range(1, m + 1)))
-            if not all(1 <= c <= m for c in dom):
-                raise ValueError(f"domain of {v} outside 1..{m}")
-            st.avail[v, :] = 0
-            for c in dom:
-                st.avail[v, c - 1] = 1
-            st.entropy[v] = len(dom)
-        return st
+        # saturation never exceeds n - 1, so n stands for "no budget"
+        self._cap = n if m is None else m
+        if tie_break == "random":
+            order = np.random.default_rng(seed).permutation(n)
+        else:
+            order = np.argsort(-g.degrees, kind="stable")
+        self._order = order.tolist()
+        self._ptr = g.indptr.tolist()
+        # colors used around each vertex, bit c-1 for color c; -1 (every
+        # bit) once the vertex is colored, so strikes skip it in one test
+        self._used = [0] * n
+        self._colors = [0] * n
+        # the saturation each vertex was colored at (0 while uncolored)
+        self.sat = [0] * n
+        # each vertex's live key (at first its rank), or n (never a key)
+        # once it is colored
+        self._key = np.argsort(order).tolist()
+        self._heap = list(range(n))  # rank order: already a heap
+        # a key below this has saturation >= the budget
+        self._floor = (1 - self._cap) * n
+        self._colored = 0
+        self.stale_pops = 0
 
     # -- counters ---------------------------------------------------------
 
     @property
     def colored_count(self) -> int:
-        return int(self.meta[_k._COLORED])
+        return self._colored
 
     @property
     def forced_count(self) -> int:
-        return int(self.meta[_k._FORCED])
+        """Colored vertices picked at saturation m - 1, whose domain was one
+        color: the paper's cascade colors exactly these.  0 without a
+        budget, and with m = 1, where every domain starts at one color."""
+        if self.m is None or self.m < 2:
+            return 0
+        return self.sat.count(self.m - 1)
 
-    def uncolored(self) -> list[int]:
-        return np.nonzero(self.colors == 0)[0].tolist()
+    def saturation(self, v: int) -> int:
+        """Distinct colors among v's colored neighbors; fixed once v is
+        colored."""
+        k = self._key[v]
+        return self.sat[v] if k == self.g.n else -(k // self.g.n)
+
+    @property
+    def colors(self) -> np.ndarray:
+        """int32 per-vertex colors, 0 for uncolored (a copy)."""
+        return np.array(self._colors, dtype=np.int32)
 
     def domain(self, v: int) -> set[int]:
-        if self.colors[v] != 0:
+        """Colors still open to uncolored v: the budget, or 1..n without
+        one, minus its neighbors' colors."""
+        if self._colors[v]:
             raise ValueError(f"vertex {v} is colored")
-        return {c + 1 for c in np.nonzero(self.avail[v])[0]}
+        u = self._used[v]
+        return {c for c in range(1, self._cap + 1) if not u >> (c - 1) & 1}
 
-    def domains(self) -> list[set[int] | None]:
-        """Per-vertex domain sets; None for colored vertices."""
-        return [None if self.colors[v] != 0 else self.domain(v)
-                for v in range(self.g.n)]
-
-    def color_of(self, v: int) -> int | None:
-        c = int(self.colors[v])
-        return None if c == 0 else c
-
-    # -- operations -------------------------------------------------------
+    # -- steps ------------------------------------------------------------
 
     def set_color(self, v: int, color: int) -> None:
-        """Directly assign a color (the seeding step).  No propagation."""
-        if self.colors[v] != 0:
+        """Assign v a color directly (the seeding step; collapse goes
+        through it too).  No propagation."""
+        if self._colors[v]:
             raise ValueError(f"vertex {v} already colored")
-        if not 1 <= color <= self.m:
-            raise ValueError(f"color {color} outside 1..{self.m}")
-        self.colors[v] = color
-        self.meta[_k._COLORED] += 1
+        if not 1 <= color <= self._cap:
+            raise ValueError(f"color {color} outside 1..{self._cap}")
+        n = self.g.n
+        self._colors[v] = color
+        self._used[v] = -1
+        self.sat[v] = -(self._key[v] // n)
+        self._key[v] = n
+        self._colored += 1
 
-    def observe(self, tie_break: str = "degree") -> int:
-        """Uncolored vertex of minimum entropy under the tie-break, or
-        RESTART if that minimum is 0 (some domain has emptied)."""
-        if self.colored_count >= self.g.n:
+    def observe(self) -> int:
+        """Uncolored vertex of highest saturation, ties to the lowest rank;
+        RESTART if that saturation has reached the budget (its domain is
+        empty).  Leaves the vertex in the heap, so repeated calls agree."""
+        if self._colored >= self.g.n:
             raise ValueError("observe() called with no uncolored vertices")
-        return int(_k.observe(self.entropy, self.colors, self.degrees,
-                              tie_break == "random", self.rng_state))
+        heap, n, order, key = self._heap, self.g.n, self._order, self._key
+        while True:
+            k = heap[0]
+            v = order[k % n]
+            if key[v] == k:
+                return RESTART if k < self._floor else v
+            heappop(heap)
+            self.stale_pops += 1
 
     def collapse(self, v: int) -> int:
-        """Assign v the smallest color in its domain and return it."""
-        if self.colors[v] != 0:
-            raise ValueError(f"vertex {v} already colored")
-        c = _k.collapse(self.avail, self.colors, self.meta, v)
-        if c == 0:
+        """Assign v the smallest color absent from its neighbors and return
+        it."""
+        u = self._used[v]
+        # lowest clear bit, 1-based; 0 if v is colored (u = -1), which
+        # set_color rejects
+        c = (~u & (u + 1)).bit_length()
+        if c > self._cap:
             raise ValueError(f"vertex {v} has an empty domain")
+        self.set_color(v, c)
         return c
 
     def propagate(self, v: int) -> bool:
-        """Cascade the domain restriction from colored vertex v.  True on
-        success, False when the attempt must restart; the state is then
-        left mid-cascade and must be discarded."""
-        if self.colors[v] == 0:
+        """Strike colored v's color from its uncolored neighbors, pushing
+        one heap key per neighbor whose saturation rises.  False as soon as
+        a saturation reaches the budget: the state must then be
+        discarded."""
+        c = self._colors[v]
+        if not c:
             raise ValueError(f"vertex {v} is not colored")
-        return bool(_k.propagate(self.g.indptr, self.g.indices,
-                                 self.avail, self.entropy, self.colors,
-                                 self.meta, self.stack, v))
+        bit = 1 << (c - 1)
+        used, key, heap = self._used, self._key, self._heap
+        n, floor = self.g.n, self._floor
+        for w in self.g.indices[self._ptr[v]:self._ptr[v + 1]].tolist():
+            u = used[w]
+            if u & bit:
+                continue
+            used[w] = u | bit
+            k = key[w] - n  # one more color around w
+            key[w] = k
+            heappush(heap, k)
+            if k < floor:
+                return False
+        if len(heap) > 2 * (n - self._colored):
+            # keep only the live keys, one per uncolored vertex: each
+            # rebuild drops at least half the heap, so it costs O(1) a push
+            order = self._order
+            self._heap = [k for k in heap if key[order[k % n]] == k]
+            heapify(self._heap)
+        return True
 
 
 def solve(g: Graph, config: SolveConfig | None = None) -> SolveResult:
-    """Color g with a budget of max(max_degree, 1) colors, or one more.
+    """Color g in one saturation pass: seed the lowest-id maximum-degree
+    vertex with color 1, then observe/collapse/propagate until every vertex
+    is colored.
 
-    Each attempt seeds the lowest-id maximum-degree vertex with color 1,
-    propagates, then loops observe/collapse/propagate.  A dead end restarts
-    from scratch with one extra color.  That happens at most once, because
-    max_degree + 1 colors cannot fail (see the module docstring).
+    The paper's counters follow from the pass (see the module docstring):
+    restarts = int(k > m0) with m0 = max(max_degree, 1), final_m = m0 +
+    restarts, and the forced colorings are the vertices picked at
+    saturation final_m - 1 (none when final_m is 1).
     """
     cfg = config or SolveConfig()
     if g.n < 1:
         raise ValueError("cannot color the empty graph")
+    st = DomainState(g, seed=cfg.seed, tie_break=cfg.tie_break)
+    v = int(np.argmax(g.degrees))  # first maximum: the lowest id
+    st.set_color(v, 1)
+    st.propagate(v)
+    while st.colored_count < g.n:
+        v = st.observe()
+        st.collapse(v)
+        st.propagate(v)
+    coloring = Coloring(st.colors)
     m0 = max(g.max_degree, 1)
-    for m in (m0, m0 + 1):
-        st = DomainState(g, m, seed=cfg.seed)
-        if _k.wfc_attempt(g.indptr, g.indices, st.degrees, st.avail,
-                          st.entropy, st.colors, st.meta, st.stack,
-                          cfg.tie_break == "random", st.rng_state):
-            coloring = Coloring(st.colors.copy())
-            return SolveResult(coloring=coloring, k=coloring.k,
-                               restarts=m - m0, final_m=m,
-                               forced_colorings=st.forced_count)
-    raise AssertionError(
-        "max_degree + 1 colors cannot fail")  # pragma: no cover
+    restarts = int(coloring.k > m0)
+    final_m = m0 + restarts
+    forced = st.sat.count(final_m - 1) if final_m >= 2 else 0
+    stats = {"selections": g.n - 1, "strikes": sum(st.sat),
+             "stale_pops": st.stale_pops}
+    return SolveResult(coloring=coloring, k=coloring.k, restarts=restarts,
+                       final_m=final_m, forced_colorings=forced, stats=stats)

@@ -1,5 +1,6 @@
 from hypothesis import settings
 
-# first calls pay the JIT compile, so wall-clock deadlines are meaningless
+# solve times swing with the load on a shared machine, so a wall-clock
+# deadline would fail examples at random
 settings.register_profile("wfcolor", deadline=None, max_examples=40)
 settings.load_profile("wfcolor")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from util import complete_graph, cycle_graph, star_graph
+from util import complete_graph, cycle_graph
 from wfcolor.baselines import dsatur, iterated_greedy, resolve_order, rlf
 from wfcolor.coloring import validate
 from wfcolor.exact import exact_chromatic
-from wfcolor.graph import crown_graph, random_gnp
+from wfcolor.graph import crown_graph, random_gnp, star_graph
 
 
 # -- iterated greedy ----------------------------------------------------------

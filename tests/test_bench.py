@@ -25,7 +25,15 @@ def test_generator_specs():
     assert name == "crown_4" and g.n == 8
     name, g = parse_generator_spec("gnp:20,0.5", seed=1)
     assert name == "gnp_20_0.5" and g.n == 20
-    for bad in ("crown:x", "gnp:20", "ring:5", "gnp:20,2,3"):
+    name, g = parse_generator_spec("star:6", seed=0)
+    assert name == "star_6" and g.n == 7 and g.max_degree == 6
+    name, g = parse_generator_spec("ba:50,2", seed=1)
+    assert name == "ba_50_2" and g.n == 50 and g.m == 96
+    # ba draws from the global seed
+    assert g.edges() == parse_generator_spec("ba:50,2", seed=1)[1].edges()
+    assert g.edges() != parse_generator_spec("ba:50,2", seed=2)[1].edges()
+    for bad in ("crown:x", "gnp:20", "ring:5", "gnp:20,2,3", "star:0",
+                "star:", "ba:50", "ba:5,5", "ba:5,0", "ba:5,1.5"):
         with pytest.raises(ValueError):
             parse_generator_spec(bad, seed=0)
 

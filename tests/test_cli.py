@@ -1,5 +1,6 @@
+import pytest
+
 from util import one_color_solve
-from wfcolor import BACKEND
 from wfcolor.bench import parse_csv
 from wfcolor.cli import main
 from wfcolor.coloring import parse_coloring, validate
@@ -66,14 +67,6 @@ def test_bench_csv_to_file(tmp_path):
     assert [(r.algorithm, r.k) for r in rows] == [("wfcc", 2), ("ig", 2)]
 
 
-def test_bench_names_the_backend_on_stderr(capsys):
-    rc = main(["bench", "--alg", "ig", "--gen", "crown:3", "--reps", "1"])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert f"backend: {BACKEND}\n" in captured.err
-    assert captured.out.startswith("instance,algorithm,")
-
-
 def test_bench_markdown_to_stdout(tmp_path, capsys):
     rc = main(["bench", "--alg", "dsatur", "--gen", "crown:3",
                "--reps", "1", "--format", "md"])
@@ -132,3 +125,25 @@ def test_random_tie_break_flag(tmp_path):
                "--seed", "3", "--tie-break", "random", "--out", str(out)])
     assert rc == 0
     assert parse_csv(out.read_text())[0].k is not None
+
+
+def test_bench_reaches_hub_graphs(tmp_path):
+    out = tmp_path / "rows.csv"
+    rc = main(["bench", "--alg", "wfcc,dsatur", "--gen", "star:2000",
+               "--gen", "ba:300,3", "--reps", "1", "--seed", "5",
+               "--out", str(out)])
+    assert rc == 0
+    rows = parse_csv(out.read_text())
+    assert [(r.instance, r.algorithm) for r in rows] == [
+        ("star_2000", "wfcc"), ("star_2000", "dsatur"),
+        ("ba_300_3", "wfcc"), ("ba_300_3", "dsatur")]
+    assert rows[0].k == rows[1].k == 2
+    assert rows[2].k == rows[3].k  # one pass of DSatur either way
+
+
+def test_gen_help_names_every_generator(capsys):
+    with pytest.raises(SystemExit):
+        main(["bench", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for spec in ("crown:<n>", "gnp:<n>,<p>", "star:<n>", "ba:<n>,<k>"):
+        assert spec in help_text

@@ -74,6 +74,14 @@ def test_coloring_rejects_non_int32_colors(assignment):
         Coloring(assignment)
 
 
+def test_coloring_leaves_the_callers_array_writable():
+    a = np.zeros(3, dtype=np.int32)
+    c = Coloring(a)
+    a[0] = 1  # raised "assignment destination is read-only" before
+    assert c.assignment.tolist() == [0, 0, 0]
+    assert not c.assignment.flags.writeable
+
+
 def test_coloring_takes_the_int32_range():
     c = Coloring(np.array([2**31 - 1, 1], dtype=np.int64))
     assert c.assignment.dtype == np.int32

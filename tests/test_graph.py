@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from util import complete_graph
-from wfcolor.graph import Graph, crown_graph, random_gnp
+from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
+                           star_graph)
 
 
 def test_from_edges_dedupes_and_symmetrizes():
@@ -152,6 +153,39 @@ def test_gnp_is_deterministic():
     assert np.array_equal(a.indices, b.indices)
     c = random_gnp(50, 0.5, seed=8)
     assert not np.array_equal(a.indices, c.indices)
+
+
+def test_star_shape():
+    g = star_graph(6)
+    assert g.n == 7 and g.m == 6
+    assert g.degrees.tolist() == [6, 1, 1, 1, 1, 1, 1]
+    with pytest.raises(ValueError):
+        star_graph(0)
+
+
+@pytest.mark.parametrize("n, k, seed", [(2, 1, 0), (10, 1, 3), (40, 3, 1),
+                                        (200, 5, 9)])
+def test_ba_joins_each_arrival_to_k_earlier_vertices(n, k, seed):
+    g = barabasi_albert(n, k, seed)
+    assert g.n == n and g.m == (n - k) * k
+    for v in range(n):
+        earlier = int((g.neighbors(v) < v).sum())
+        assert earlier == (0 if v < k else k)
+
+
+def test_ba_is_deterministic_and_grows_hubs():
+    a = barabasi_albert(2000, 2, seed=4)
+    assert a.edges() == barabasi_albert(2000, 2, seed=4).edges()
+    assert a.edges() != barabasi_albert(2000, 2, seed=5).edges()
+    # attachment favors high degree: with a uniform choice of earlier
+    # vertices the oldest would expect about 2 + 2 ln(2000), or 17, edges
+    assert a.max_degree > 50
+
+
+@pytest.mark.parametrize("n, k", [(5, 0), (5, 5), (1, 1), (3, -1)])
+def test_ba_rejects_bad_sizes(n, k):
+    with pytest.raises(ValueError):
+        barabasi_albert(n, k, seed=0)
 
 
 # sha256 of the little-endian int32 indptr and indices, recorded before the

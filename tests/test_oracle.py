@@ -5,8 +5,9 @@ from util import complete_graph, cycle_graph, path_graph
 from wfcolor.exact import exact_chromatic
 from wfcolor.graph import Graph, crown_graph, random_gnp
 from wfcolor.oracle import (BudgetExceededError, OracleBudget,
-                            best_greedy_ordering_k, naive_propagate)
-from wfcolor.wfc import DomainState
+                            best_greedy_ordering_k, naive_propagate,
+                            paper_wfc)
+from wfcolor.wfc import RESTART, DomainState
 
 
 def test_best_ordering_triangle():
@@ -67,7 +68,10 @@ def test_naive_propagate_requires_colored_vertex():
         naive_propagate(g, np.zeros(2, dtype=np.int32), 2, 0)
 
 
-def test_naive_propagate_matches_stack_cascade():
+def test_naive_propagate_matches_forced_picks():
+    """From one colored vertex, the engine picking every vertex left with a
+    single color (saturation m - 1) reaches naive_propagate's fixed point:
+    same verdict, same colors, same domains."""
     rng = np.random.default_rng(17)
     for trial in range(150):
         n = int(rng.integers(2, 12))
@@ -76,10 +80,35 @@ def test_naive_propagate_matches_stack_cascade():
         v = int(rng.integers(0, n))
         state = DomainState(g, m)
         state.set_color(v, 1)
-        snapshot = state.colors.copy()
+        snapshot = state.colors
         ok = state.propagate(v)
+        while ok and m >= 2 and state.colored_count < n:
+            u = state.observe()
+            if u == RESTART:
+                ok = False
+            elif state.saturation(u) < m - 1:
+                break
+            else:
+                state.collapse(u)
+                ok = state.propagate(u)
         ref = naive_propagate(g, snapshot, m, v)
         assert ok == (ref is not None)
         if ok:
             assert np.array_equal(ref[0], state.colors)
-            assert ref[1] == state.domains()
+            colors = state.colors.tolist()
+            assert ref[1] == [None if colors[u] else state.domain(u)
+                              for u in range(n)]
+
+
+def test_paper_wfc_small_cases():
+    # path 0-1-2: seeding the center forces both ends
+    colors, restarts, final_m, forced = paper_wfc(path_graph(3))
+    assert (colors.tolist(), restarts, final_m, forced) == ([2, 1, 2], 0, 2, 2)
+    # a triangle empties a domain at budget 2 and succeeds at 3
+    colors, restarts, final_m, forced = paper_wfc(complete_graph(3))
+    assert (sorted(colors.tolist()), restarts, final_m) == ([1, 2, 3], 1, 3)
+    # a single vertex: budget 1, nothing forced
+    colors, restarts, final_m, forced = paper_wfc(Graph.from_edges(1, []))
+    assert (colors.tolist(), restarts, final_m, forced) == ([1], 0, 1, 0)
+    with pytest.raises(ValueError):
+        paper_wfc(Graph.from_edges(0, []))

@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from util import complete_graph, path_graph, star_graph
+from util import complete_graph, path_graph
 from wfcolor.baselines import dsatur
 from wfcolor.coloring import validate
 from wfcolor.exact import exact_chromatic
-from wfcolor.graph import Graph, crown_graph, random_gnp
+from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
+                           star_graph)
 from wfcolor.oracle import naive_propagate
 from wfcolor.wfc import RESTART, TIE_BREAKS, DomainState, SolveConfig, solve
 
@@ -156,17 +158,18 @@ def test_solve_is_dsatur(g):
 
 
 def _solve_by_hand(g, tie_break, seed):
-    """solve() one DomainState call at a time: seed the lowest-id
-    maximum-degree vertex with color 1 and propagate, then
-    observe/collapse/propagate; a dead end restarts with one more color."""
+    """The paper's loop, one DomainState call at a time: at budget
+    max(max_degree, 1), then one more color after a dead end, seed the
+    lowest-id maximum-degree vertex with color 1 and propagate, then
+    observe/collapse/propagate."""
     m0 = max(g.max_degree, 1)
     for m in (m0, m0 + 1):
-        state = DomainState(g, m, seed=seed)
+        state = DomainState(g, m, seed=seed, tie_break=tie_break)
         v = max(range(g.n), key=lambda u: (g.degrees[u], -u))
         state.set_color(v, 1)
         ok = state.propagate(v)
         while ok and state.colored_count < g.n:
-            v = state.observe(tie_break)
+            v = state.observe()
             ok = v != RESTART
             if ok:
                 state.collapse(v)
@@ -184,109 +187,201 @@ def test_solve_equals_domain_state_by_hand(g, tie_break, seed):
             r.forced_colorings) == _solve_by_hand(g, tie_break, seed)
 
 
+# -- work counters -----------------------------------------------------------
+
+@pytest.mark.parametrize("leaves", [1, 2, 7, 300])
+def test_star_strikes_once_per_leaf(leaves):
+    # the hub's color is struck from every leaf; a leaf strikes nothing,
+    # because its only neighbor is already colored
+    r = solve(star_graph(leaves))
+    assert r.stats["strikes"] == leaves
+    assert r.stats["selections"] == leaves
+
+
+def test_strikes_are_bounded_by_degree_and_colors():
+    # a vertex is struck at most once per neighbor and once per color
+    for seed in range(40):
+        g = (random_gnp(30 + seed, [0.05, 0.2, 0.5, 0.9][seed % 4], seed)
+             if seed % 5 else barabasi_albert(60 + seed, 1 + seed % 4, seed))
+        r = solve(g)
+        bound = int(np.minimum(g.degrees, r.k).sum())
+        assert r.stats["strikes"] <= bound
+        assert r.stats["selections"] == g.n - 1
+        # every popped key was pushed: n initial keys plus one per strike
+        assert r.stats["stale_pops"] <= g.n + r.stats["strikes"]
+
+
+def test_large_star_solves_in_little_memory():
+    # an n x max_degree domain matrix would need (n + 1) * n bytes here,
+    # 2.5 GB; the engine's state grows with n and the colors in use
+    g = star_graph(50_000)
+    tracemalloc.start()
+    try:
+        r = solve(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.k == 2 and validate(g, r.coloring).ok
+    assert peak < 64 * 2**20
+
+
+def test_heap_stays_compact():
+    # lazy deletion leaves old keys behind; the rebuild keeps the heap at
+    # most twice the uncolored count, and every uncolored vertex keeps its
+    # live key
+    for seed in range(3):
+        g = random_gnp(150, [0.1, 0.5, 0.9][seed], seed)
+        state = DomainState(g)
+        v = int(np.argmax(g.degrees))
+        state.set_color(v, 1)
+        while True:
+            assert state.propagate(v)
+            uncolored = g.n - state.colored_count
+            assert len(state._heap) <= 2 * uncolored
+            colors = state.colors
+            live = {state._key[u] for u in range(g.n) if not colors[u]}
+            assert live <= set(state._heap)
+            if not uncolored:
+                break
+            v = state.observe()
+            state.collapse(v)
+
+
 # -- observe ----------------------------------------------------------------
+# entropy = m - saturation: the minimum-entropy vertex is the one with the
+# most distinct colors around it
+
+def _state(g, m=None, colored=(), seed=0, tie_break="degree"):
+    """A state with the (vertex, color) pairs set, then propagated; also
+    returns whether every propagate succeeded."""
+    st_ = DomainState(g, m, seed=seed, tie_break=tie_break)
+    for v, c in colored:
+        st_.set_color(v, c)
+    ok = all([st_.propagate(v) for v, _ in colored])
+    return st_, ok
+
+
+def _scan_saturation(g, colors, v):
+    return len({colors[w] for w in g.neighbors(v).tolist() if colors[w]})
+
 
 def test_observe_picks_minimum_entropy():
-    g = Graph.from_edges(3, [])
-    st_ = DomainState.from_domains(g, 4, {0: {1, 2, 3}, 1: {1, 2}, 2: {1, 2, 3, 4}})
+    # 1 sees colors {1, 2}, 0 sees {1}, 2 sees none
+    g = Graph.from_edges(5, [(0, 3), (1, 3), (1, 4)])
+    st_, ok = _state(g, 4, [(3, 1), (4, 2)])
+    assert ok
+    assert [st_.saturation(v) for v in range(3)] == [1, 2, 0]
     assert st_.observe() == 1
+    assert st_.observe() == 1  # observing picks nothing
 
 
 def test_observe_breaks_ties_by_degree():
-    # vertices 0 and 1 tie at entropy 2; 0 has the higher degree
+    # vertices 0 and 1 tie at saturation 1; 0 has the higher degree
     g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
                              (1, 2), (1, 3), (1, 4)])
-    domains = {0: {1, 2}, 1: {2, 3}}
-    colors = {v: 1 for v in range(2, 7)}
-    st_ = DomainState.from_domains(g, 4, domains, colors)
+    st_, ok = _state(g, 4, [(v, 1) for v in range(2, 7)])
+    assert ok
     assert st_.observe() == 0
 
 
 def test_observe_ties_fall_back_to_lowest_id():
     g = Graph.from_edges(4, [])
-    st_ = DomainState.from_domains(g, 3, {v: {1, 2} for v in range(4)})
+    st_ = DomainState(g, 3)
     assert st_.observe() == 0
+    st_.collapse(0)
+    assert st_.observe() == 1
 
 
 def test_observe_empty_domain_signals_restart():
+    # 0 -- 1 -- 2 with two colors: 1 sees both, so its domain is empty
     g = path_graph(3)
-    st_ = DomainState.from_domains(g, 2, {0: set(), 1: {1, 2}, 2: {1}})
+    st_, ok = _state(g, 2, [(0, 1), (2, 2)])
+    assert not ok
+    assert st_.observe() == RESTART
+    # with one color, the first strike already empties a domain
+    st_, ok = _state(g, 1, [(0, 1)])
+    assert not ok
     assert st_.observe() == RESTART
 
 
 def test_observe_requires_uncolored():
     g = path_graph(2)
-    st_ = DomainState.from_domains(g, 2, {}, {0: 1, 1: 2})
+    st_, _ = _state(g, 2, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         st_.observe()
 
 
 def test_observe_random_mode_stays_on_minimum():
-    g = Graph.from_edges(5, [])
-    st_ = DomainState.from_domains(
-        g, 3, {0: {1, 2, 3}, 1: {1, 2}, 2: {2, 3}, 3: {1, 2, 3}, 4: {1, 2, 3}},
-        seed=9)
-    assert st_.observe(tie_break="random") in (1, 2)
+    # 1 and 2 tie at the highest saturation; the seed picks between them
+    g = Graph.from_edges(6, [(1, 5), (2, 5)])
+    picks = set()
+    for seed in range(30):
+        st_, _ = _state(g, 3, [(5, 1)], seed=seed, tie_break="random")
+        picks.add(st_.observe())
+    assert picks == {1, 2}
 
 
 def test_observe_agrees_with_plain_scan():
     """observe() returns exactly what a plain scan over the uncolored
-    vertices would, on states with mixed domain sizes, some colored vertices
-    and equal entropies at different degrees; in random mode every pick
-    still has the minimum entropy."""
+    vertices would: the highest saturation, then the highest degree, then
+    the lowest id, or RESTART once a saturation has reached the budget.  In
+    random mode every pick still has the highest saturation."""
     rng = np.random.default_rng(0)
     for trial in range(60):
-        n = int(rng.integers(2, 12))
+        n = int(rng.integers(5, 12))  # colors up to n need no budget
         g = random_gnp(n, 0.5, seed=trial)
         m = int(rng.integers(2, 6))
         colored = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
-        colors = {int(v): int(rng.integers(1, m + 1)) for v in colored}
-        domains = {v: {int(c) for c in rng.choice(
-                       np.arange(1, m + 1), size=int(rng.integers(0, m + 1)),
-                       replace=False)}
-                   for v in range(n) if v not in colors}
-        st_ = DomainState.from_domains(g, m, domains, colors, seed=trial)
-        uncolored = st_.uncolored()
-        low = min(len(domains[v]) for v in uncolored)
-        expected = min(uncolored, key=lambda v: (len(domains[v]),
-                                                 -st_.degrees[v], v))
-        assert st_.observe() == (RESTART if low == 0 else expected)
+        pairs = [(int(v), int(rng.integers(1, m + 1))) for v in colored]
+        colors = [0] * n
+        for v, c in pairs:
+            colors[v] = c
+        uncolored = [v for v in range(n) if not colors[v]]
+        sat = {v: _scan_saturation(g, colors, v) for v in uncolored}
+        expected = min(uncolored, key=lambda v: (-sat[v], -g.degrees[v], v))
+        st_, ok = _state(g, None, pairs)
+        assert ok
+        assert {v: st_.saturation(v) for v in uncolored} == sat
+        assert st_.observe() == expected
+        st_, ok = _state(g, m, pairs)
+        assert ok == (sat[expected] < m)
+        assert st_.observe() == (expected if ok else RESTART)
         for seed in range(5):
-            st_ = DomainState.from_domains(g, m, domains, colors, seed=seed)
-            for _ in range(3):
-                got = st_.observe(tie_break="random")
-                if low == 0:
-                    assert got == RESTART
-                else:
-                    assert got in uncolored and len(domains[got]) == low
+            st_, _ = _state(g, None, pairs, seed=seed, tie_break="random")
+            assert sat[st_.observe()] == sat[expected]
 
 
 # -- collapse ---------------------------------------------------------------
 
 def test_collapse_takes_minimum_color():
-    g = Graph.from_edges(1, [])
-    st_ = DomainState.from_domains(g, 5, {0: {2, 4, 5}})
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    st_, _ = _state(g, 5, [(1, 1), (2, 3), (3, 4)])
     assert st_.collapse(0) == 2
-    assert st_.color_of(0) == 2
+    assert st_.colors[0] == 2
 
 
 def test_collapse_singleton():
-    g = Graph.from_edges(1, [])
-    st_ = DomainState.from_domains(g, 3, {0: {1}})
+    g = Graph.from_edges(3, [(0, 1), (0, 2)])
+    st_, _ = _state(g, 3, [(1, 2), (2, 3)])
+    assert st_.domain(0) == {1}
     assert st_.collapse(0) == 1
 
 
 def test_collapse_min_is_set_min():
-    g = Graph.from_edges(1, [])
-    st_ = DomainState.from_domains(g, 3, {0: {3, 1}})
+    g = Graph.from_edges(2, [(0, 1)])
+    st_, _ = _state(g, 3, [(1, 2)])
+    assert st_.domain(0) == {1, 3}
     assert st_.collapse(0) == 1
 
 
 def test_collapse_empty_domain_is_an_error():
-    g = Graph.from_edges(2, [(0, 1)])
-    st_ = DomainState.from_domains(g, 2, {0: set(), 1: {1}})
+    g = Graph.from_edges(3, [(0, 1), (0, 2)])
+    st_, ok = _state(g, 2, [(1, 1), (2, 2)])
+    assert not ok
     with pytest.raises(ValueError):
         st_.collapse(0)
+    with pytest.raises(ValueError):
+        st_.collapse(1)  # already colored
 
 
 # -- propagate --------------------------------------------------------------
@@ -294,33 +389,40 @@ def test_collapse_empty_domain_is_an_error():
 def test_restriction_stops_at_wide_domains():
     # 0 -- 1 -- 2; coloring 0 cannot reach 2 while 1 keeps two options
     g = path_graph(3)
-    st_ = DomainState.from_domains(g, 3, {1: {2, 3}, 2: {1, 2, 3}}, {0: 1})
-    assert st_.propagate(0)
+    st_, ok = _state(g, 3, [(0, 1)])
+    assert ok
     assert st_.domain(1) == {2, 3}
     assert st_.domain(2) == {1, 2, 3}
     assert st_.forced_count == 0
 
 
 def test_restriction_cascades_through_unit_domains():
-    # same chain, but 1 drops to a single color: it gets colored and its
-    # restriction reaches 2
-    g = path_graph(3)
-    st_ = DomainState.from_domains(g, 3, {1: {1, 2}, 2: {1, 2, 3}}, {0: 1})
-    assert st_.propagate(0)
-    assert st_.color_of(1) == 2
+    # 1 is left with the single color 2: it is picked next, as the cascade
+    # would color it, and its strike reaches 2
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    st_, ok = _state(g, 3, [(3, 3), (0, 1)])
+    assert ok
+    assert st_.domain(1) == {2}
+    assert st_.observe() == 1
+    assert st_.collapse(1) == 2
+    assert st_.propagate(1)
     assert st_.domain(2) == {1, 3}
     assert st_.forced_count == 1
 
 
 def test_path_5_cascade_colors_everything():
+    # every vertex after the first is picked with one color left, as the
+    # recomputing reference cascade colors them
     g = path_graph(5)
-    st_ = DomainState(g, 2)
-    st_.set_color(0, 1)
-    snapshot = st_.colors.copy()
-    assert st_.propagate(0)
+    st_, ok = _state(g, 2, [(0, 1)])
+    snapshot = st_.colors
+    while ok and st_.colored_count < g.n:
+        v = st_.observe()
+        st_.collapse(v)
+        ok = st_.propagate(v)
+    assert ok
     assert st_.colors.tolist() == [1, 2, 1, 2, 1]
     assert st_.forced_count == 4
-    # the from-scratch reference reaches the identical fixed point
     ref = naive_propagate(g, snapshot, 2, 0)
     assert ref is not None
     assert np.array_equal(ref[0], st_.colors)
@@ -328,9 +430,11 @@ def test_path_5_cascade_colors_everything():
 
 def test_triangle_with_two_colors_restarts():
     g = complete_graph(3)
-    st_ = DomainState(g, 2)
-    st_.set_color(0, 1)
-    assert not st_.propagate(0)
+    st_, ok = _state(g, 2, [(0, 1)])
+    assert ok
+    v = st_.observe()
+    assert st_.collapse(v) == 2
+    assert not st_.propagate(v)  # the third vertex sees both colors
 
 
 def test_edge_with_one_color_restarts_on_empty_domain():
@@ -348,33 +452,38 @@ def test_propagate_requires_colored_start():
 
 
 def test_propagate_keeps_colored_neighbor_exclusion():
+    # after every successful step, each uncolored domain is exactly the
+    # budget minus the colors of its colored neighbors
     rng = np.random.default_rng(3)
     for trial in range(40):
         n = int(rng.integers(3, 14))
         g = random_gnp(n, 0.5, seed=100 + trial)
         m = max(g.max_degree, 1) + int(rng.integers(0, 3))
-        st_ = DomainState(g, m)
         v = int(rng.integers(0, n))
-        st_.set_color(v, 1)
-        if not st_.propagate(v):
-            continue
-        for u in range(n):
-            if st_.color_of(u) is None:
-                continue
-            for w in g.neighbors(u):
-                if st_.color_of(int(w)) is None:
-                    assert st_.color_of(u) not in st_.domain(int(w))
+        st_, ok = _state(g, m, [(v, 1)])
+        while ok:
+            colors = st_.colors.tolist()
+            for u in range(n):
+                if not colors[u]:
+                    seen = {colors[w] for w in g.neighbors(u).tolist()}
+                    assert st_.domain(u) == set(range(1, m + 1)) - seen
+            if st_.colored_count == n:
+                break
+            v = st_.observe()
+            ok = v != RESTART
+            if ok:
+                st_.collapse(v)
+                ok = st_.propagate(v)
 
 
 def test_propagate_only_shrinks_domains():
     g = crown_graph(5)
     st_ = DomainState(g, 4)
     st_.set_color(0, 1)
-    before = st_.domains()
+    before = [st_.domain(v) for v in range(1, g.n)]
     assert st_.propagate(0)
-    for v in range(g.n):
-        if st_.color_of(v) is None:
-            assert st_.domain(v) <= before[v]
+    for v in range(1, g.n):
+        assert st_.domain(v) <= before[v - 1]
 
 
 # -- forced colorings vs. observation ----------------------------------------

@@ -19,10 +19,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def star_graph(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
 def one_color_solve(g: Graph, config=None) -> SolveResult:
     """A broken stand-in for wfc.solve: every vertex gets color 1, which is
     improper on any graph with an edge."""
