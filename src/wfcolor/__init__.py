@@ -36,5 +36,6 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# every kernel is plain Python over numpy; benchmark records carry this name
+# the engine and the baselines run as plain Python over numpy; benchmark
+# records carry this name
 BACKEND = "python"

@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .baselines import dsatur, iterated_greedy, rlf
+from .baselines import (RLF_TIE_BREAKS, SATURATION_MODES, dsatur,
+                        iterated_greedy, rlf)
 from .coloring import validate
 from .dimacs import load_dimacs
 from .graph import Graph, barabasi_albert, crown_graph, random_gnp, star_graph
-from .wfc import SolveConfig, SolveResult, solve
+from .wfc import TIE_BREAKS, SolveConfig, SolveResult, solve
 
 ALGORITHMS = ("wfcc", "ig", "dsatur", "rlf")
 ALGORITHM_LABELS = {"wfcc": "WFC-C", "ig": "IG", "dsatur": "DSatur", "rlf": "RLF"}
@@ -83,6 +84,11 @@ class RunConfig:
             raise ValueError("repetitions must be >= 1")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        for name, value, allowed in (("tie_break", self.tie_break, TIE_BREAKS),
+                                     ("saturation", self.saturation, SATURATION_MODES),
+                                     ("rlf_tie", self.rlf_tie, RLF_TIE_BREAKS)):
+            if value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
 
 
 def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:

@@ -5,6 +5,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .baselines import RLF_TIE_BREAKS, SATURATION_MODES
 from .bench import (ALGORITHMS, GENERATORS, BenchError, RunConfig,
                     load_best_known, render_report, run_algorithm, run_bench,
                     speedup_summary)
@@ -16,9 +17,9 @@ from .wfc import TIE_BREAKS
 def _add_mode_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tie-break", choices=TIE_BREAKS, default="degree",
                    help="observe() tie-break for wfcc")
-    p.add_argument("--saturation", choices=("distinct", "count"),
+    p.add_argument("--saturation", choices=SATURATION_MODES,
                    default="distinct", help="dsatur saturation rule")
-    p.add_argument("--rlf-tie", choices=("random", "lowest-id"),
+    p.add_argument("--rlf-tie", choices=RLF_TIE_BREAKS,
                    default="random", help="rlf tie-break rule")
 
 

@@ -1,6 +1,6 @@
 """Immutable simple undirected graphs in CSR (compressed adjacency) form.
 
-Vertices are 0-based ints.  All solvers and kernels in this package read the
+Vertices are 0-based ints.  All solvers in this package read the
 ``indptr``/``indices`` arrays directly, so graphs are canonicalized once at
 construction: deduplicated, symmetric, self-loop free, neighbors sorted.
 The generators and the DIMACS parser hand ``Graph.from_edges`` a (k, 2) int64

@@ -18,6 +18,11 @@ def test_config_validation():
         RunConfig(algorithms=("magic",), generators=("crown:3",))
     with pytest.raises(ValueError):
         RunConfig(algorithms=("wfcc",), generators=("crown:3",), reps=0)
+    # mode values are checked at construction, before any row runs
+    for mode in ({"tie_break": "nope"}, {"saturation": "bogus"},
+                 {"rlf_tie": "highest"}):
+        with pytest.raises(ValueError, match=next(iter(mode))):
+            RunConfig(algorithms=("ig", "dsatur"), generators=("crown:3",), **mode)
 
 
 def test_generator_specs():
