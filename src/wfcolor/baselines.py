@@ -41,10 +41,13 @@ def resolve_order(g: Graph, order: str | Sequence[int]) -> np.ndarray:
         if order == "degree":
             return np.argsort(-g.degrees, kind="stable").astype(np.int32)
         raise ValueError(f"unknown ordering {order!r}; use one of {ORDERINGS}")
-    arr = np.asarray(list(order))
+    items = list(order)
+    arr = np.asarray(items)
     if arr.size == 0:
         arr = arr.astype(np.int32)
-    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+    # numpy reads a bool mixed with ints as 0 or 1: reject it by type
+    if (arr.ndim != 1 or arr.dtype.kind not in "iu"
+            or any(isinstance(x, (bool, np.bool_)) for x in items)):
         raise ValueError("explicit ordering must be a 1-D sequence of integers")
     if arr.shape[0] != g.n or not np.array_equal(np.sort(arr), np.arange(g.n)):
         raise ValueError("explicit ordering must be a permutation of 0..n-1")

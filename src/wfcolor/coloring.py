@@ -48,6 +48,9 @@ class Coloring:
 
     @classmethod
     def from_list(cls, colors: list[int | None]) -> "Coloring":
+        # numpy reads a bool mixed with ints as 0 or 1: reject it by type
+        if any(isinstance(c, (bool, np.bool_)) for c in colors):
+            raise ValueError("colors must be integers or None, not bools")
         return cls(np.array([UNCOLORED if c is None else c for c in colors]))
 
 

@@ -3,9 +3,18 @@
 Lines are: comments ``c ...``, one problem line ``p edge <n> <m>`` (``edges``
 is accepted too), and edge lines ``e <u> <v>`` with 1-based vertex ids.
 Internally everything is 0-based; the translation happens only here.
+
+parse_dimacs has two paths that give the same graph.  Canonical text, as
+write_dimacs emits it (a ``c`` comment header allowed), is read at array
+speed: past the problem line, every line must be exactly ``e <u> <v>`` and
+``\n``-terminated, with in-range, distinct ids written as ASCII digits with
+no sign and no leading zero.  Anything else, and every file object, goes
+through a loop over the lines, the only source of DimacsParseError, so error
+kinds, line numbers and messages do not depend on the path taken.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from typing import IO, Iterable
 
@@ -34,8 +43,60 @@ def parse_dimacs(text: str | IO[str]) -> Graph:
     Duplicate edge lines and both orientations of an edge collapse to one
     undirected edge.  The declared m is advisory: a mismatch with the actual
     edge count produces a DimacsWarning, not an error.
+
+    A ``str`` is read at array speed when every line from its first
+    ``e `` line on is exactly ``e <u> <v>\n``, with in-range, distinct ids
+    of 1 to 18 ASCII digits and no leading zero, as write_dimacs emits.
+    Everything else, and any file object, goes through the line loop, which
+    gives the same graph and is the only source of DimacsParseError.
     """
-    lines: Iterable[str] = text.splitlines() if isinstance(text, str) else text
+    if isinstance(text, str):
+        n, ends, declared_m = _parse_bulk(text) or _parse_lines(text.splitlines())
+    else:
+        n, ends, declared_m = _parse_lines(text)
+    g = Graph.from_edges(n, ends.reshape(-1, 2) - 1)
+    if g.m != declared_m:
+        warnings.warn(
+            f"problem line declares {declared_m} edges, file contains {g.m}",
+            DimacsWarning,
+            stacklevel=2,
+        )
+    return g
+
+
+# [0-9], not \d: \d also matches non-ASCII digits, which int() reads but
+# np.fromstring does not.  The 18-digit cap keeps every id below 2**63, where
+# np.fromstring would saturate an overflowing token without a warning.
+_EDGE_LINES = re.compile(r"(?:e [1-9][0-9]{0,17} [1-9][0-9]{0,17}\n)*")
+
+
+def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
+    """The line loop's result for text of the strict form in parse_dimacs's
+    docstring, or None for any other text.  The lines before the first edge
+    line go through the loop; the edge lines after them are one regex match
+    and one np.fromstring call."""
+    # the body starts at the first "e " line after the first line, if any
+    cut = text.find("\ne ") + 1 or len(text)
+    head, body = text[:cut], text[cut:]
+    try:
+        n, head_ends, declared_m = _parse_lines(head.splitlines())
+    except (DimacsParseError, OverflowError):  # OverflowError: an id past int64
+        return None  # the loop over the whole text raises the right error
+    # only "e", ASCII digits, " " and "\n" get past the regex, so the body's
+    # lines are exactly the ones str.splitlines would give the loop
+    if not _EDGE_LINES.fullmatch(body):
+        return None
+    if not body:  # np.fromstring reads a blank string as [0]
+        return n, head_ends, declared_m
+    ends = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
+    if int(ends.max()) > n or np.any(ends[0::2] == ends[1::2]):
+        return None
+    return n, np.concatenate([head_ends, ends]), declared_m
+
+
+def _parse_lines(lines: Iterable[str]) -> tuple[int, np.ndarray, int]:
+    """The line loop: (n, flat 1-based endpoints, declared m), checking every
+    line in turn and raising DimacsParseError at the first bad one."""
     n = -1
     declared_m = 0
     ends: list[int] = []  # flat 1-based endpoints, two per edge line
@@ -74,14 +135,7 @@ def parse_dimacs(text: str | IO[str]) -> Graph:
             raise DimacsParseError("malformed", line_no, f"unrecognized line {raw!r}")
     if n < 0:
         raise DimacsParseError("missing-problem-line", 0, "no problem line found")
-    g = Graph.from_edges(n, np.array(ends, dtype=np.int64).reshape(-1, 2) - 1)
-    if g.m != declared_m:
-        warnings.warn(
-            f"problem line declares {declared_m} edges, file contains {g.m}",
-            DimacsWarning,
-            stacklevel=2,
-        )
-    return g
+    return n, np.array(ends, dtype=np.int64), declared_m
 
 
 def load_dimacs(path) -> Graph:

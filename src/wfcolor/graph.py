@@ -75,10 +75,14 @@ class Graph:
         Duplicate pairs and both orientations of an edge collapse to one
         undirected edge.  Self-loops are rejected.
         """
-        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        items = edges if isinstance(edges, np.ndarray) else list(edges)
+        pairs = np.asarray(items)
         if pairs.size == 0:
             pairs = np.empty((0, 2), np.int64)
-        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        # numpy reads a bool mixed with ints as 0 or 1: reject it by type
+        if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
+                or not isinstance(items, np.ndarray) and any(
+                    isinstance(x, (bool, np.bool_)) for pair in items for x in pair)):
             raise ValueError("edges must be (u, w) pairs of integers")
         if np.any(pairs < 0) or np.any(pairs >= n):
             raise ValueError("edge endpoint out of range")

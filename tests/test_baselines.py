@@ -67,6 +67,8 @@ def test_resolve_order_rejects_non_integer_orders():
     with pytest.raises(ValueError):
         resolve_order(complete_graph(2), [True, False])
     with pytest.raises(ValueError):
+        resolve_order(complete_graph(2), [True, 0])  # a bool among ints
+    with pytest.raises(ValueError):
         resolve_order(g, np.arange(4, dtype=np.float64))
     with pytest.raises(ValueError):
         resolve_order(g, ["0", "1", "2", "3"])

@@ -74,6 +74,13 @@ def test_coloring_rejects_non_int32_colors(assignment):
         Coloring(assignment)
 
 
+@pytest.mark.parametrize("colors", [[True, 2], [2, np.False_, None]])
+def test_from_list_rejects_bools_among_ints(colors):
+    # numpy would read these as the integer colors [1, 2] and [2, 0, 0]
+    with pytest.raises(ValueError, match="colors must"):
+        Coloring.from_list(colors)
+
+
 def test_coloring_leaves_the_callers_array_writable():
     a = np.zeros(3, dtype=np.int32)
     c = Coloring(a)

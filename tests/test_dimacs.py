@@ -1,11 +1,16 @@
+import io
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wfcolor import dimacs
 from wfcolor.dimacs import (DimacsParseError, DimacsWarning, parse_dimacs,
                             write_dimacs)
-from wfcolor.graph import crown_graph, random_gnp
+from wfcolor.graph import Graph, crown_graph, random_gnp
 
 K3_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
@@ -104,3 +109,112 @@ def test_round_trip_random(n, p, seed):
     # and text -> graph -> text is the identity on canonical text
     text = write_dimacs(g)
     assert write_dimacs(parse_dimacs(text)) == text
+
+
+def _outcome(text):
+    """What parse_dimacs makes of text: the CSR bytes and the warnings, or the
+    exception's type, message and, for a DimacsParseError, kind and line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            g = parse_dimacs(text)
+        except Exception as exc:  # any raise must match between the paths
+            return (type(exc), str(exc), getattr(exc, "kind", None),
+                    getattr(exc, "line_no", None))
+    return (g.n, g.indptr.tobytes(), g.indices.tobytes(),
+            [(w.category, str(w.message)) for w in caught])
+
+
+def _loop_outcome(text):
+    with mock.patch.object(dimacs, "_parse_bulk", return_value=None):
+        return _outcome(text)
+
+
+# what the bulk path must not take for its own: separators that are
+# whitespace to str.split, or line breaks to str.splitlines
+_SEPARATORS = ["\t", "  ", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+# ids the line loop reads differently from np.fromstring, or rejects
+_TOKENS = ["+1", "-2", "01", "\u0661", "1\u0661", "0", "x", "1" * 19, "9" * 20, "2.0"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    """write_dimacs text of a small G(n, p), perhaps under a comment header,
+    with up to three mutations."""
+    n = draw(st.integers(1, 12))
+    g = random_gnp(n, draw(st.sampled_from([0.2, 0.6])), draw(st.integers(0, 99)))
+    lines = write_dimacs(g).split("\n")  # the last item is "": a final newline
+    if draw(st.booleans()):
+        lines[:0] = ["c generated by write_dimacs", "c"]
+    big_n = draw(st.sampled_from([None, None, None, 2**63 - 1, 10**20]))
+    if big_n:  # ids past int64, where the loop and np.fromstring disagree
+        p_line = next(i for i, line in enumerate(lines) if line.startswith("p "))
+        lines[p_line] = f"p edge {big_n} 0"
+        if p_line + 2 < len(lines):
+            lines[p_line + 1] = f"e 1 {draw(st.integers(2**63, 2**64))}"
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split(" ")
+        kind = draw(st.sampled_from(
+            ["separator", "trailing", "token", "glue", "insert", "drop"]))
+        if kind == "separator" and len(tokens) > 1:
+            j = draw(st.integers(1, len(tokens) - 1))
+            lines[i] = " ".join(tokens[:j]) + draw(st.sampled_from(_SEPARATORS)) \
+                + " ".join(tokens[j:])
+        elif kind == "trailing":
+            lines[i] += draw(st.sampled_from([" ", "\t", "\r"]))
+        elif kind == "token" and len(tokens) == 3:
+            j = draw(st.integers(1, 2))
+            tokens[j] = draw(st.sampled_from(_TOKENS + [str(n + 1), tokens[3 - j]]))
+            lines[i] = " ".join(tokens)
+        elif kind == "glue" and lines[i].startswith("e "):
+            lines[i] = "e" + lines[i][2:]  # "e1 2"
+        elif kind == "insert":
+            lines.insert(i, draw(st.sampled_from(
+                ["c mid-body comment", "", " ", f"p edge {n} 0", "e 1 2", "e 1 1",
+                 f"e 1 {n + 1}"])))
+        elif kind == "drop" and len(lines) > 1:
+            del lines[i]  # perhaps the problem line
+    text = "\n".join(lines)
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+@settings(max_examples=400)
+@given(text=dimacs_texts())
+@example(text="p edge 12 1\ne 1 1\u0662\n")  # int() reads 12; np.fromstring cannot
+@example(text=f"p edge {2**63 - 1} 1\ne 1 {2**63}\n")  # np.fromstring saturates
+@example(text=f"p edge {10**20} 0\ne\t1 {2**63}\ne 1 2\nx\n")  # the head overflows
+def test_bulk_path_agrees_with_the_line_loop(text):
+    assert _outcome(text) == _loop_outcome(text)
+
+
+@pytest.mark.parametrize("header", ["", "c FILE: gnp.col\nc\nc made by hand\n"])
+@pytest.mark.parametrize("g", [random_gnp(40, 0.3, 5), crown_graph(4),
+                               Graph.from_edges(3, [])])
+def test_canonical_text_takes_the_bulk_path(g, header):
+    loop = dimacs._parse_lines
+    seen = []
+
+    def head_only(lines):
+        lines = list(lines)
+        seen.extend(lines)
+        return loop(lines)
+
+    with mock.patch.object(dimacs, "_parse_lines", head_only):
+        back = parse_dimacs(header + write_dimacs(g))
+    assert not any(line.startswith("e") for line in seen)  # no edge line looped
+    assert np.array_equal(back.indptr, g.indptr)
+    assert np.array_equal(back.indices, g.indices)
+
+
+def test_file_objects_take_the_line_loop():
+    g = random_gnp(20, 0.5, 1)
+    with mock.patch.object(dimacs, "_parse_bulk", side_effect=AssertionError):
+        back = parse_dimacs(io.StringIO(write_dimacs(g)))
+    assert np.array_equal(back.indices, g.indices)
+
+
+def test_declared_edge_count_warning_points_at_the_caller():
+    with pytest.warns(DimacsWarning) as record:
+        parse_dimacs("p edge 3 5\ne 1 2\n")  # the bulk path
+    assert record[0].filename == __file__

@@ -30,6 +30,7 @@ def test_from_edges_rejects_self_loop_and_range():
     [0, 1, 2, 3],  # a reshape would pair these into (0, 1), (2, 3)
     [(0, 1, 2), (1, 2, 3)],  # and these into three edges
     [(True, False)],  # a cast would read bools as (1, 0)
+    [(True, 2)],  # and a bool among ints as the edge (1, 2)
 ])
 def test_from_edges_rejects_non_integer_pairs(edges):
     with pytest.raises(ValueError, match="pairs of integers"):
