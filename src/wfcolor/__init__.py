@@ -6,7 +6,7 @@ from .dimacs import (DimacsParseError, DimacsWarning, load_dimacs,
                      parse_dimacs, save_dimacs, write_dimacs)
 from .exact import OracleLimitError, exact_chromatic
 from .graph import Graph, crown_graph, random_gnp
-from .wfc import RESTART, DomainState, SolveConfig, SolveResult, solve
+from .wfc import RESTART, DomainState, SolveResult, solve
 
 __all__ = [
     "BACKEND",
@@ -17,7 +17,6 @@ __all__ = [
     "Graph",
     "OracleLimitError",
     "RESTART",
-    "SolveConfig",
     "SolveResult",
     "Verdict",
     "crown_graph",

@@ -6,7 +6,6 @@ import csv
 import io
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -16,7 +15,7 @@ from .baselines import (RLF_TIE_BREAKS, SATURATION_MODES, dsatur,
 from .coloring import validate
 from .dimacs import load_dimacs
 from .graph import Graph, barabasi_albert, crown_graph, random_gnp, star_graph
-from .wfc import TIE_BREAKS, SolveConfig, SolveResult, solve
+from .wfc import TIE_BREAKS, SolveResult, solve
 
 ALGORITHMS = ("wfcc", "ig", "dsatur", "rlf")
 ALGORITHM_LABELS = {"wfcc": "WFC-C", "ig": "IG", "dsatur": "DSatur", "rlf": "RLF"}
@@ -67,7 +66,6 @@ class RunConfig:
     reps: int = 100
     seed: int = 0
     timeout_ms: float = 60_000.0
-    jobs: int = 1
     tie_break: str = "degree"
     saturation: str = "distinct"
     rlf_tie: str = "random"
@@ -82,8 +80,6 @@ class RunConfig:
             raise ValueError("select at least one instance or generator")
         if self.reps < 1:
             raise ValueError("repetitions must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         for name, value, allowed in (("tie_break", self.tie_break, TIE_BREAKS),
                                      ("saturation", self.saturation, SATURATION_MODES),
                                      ("rlf_tie", self.rlf_tie, RLF_TIE_BREAKS)):
@@ -131,7 +127,7 @@ def run_algorithm(alg: str, g: Graph, *, seed: int = 0,
                   rlf_tie: str = "random") -> SolveResult:
     """Dispatch one solve by algorithm name with the harness mode flags."""
     if alg == "wfcc":
-        return solve(g, SolveConfig(tie_break=tie_break, seed=seed))
+        return solve(g, tie_break=tie_break, seed=seed)
     if alg == "ig":
         return iterated_greedy(g, order="degree")
     if alg == "dsatur":
@@ -183,28 +179,18 @@ def _bench_pair(name: str, g: Graph, alg: str, cfg: RunConfig,
     )
 
 
-def _bench_pair_task(args) -> BenchRow:
-    return _bench_pair(*args)
-
-
 def run_bench(cfg: RunConfig,
               best_known: dict[str, int] | None = None) -> list[BenchRow]:
     """One BenchRow per (instance, algorithm) pair, in configuration order.
 
     Every solve output is validated before its timing counts; an invalid
-    coloring aborts the offending row with BenchError.  With jobs > 1,
-    pairs run on separate worker processes, all repetitions of a pair
-    staying on one worker; use jobs=1 for publication-grade timing.
+    coloring aborts the offending row with BenchError.  Pairs run one after
+    another in this process, so no two timings overlap.
     """
     if best_known is None:
         best_known = default_best_known()
-    instances = resolve_instances(cfg)
-    tasks = [(name, g, alg, cfg, best_known.get(name))
-             for name, g in instances for alg in cfg.algorithms]
-    if cfg.jobs == 1:
-        return [_bench_pair_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(_bench_pair_task, tasks))
+    return [_bench_pair(name, g, alg, cfg, best_known.get(name))
+            for name, g in resolve_instances(cfg) for alg in cfg.algorithms]
 
 
 # -- best-known table -------------------------------------------------------
@@ -317,7 +303,7 @@ def render_markdown(rows: list[BenchRow]) -> str:
 def render_report(rows: list[BenchRow], fmt: str) -> str:
     if fmt == "csv":
         return render_csv(rows)
-    if fmt in ("md", "markdown"):
+    if fmt == "md":
         return render_markdown(rows)
     raise ValueError(f"unknown report format {fmt!r}")
 

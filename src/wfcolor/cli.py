@@ -44,8 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     b.add_argument("--best-known", metavar="PATH",
                    help="instance -> k* file (defaults to the bundled table)")
-    b.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; keep 1 for clean timing")
     b.add_argument("--speedups", action="store_true",
                    help="also print mean-time ratios against wfcc")
     _add_mode_flags(b)
@@ -72,7 +70,6 @@ def _cmd_bench(args) -> int:
         reps=args.reps,
         seed=args.seed,
         timeout_ms=args.timeout_ms,
-        jobs=args.jobs,
         tie_break=args.tie_break,
         saturation=args.saturation,
         rlf_tie=args.rlf_tie,

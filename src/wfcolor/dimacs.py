@@ -8,9 +8,10 @@ parse_dimacs has two paths that give the same graph.  Canonical text, as
 write_dimacs emits it (a ``c`` comment header allowed), is read at array
 speed: past the problem line, every line must be exactly ``e <u> <v>`` and
 ``\n``-terminated, with in-range, distinct ids written as ASCII digits with
-no sign and no leading zero.  Anything else, and every file object, goes
-through a loop over the lines, the only source of DimacsParseError, so error
-kinds, line numbers and messages do not depend on the path taken.
+no sign and no leading zero.  Anything else goes through a loop over the
+lines, the only source of DimacsParseError, so error kinds, line numbers and
+messages do not depend on the path taken.  A file object is read into one
+``str`` first, so it takes the same paths and splits into the same lines.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import MAX_VERTICES, Graph
 
 
 class DimacsParseError(ValueError):
@@ -44,16 +45,17 @@ def parse_dimacs(text: str | IO[str]) -> Graph:
     undirected edge.  The declared m is advisory: a mismatch with the actual
     edge count produces a DimacsWarning, not an error.
 
-    A ``str`` is read at array speed when every line from its first
-    ``e `` line on is exactly ``e <u> <v>\n``, with in-range, distinct ids
-    of 1 to 18 ASCII digits and no leading zero, as write_dimacs emits.
-    Everything else, and any file object, goes through the line loop, which
-    gives the same graph and is the only source of DimacsParseError.
+    The text, or a file object's whole contents, is read at array speed
+    when every line from its first ``e `` line on is exactly
+    ``e <u> <v>\n``, with in-range, distinct ids of 1 to 18 ASCII digits
+    and no leading zero, as write_dimacs emits.  Everything else goes
+    through the line loop over str.splitlines(), which gives the same graph
+    and is the only source of DimacsParseError.  A problem line declaring
+    more than MAX_VERTICES vertices is malformed.
     """
-    if isinstance(text, str):
-        n, ends, declared_m = _parse_bulk(text) or _parse_lines(text.splitlines())
-    else:
-        n, ends, declared_m = _parse_lines(text)
+    if not isinstance(text, str):
+        text = text.read()
+    n, ends, declared_m = _parse_bulk(text) or _parse_lines(text.splitlines())
     g = Graph.from_edges(n, ends.reshape(-1, 2) - 1)
     if g.m != declared_m:
         warnings.warn(
@@ -80,7 +82,7 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
     head, body = text[:cut], text[cut:]
     try:
         n, head_ends, declared_m = _parse_lines(head.splitlines())
-    except (DimacsParseError, OverflowError):  # OverflowError: an id past int64
+    except DimacsParseError:
         return None  # the loop over the whole text raises the right error
     # only "e", ASCII digits, " " and "\n" get past the regex, so the body's
     # lines are exactly the ones str.splitlines would give the loop
@@ -115,6 +117,9 @@ def _parse_lines(lines: Iterable[str]) -> tuple[int, np.ndarray, int]:
                 raise DimacsParseError("malformed", line_no, f"bad problem line {raw!r}") from None
             if n < 0 or declared_m < 0:
                 raise DimacsParseError("malformed", line_no, "negative counts in problem line")
+            if n > MAX_VERTICES:
+                raise DimacsParseError("malformed", line_no,
+                                       f"vertex count {n} exceeds {MAX_VERTICES}")
         elif tokens[0] == "e":
             if n < 0:
                 raise DimacsParseError("missing-problem-line", line_no,

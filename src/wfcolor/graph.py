@@ -13,6 +13,9 @@ from typing import Iterable
 
 import numpy as np
 
+# the CSR arrays are int32, so vertex ids and n must fit in it
+MAX_VERTICES = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -73,8 +76,10 @@ class Graph:
         an edgeless graph.
 
         Duplicate pairs and both orientations of an edge collapse to one
-        undirected edge.  Self-loops are rejected.
+        undirected edge.  Self-loops are rejected, and so is an n outside
+        0..MAX_VERTICES, before anything is allocated.
         """
+        _check_vertex_count(n)
         items = edges if isinstance(edges, np.ndarray) else list(edges)
         pairs = np.asarray(items)
         if pairs.size == 0:
@@ -96,7 +101,14 @@ class Graph:
         return cls(n=n, indptr=indptr, indices=(keys % n).astype(np.int32))
 
 
+def _check_vertex_count(n: int) -> None:
+    # before any allocation: the CSR build allocates O(n) arrays
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def _check_canonical(n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+    _check_vertex_count(n)
     if not (isinstance(indptr, np.ndarray) and isinstance(indices, np.ndarray)
             and indptr.ndim == indices.ndim == 1
             and indptr.dtype.kind == indices.dtype.kind == "i"):

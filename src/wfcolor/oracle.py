@@ -2,40 +2,26 @@
 nothing here shares code with the solver paths it verifies."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from math import factorial
 
 import numpy as np
 
 from .coloring import UNCOLORED
+from .exact import OracleLimitError
 from .graph import Graph
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_orderings: int = factorial(8)  # full enumeration up to 8 vertices
-
-    def __post_init__(self) -> None:
-        if self.max_orderings < 1:
-            raise ValueError("budget cap must be positive")
-
-
-class BudgetExceededError(ValueError):
-    """Exhaustive enumeration would exceed the configured budget."""
-
-
-def best_greedy_ordering_k(g: Graph, budget: OracleBudget = OracleBudget()) -> int:
+def best_greedy_ordering_k(g: Graph, limit: int = 8) -> int:
     """Minimum color count of first-fit greedy over every vertex ordering.
 
     Some ordering always achieves the chromatic number, so a complete
     enumeration returns exactly that.  Uses its own inline greedy so it stays
-    independent of the library's colorers.
+    independent of the library's colorers.  It visits up to n! orderings,
+    so a graph of more than limit vertices raises OracleLimitError.
     """
     n = g.n
-    if factorial(n) > budget.max_orderings:
-        raise BudgetExceededError(
-            f"{n}! orderings exceed the budget of {budget.max_orderings}")
+    if n > limit:
+        raise OracleLimitError(f"{n} vertices exceeds oracle limit {limit}")
     if n == 0:
         return 0
     adj = [g.neighbors(v).tolist() for v in range(n)]

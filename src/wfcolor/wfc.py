@@ -35,23 +35,6 @@ TIE_BREAKS = ("degree", "random")
 
 
 @dataclass(frozen=True)
-class SolveConfig:
-    """Solver knobs.
-
-    tie_break: how saturation ties are broken - "degree" (highest degree,
-      then lowest id) or "random" (a seeded random order of the vertices).
-    seed: drives all randomized tie-breaking; fixed seed means identical runs.
-    """
-
-    tie_break: str = "degree"
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tie_break not in TIE_BREAKS:
-            raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-
-
-@dataclass(frozen=True)
 class SolveResult:
     """A coloring with its color count k.  For the collapse solver,
     restarts is 0 or 1 and final_m = max(max_degree, 1) + restarts is the
@@ -222,20 +205,24 @@ class DomainState:
         return True
 
 
-def solve(g: Graph, config: SolveConfig | None = None) -> SolveResult:
+def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     """Color g in one saturation pass: seed the lowest-id maximum-degree
     vertex with color 1, then observe/collapse/propagate until every vertex
     is colored.
+
+    tie_break orders vertices of equal saturation: "degree" (highest degree,
+    then lowest id) or "random" (a permutation of the vertices drawn from
+    seed, so a fixed seed gives identical runs).  seed is unused with
+    "degree".
 
     The paper's counters follow from the pass (see the module docstring):
     restarts = int(k > m0) with m0 = max(max_degree, 1), final_m = m0 +
     restarts, and the forced colorings are the vertices picked at
     saturation final_m - 1 (none when final_m is 1).
     """
-    cfg = config or SolveConfig()
     if g.n < 1:
         raise ValueError("cannot color the empty graph")
-    st = DomainState(g, seed=cfg.seed, tie_break=cfg.tie_break)
+    st = DomainState(g, seed=seed, tie_break=tie_break)
     v = int(np.argmax(g.degrees))  # first maximum: the lowest id
     st.set_color(v, 1)
     st.propagate(v)

@@ -16,7 +16,7 @@ from wfcolor.dimacs import load_dimacs
 from wfcolor.exact import exact_chromatic
 from wfcolor.graph import crown_graph, random_gnp
 from wfcolor.oracle import best_greedy_ordering_k, paper_wfc
-from wfcolor.wfc import SolveConfig, solve
+from wfcolor.wfc import solve
 
 
 def _passed(name: str) -> None:
@@ -50,7 +50,7 @@ def test_validity_suite():
     graphs += [crown_graph(n) for n in range(2, 11)]
     for i, g in enumerate(graphs):
         results = {
-            "wfcc": solve(g, SolveConfig(seed=i)),
+            "wfcc": solve(g, seed=i),
             "ig": iterated_greedy(g),
             "dsatur": dsatur(g),
             "rlf": rlf(g, seed=i),
@@ -83,7 +83,7 @@ def test_oracle_dominance_and_tightness():
         n = int(rng.integers(4, 10))
         g = random_gnp(n, [0.2, 0.5, 0.8][i % 3], seed=3000 + i)
         chi = exact_chromatic(g)[0]
-        assert solve(g, SolveConfig(seed=i)).k >= chi
+        assert solve(g, seed=i).k >= chi
         assert iterated_greedy(g).k >= chi
         assert dsatur(g).k >= chi
         assert rlf(g, seed=i).k >= chi

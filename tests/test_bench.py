@@ -100,16 +100,6 @@ def test_rows_are_deterministic_across_runs():
            [(r.instance, r.algorithm, r.k, r.restarts) for r in b]
 
 
-def test_parallel_jobs_match_serial():
-    cfg = RunConfig(algorithms=("wfcc", "dsatur"), generators=("crown:5", "gnp:15,0.4"),
-                    reps=1, jobs=2)
-    serial = run_bench(RunConfig(algorithms=cfg.algorithms, generators=cfg.generators,
-                                 reps=1, jobs=1))
-    parallel = run_bench(cfg)
-    assert [(r.instance, r.algorithm, r.k) for r in serial] == \
-           [(r.instance, r.algorithm, r.k) for r in parallel]
-
-
 # -- reports ------------------------------------------------------------------
 
 def _sample_row(**overrides):

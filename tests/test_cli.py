@@ -109,6 +109,15 @@ def test_unreadable_input_is_a_clean_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_color_rejects_a_vertex_count_past_int32(tmp_path, capsys):
+    path = tmp_path / "huge.col"
+    path.write_text(f"p edge {10**20} 0")
+    rc = main(["color", "--alg", "wfcc", "--input", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1:") and err.count("\n") == 1
+
+
 def test_bench_refuses_an_invalid_coloring(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("wfcolor.bench.solve", one_color_solve)
     graph_path = tmp_path / "k2.col"

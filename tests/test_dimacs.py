@@ -183,7 +183,7 @@ def dimacs_texts(draw):
 @given(text=dimacs_texts())
 @example(text="p edge 12 1\ne 1 1\u0662\n")  # int() reads 12; np.fromstring cannot
 @example(text=f"p edge {2**63 - 1} 1\ne 1 {2**63}\n")  # np.fromstring saturates
-@example(text=f"p edge {10**20} 0\ne\t1 {2**63}\ne 1 2\nx\n")  # the head overflows
+@example(text=f"p edge {10**20} 0\ne\t1 {2**63}\ne 1 2\nx\n")  # n past int32
 def test_bulk_path_agrees_with_the_line_loop(text):
     assert _outcome(text) == _loop_outcome(text)
 
@@ -207,11 +207,20 @@ def test_canonical_text_takes_the_bulk_path(g, header):
     assert np.array_equal(back.indices, g.indices)
 
 
-def test_file_objects_take_the_line_loop():
-    g = random_gnp(20, 0.5, 1)
-    with mock.patch.object(dimacs, "_parse_bulk", side_effect=AssertionError):
-        back = parse_dimacs(io.StringIO(write_dimacs(g)))
-    assert np.array_equal(back.indices, g.indices)
+# line breaks to str.splitlines but not to a text file's line iterator
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x85", "\u2028"])
+def test_file_objects_parse_like_their_text(sep):
+    text = f"c made by hand{sep}p edge 3 2\ne 1 2{sep}e 2 3\n"
+    assert _outcome(io.StringIO(text)) == _outcome(text)
+    assert parse_dimacs(text).m == 2
+
+
+@pytest.mark.parametrize("n", [2**31, 2**63 - 1, 10**20])
+def test_vertex_count_past_int32_is_malformed(n):
+    for text in (f"p edge {n} 0\n", f"p edge {n} 1\ne 1 2\n"):
+        with pytest.raises(DimacsParseError, match="vertex count") as info:
+            parse_dimacs(text)
+        assert (info.value.kind, info.value.line_no) == ("malformed", 1)
 
 
 def test_declared_edge_count_warning_points_at_the_caller():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,21 @@ def test_from_edges_rejects_non_integer_pairs(edges):
 def test_from_edges_takes_any_integer_dtype(dtype):
     g = Graph.from_edges(3, np.array([[0, 1], [2, 1]], dtype=dtype))
     assert g.edges() == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("n", [-1, 2**31, 2**63 - 1, 10**20])
+def test_vertex_count_outside_int32_is_rejected_up_front(n):
+    # at n = 2**31 the CSR build alone would allocate tens of GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph.from_edges(n, [])
+        with pytest.raises(ValueError, match="vertex count"):
+            Graph(n, np.array([0]), np.array([], dtype=np.int32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_from_edges_empty_input_is_edgeless():

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from util import complete_graph, cycle_graph, path_graph
-from wfcolor.exact import exact_chromatic
+from wfcolor.exact import OracleLimitError, exact_chromatic
 from wfcolor.graph import Graph, crown_graph, random_gnp
-from wfcolor.oracle import (BudgetExceededError, OracleBudget,
-                            best_greedy_ordering_k, naive_propagate,
-                            paper_wfc)
+from wfcolor.oracle import best_greedy_ordering_k, naive_propagate, paper_wfc
 from wfcolor.wfc import RESTART, DomainState
 
 
@@ -25,13 +23,11 @@ def test_best_ordering_odd_cycle():
 
 
 def test_best_ordering_budget():
-    with pytest.raises(BudgetExceededError):
-        best_greedy_ordering_k(random_gnp(9, 0.5, seed=0))
-    with pytest.raises(ValueError):
-        OracleBudget(max_orderings=0)
+    g = random_gnp(9, 0.5, seed=0)
+    with pytest.raises(OracleLimitError):
+        best_greedy_ordering_k(g)
     # a raised cap admits the same graph
-    wide = OracleBudget(max_orderings=362_880)
-    assert best_greedy_ordering_k(random_gnp(6, 0.5, seed=0), wide) >= 1
+    assert best_greedy_ordering_k(g, limit=9) >= 1
 
 
 def test_best_ordering_edgeless():

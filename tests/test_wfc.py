@@ -13,7 +13,7 @@ from wfcolor.exact import exact_chromatic
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
 from wfcolor.oracle import naive_propagate
-from wfcolor.wfc import RESTART, TIE_BREAKS, DomainState, SolveConfig, solve
+from wfcolor.wfc import RESTART, TIE_BREAKS, DomainState, solve
 
 
 # -- solve ------------------------------------------------------------------
@@ -66,32 +66,32 @@ def test_empty_graph_rejected():
 
 def test_solve_is_deterministic():
     g = random_gnp(40, 0.4, seed=11)
-    a = solve(g, SolveConfig(seed=5))
-    b = solve(g, SolveConfig(seed=5))
+    a = solve(g, seed=5)
+    b = solve(g, seed=5)
     assert np.array_equal(a.coloring.assignment, b.coloring.assignment)
     assert (a.k, a.restarts, a.forced_colorings) == (b.k, b.restarts, b.forced_colorings)
 
 
 def test_random_tie_break_is_seeded():
     g = random_gnp(40, 0.4, seed=11)
-    a = solve(g, SolveConfig(tie_break="random", seed=5))
-    b = solve(g, SolveConfig(tie_break="random", seed=5))
+    a = solve(g, tie_break="random", seed=5)
+    b = solve(g, tie_break="random", seed=5)
     assert np.array_equal(a.coloring.assignment, b.coloring.assignment)
     assert validate(g, a.coloring).ok
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolveConfig(tie_break="alphabetical")
+        solve(random_gnp(5, 0.5, seed=0), tie_break="alphabetical")
 
 
 def test_concurrent_solves_share_one_graph():
     # each run owns its own state; a shared immutable graph is safe
     g = random_gnp(60, 0.4, seed=21)
-    expected = solve(g, SolveConfig(seed=1)).coloring.assignment
+    expected = solve(g, seed=1).coloring.assignment
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(
-            lambda _: solve(g, SolveConfig(seed=1)), range(16)))
+            lambda _: solve(g, seed=1), range(16)))
     for r in results:
         assert np.array_equal(r.coloring.assignment, expected)
         assert validate(g, r.coloring).ok
@@ -182,7 +182,7 @@ def _solve_by_hand(g, tie_break, seed):
 @given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
        seed=st.integers(0, 1000))
 def test_solve_equals_domain_state_by_hand(g, tie_break, seed):
-    r = solve(g, SolveConfig(tie_break=tie_break, seed=seed))
+    r = solve(g, tie_break=tie_break, seed=seed)
     assert (r.coloring.assignment.tolist(), r.restarts, r.final_m,
             r.forced_colorings) == _solve_by_hand(g, tie_break, seed)
 

@@ -19,7 +19,7 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def one_color_solve(g: Graph, config=None) -> SolveResult:
+def one_color_solve(g: Graph, **_) -> SolveResult:
     """A broken stand-in for wfc.solve: every vertex gets color 1, which is
     improper on any graph with an edge."""
     return SolveResult(coloring=Coloring(np.ones(g.n, dtype=np.int32)), k=1)
