@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dimacs import int_lines
 from .graph import Graph
 
 UNCOLORED = 0  # sentinel in assignment arrays; real colors start at 1
@@ -75,12 +76,9 @@ VALID = Verdict(ok=True)
 
 def format_coloring(coloring: Coloring) -> str:
     """One line per assigned vertex: ``<1-based vertex> <color>``."""
-    lines = []
-    for v in range(coloring.n):
-        c = coloring.assignment[v]
-        if c != UNCOLORED:
-            lines.append(f"{v + 1} {c}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    a = coloring.assignment
+    colored = np.flatnonzero(a != UNCOLORED)
+    return int_lines(np.column_stack([colored + 1, a[colored]]))
 
 
 def parse_coloring(text: str, n: int) -> Coloring:

@@ -8,14 +8,20 @@ parse_dimacs has two paths that give the same graph.  Canonical text, as
 write_dimacs emits it (a ``c`` comment header allowed), is read at array
 speed: past the problem line, every line must be exactly ``e <u> <v>`` and
 ``\n``-terminated, with in-range, distinct ids written as ASCII digits with
-no sign and no leading zero.  Anything else goes through a loop over the
-lines, the only source of DimacsParseError, so error kinds, line numbers and
-messages do not depend on the path taken.  A file object is read into one
-``str`` first, so it takes the same paths and splits into the same lines.
+no sign and no leading zero.  That form is checked with a few whole-buffer
+byte operations and the ids are read by one np.fromstring call.  Anything
+else goes through a loop over the lines, the only source of
+DimacsParseError, so error kinds, line numbers and messages do not depend on
+the path taken.  A file object is read into one ``str`` first, and bytes are
+decoded as load_dimacs decodes a file, so they take the same paths and split
+into the same lines.
+
+write_dimacs, like coloring.format_coloring, writes its lines of integers
+with int_lines: every id becomes 4-byte cells gathered from one table, and
+the NUL bytes that pad them are stripped from the joined text.
 """
 from __future__ import annotations
 
-import re
 import warnings
 from typing import IO, Iterable
 
@@ -38,7 +44,7 @@ class DimacsWarning(UserWarning):
     edge lines actually present."""
 
 
-def parse_dimacs(text: str | IO[str]) -> Graph:
+def parse_dimacs(text: str | bytes | IO[str] | IO[bytes]) -> Graph:
     """Parse DIMACS .col text into a canonical Graph.
 
     Duplicate edge lines and both orientations of an edge collapse to one
@@ -51,12 +57,17 @@ def parse_dimacs(text: str | IO[str]) -> Graph:
     and no leading zero, as write_dimacs emits.  Everything else goes
     through the line loop over str.splitlines(), which gives the same graph
     and is the only source of DimacsParseError.  A problem line declaring
-    more than MAX_VERTICES vertices is malformed.
+    more than MAX_VERTICES vertices is malformed.  Bytes, and what a binary
+    file object reads, are decoded as UTF-8 with errors replaced, as
+    load_dimacs decodes a file.
     """
-    if not isinstance(text, str):
+    if not isinstance(text, (str, bytes)):
         text = text.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8", errors="replace")
     n, ends, declared_m = _parse_bulk(text) or _parse_lines(text.splitlines())
-    g = Graph.from_edges(n, ends.reshape(-1, 2) - 1)
+    ends -= 1  # in place: a 0-based copy would stay live through from_edges
+    g = Graph.from_edges(n, ends.reshape(-1, 2))
     if g.m != declared_m:
         warnings.warn(
             f"problem line declares {declared_m} edges, file contains {g.m}",
@@ -66,17 +77,11 @@ def parse_dimacs(text: str | IO[str]) -> Graph:
     return g
 
 
-# [0-9], not \d: \d also matches non-ASCII digits, which int() reads but
-# np.fromstring does not.  The 18-digit cap keeps every id below 2**63, where
-# np.fromstring would saturate an overflowing token without a warning.
-_EDGE_LINES = re.compile(r"(?:e [1-9][0-9]{0,17} [1-9][0-9]{0,17}\n)*")
-
-
 def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
     """The line loop's result for text of the strict form in parse_dimacs's
     docstring, or None for any other text.  The lines before the first edge
-    line go through the loop; the edge lines after them are one regex match
-    and one np.fromstring call."""
+    line go through the loop; the edge lines after them are checked with a
+    few whole-buffer byte operations and read by one np.fromstring call."""
     # the body starts at the first "e " line after the first line, if any
     cut = text.find("\ne ") + 1 or len(text)
     head, body = text[:cut], text[cut:]
@@ -84,16 +89,35 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
         n, head_ends, declared_m = _parse_lines(head.splitlines())
     except DimacsParseError:
         return None  # the loop over the whole text raises the right error
-    # only "e", ASCII digits, " " and "\n" get past the regex, so the body's
-    # lines are exactly the ones str.splitlines would give the loop
-    if not _EDGE_LINES.fullmatch(body):
-        return None
     if not body:  # np.fromstring reads a blank string as [0]
         return n, head_ends, declared_m
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    skeleton = raw.translate(None, b"0123456789")  # every byte but the digits
+    if skeleton != b"e  \n" * (len(skeleton) // 4) or not raw.endswith(b"\n"):
+        return None
+    # the spaces and newlines are the only bytes up to " " now, 3 per line
+    seps = np.flatnonzero(np.frombuffer(raw, np.uint8) <= ord(" "))
+    sp1, sp2, nl = seps.reshape(-1, 3).T
+    # with no digit between a line's "e" and its first " " (the first
+    # line's "e " is where the body was cut), each line is "e", " ", 1 to 18
+    # digits, " ", 1 to 18 digits, "\n", and no id starts with "0".  So the
+    # body's lines are exactly the ones str.splitlines would give the loop,
+    # and "e" and " " are its only separators.  [0-9] only: non-ASCII
+    # digits, which int() reads but np.fromstring does not, never get here,
+    # and the 18-digit cap keeps every id below 2**63, where np.fromstring
+    # would saturate an overflowing token without a warning.
+    u_len, v_len = sp2 - sp1 - 1, nl - sp2 - 1
+    if (np.any(sp1[1:] != nl[:-1] + 2)
+            or np.any((u_len < 1) | (u_len > 18) | (v_len < 1) | (v_len > 18))
+            or raw.count(b" 0")):
+        return None
     ends = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
     if int(ends.max()) > n or np.any(ends[0::2] == ends[1::2]):
         return None
-    return n, np.concatenate([head_ends, ends]), declared_m
+    # canonical text has no edge line in its head: no copy then
+    return n, np.concatenate([head_ends, ends]) if head_ends.size else ends, declared_m
 
 
 def _parse_lines(lines: Iterable[str]) -> tuple[int, np.ndarray, int]:
@@ -152,8 +176,42 @@ def write_dimacs(g: Graph) -> str:
     """Emit canonical DIMACS text: problem line, then each edge once as
     ``e u v`` with u < v, 1-based.  parse_dimacs inverts this exactly."""
     ends = np.column_stack(g.edge_arrays()) + 1
-    # one %-format call for all edge lines: faster than a string per edge
-    return f"p edge {g.n} {g.m}\n" + ("e %d %d\n" * g.m) % tuple(ends.ravel().tolist())
+    return f"p edge {g.n} {g.m}\n" + int_lines(ends, lead="e ")
+
+
+# The text of one 3-digit group of an id, as 4-byte cells that a
+# little-endian uint32 holds in text order: _CELLS[t] for t < 1000 is t with
+# its leading zeros as NULs (t = 0 is all NULs), _CELLS[1000 + t] is t with
+# its zeros kept, and the fourth byte is a NUL.  _CELLS[2000 + i] and
+# _CELLS[4000 + i] are _CELLS[i] with a " " or a "\n" as the fourth byte,
+# for an id's last group.
+_DIGITS = np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")
+_LEADING = np.where(np.arange(1000)[:, None] >= np.array([100, 10, 1]), _DIGITS, 0)
+_GROUPS = np.concatenate([_LEADING, _DIGITS])
+_CELLS = np.concatenate([np.insert(_GROUPS, 3, sep, axis=1) for sep in b"\0 \n"]
+                        ).astype(np.uint8).view("<u4").ravel()
+
+
+def int_lines(rows: np.ndarray, lead: str = "") -> str:
+    """One line per row of a 2-D array of ints in 1..10**18 - 1: ``lead``
+    (at most 4 ASCII characters), then the row's ints in decimal, separated
+    by single spaces, then ``\n``.  "" for no rows."""
+    rows = np.asarray(rows, dtype=np.int64)
+    m, k = rows.shape
+    # every id gets as many 3-digit groups as the largest one needs
+    groups = (len(str(int(rows.max(initial=1)))) + 2) // 3
+    width = 1 if lead else 0
+    mat = np.empty((m, width + k * groups), "<u4")
+    if lead:
+        mat[:, 0] = np.frombuffer(lead.encode("ascii").ljust(4, b"\0"), "<u4")[0]
+    for j in range(groups):
+        t = rows // 1000 ** (groups - 1 - j)  # the id's first j + 1 groups
+        if j:  # t < 1000 only while the id's groups before this one are all 0
+            t = np.minimum(t, t % 1000 + 1000)
+        if j == groups - 1:  # a " " after each id, a "\n" after the row's last
+            t += np.array([2000] * (k - 1) + [4000])
+        mat[:, width + j::groups] = _CELLS[t]
+    return mat.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def save_dimacs(g: Graph, path) -> None:

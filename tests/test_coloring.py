@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from util import complete_graph
-from wfcolor.coloring import (Coloring, format_coloring, parse_coloring,
-                              validate)
+from wfcolor.coloring import (MAX_COLOR, UNCOLORED, Coloring, format_coloring,
+                              parse_coloring, validate)
 from wfcolor.graph import crown_graph
 
 
@@ -101,6 +101,22 @@ def test_coloring_file_round_trip():
     assert text == "1 2\n2 1\n3 3\n"
     back = parse_coloring(text, 3)
     assert np.array_equal(back.assignment, c.assignment)
+
+
+def _f_string_format(coloring):
+    """format_coloring as a loop over the vertices: the reference."""
+    lines = [f"{v + 1} {c}" for v, c in enumerate(coloring.assignment.tolist()) if c]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 999, 1000, 1001, 999_999, 10**6])
+def test_format_coloring_matches_the_f_string_format(n):
+    rng = np.random.default_rng(n)
+    a = rng.choice([UNCOLORED, 1, 9, 10, 999, 1000, 1001, 10**6, MAX_COLOR], n)
+    a[-1] = MAX_COLOR
+    for b in (a, np.where(a == UNCOLORED, 1, a), np.zeros(n, dtype=np.int32)):
+        c = Coloring(b)  # partial, total, then all uncolored
+        assert format_coloring(c) == _f_string_format(c)
 
 
 def test_parse_coloring_errors():

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -8,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfcolor import dimacs
-from wfcolor.dimacs import (DimacsParseError, DimacsWarning, parse_dimacs,
-                            write_dimacs)
+from wfcolor.dimacs import (DimacsParseError, DimacsWarning, int_lines,
+                            load_dimacs, parse_dimacs, write_dimacs)
 from wfcolor.graph import Graph, crown_graph, random_gnp
 
 K3_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -111,13 +112,13 @@ def test_round_trip_random(n, p, seed):
     assert write_dimacs(parse_dimacs(text)) == text
 
 
-def _outcome(text):
-    """What parse_dimacs makes of text: the CSR bytes and the warnings, or the
+def _outcome(text, parse=parse_dimacs):
+    """What parse makes of text: the CSR bytes and the warnings, or the
     exception's type, message and, for a DimacsParseError, kind and line."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            g = parse_dimacs(text)
+            g = parse(text)
         except Exception as exc:  # any raise must match between the paths
             return (type(exc), str(exc), getattr(exc, "kind", None),
                     getattr(exc, "line_no", None))
@@ -184,6 +185,17 @@ def dimacs_texts(draw):
 @example(text="p edge 12 1\ne 1 1\u0662\n")  # int() reads 12; np.fromstring cannot
 @example(text=f"p edge {2**63 - 1} 1\ne 1 {2**63}\n")  # np.fromstring saturates
 @example(text=f"p edge {10**20} 0\ne\t1 {2**63}\ne 1 2\nx\n")  # n past int32
+# one edge line after the first breaking each rule of the bulk path's check
+@example(text="p edge 3 2\ne 1 2\ne\r1 3\n")  # a line break for a space
+@example(text="p edge 3 2\ne 1 2\ne 1\x0b3\n")
+@example(text="p edge 3 2\ne 1 2\x01e 1 3\n")  # a control byte for "\n"
+@example(text="p edge 6 2\ne 1 2\n5e 1 3\n")  # a digit before the "e"
+@example(text="p edge 3 2\ne 1 2\n3 1 e\n")  # no "e" first
+@example(text="p edge 12 2\ne 1 2\ne  12\n")  # an empty id
+@example(text="p edge 12 2\ne 1 2\ne 12 \n")
+@example(text="p edge 3 2\ne 1 2\ne 0 1\n")  # an id 0
+@example(text="p edge 3 2\ne 1 2\ne 1 0\n")
+@example(text="p edge 12 1\ne 1 2\n12")  # no final "\n"
 def test_bulk_path_agrees_with_the_line_loop(text):
     assert _outcome(text) == _loop_outcome(text)
 
@@ -215,6 +227,21 @@ def test_file_objects_parse_like_their_text(sep):
     assert parse_dimacs(text).m == 2
 
 
+@pytest.mark.parametrize("text", [
+    "c caf\u00e9 \udcff\r\np edge 3 2\r\ne 1 2\ne 2 3\n",  # CRLF, invalid UTF-8
+    "p edge 3 1\ne 1 2\ne 1 x\n",
+    "p edge 3 1\ne 1 2\n",
+])
+@pytest.mark.parametrize("kind", ["bytes", "binary file"])
+def test_bytes_parse_like_load_dimacs(kind, text, tmp_path):
+    raw = text.encode("utf-8", errors="surrogateescape")
+    path = tmp_path / "g.col"
+    path.write_bytes(raw)
+    with open(path, "rb") as fh:
+        got = _outcome(raw if kind == "bytes" else fh)
+    assert got == _outcome(path, load_dimacs)
+
+
 @pytest.mark.parametrize("n", [2**31, 2**63 - 1, 10**20])
 def test_vertex_count_past_int32_is_malformed(n):
     for text in (f"p edge {n} 0\n", f"p edge {n} 1\ne 1 2\n"):
@@ -227,3 +254,47 @@ def test_declared_edge_count_warning_points_at_the_caller():
     with pytest.warns(DimacsWarning) as record:
         parse_dimacs("p edge 3 5\ne 1 2\n")  # the bulk path
     assert record[0].filename == __file__
+
+
+def _format_string_writer(g):
+    """write_dimacs as one %-format call: the reference for int_lines."""
+    ends = np.column_stack(g.edge_arrays()) + 1
+    return f"p edge {g.n} {g.m}\n" + ("e %d %d\n" * g.m) % tuple(ends.ravel().tolist())
+
+
+# ids on both sides of every power of ten below 2**31, and the largest int32
+_BOUNDARY_IDS = sorted({i for b in (1, 10, 100, 1000, 10**4, 10**5, 10**6, 10**7, 10**8,
+                                    10**9) for i in (b - 1, b, b + 1)} - {0} | {2**31 - 1})
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 999, 1000, 1001, 999_999, 10**6])
+def test_write_matches_the_format_string_writer(n):
+    ids = np.array([i for i in _BOUNDARY_IDS if i <= n] + [n])
+    pairs = np.array([(u, v) for u in ids for v in ids if u < v]).reshape(-1, 2)
+    g = Graph.from_edges(n, pairs - 1)
+    assert write_dimacs(g) == _format_string_writer(g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("lead", ["", "e "])
+def test_int_lines_matches_str_of_each_int(k, lead):
+    rng = np.random.default_rng(k)
+    values = np.concatenate([_BOUNDARY_IDS, rng.integers(1, 2**31, 90), [10**18 - 1]])
+    rows = values[:values.size // k * k].reshape(-1, k)
+    want = "".join(lead + " ".join(map(str, row)) + "\n" for row in rows.tolist())
+    assert int_lines(rows, lead) == want
+    assert int_lines(rows[:0], lead) == ""
+
+
+def test_parse_of_written_text_peaks_under_16_mb():
+    # the round trip of dimacs_pipeline's 122k-edge text; a regex check of
+    # the edge lines alone peaked at 25.9 MB on it
+    g = random_gnp(700, 0.5, 408)
+    tracemalloc.start()
+    try:
+        back = parse_dimacs(write_dimacs(g))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.m == g.m
+    assert peak < 16 * 2**20
