@@ -1,5 +1,12 @@
-"""Benchmark harness: run any subset of the colorers over DIMACS files and
-generated instances, with repetition timing and CSV/Markdown reports."""
+"""Benchmark harness: time named colorers over DIMACS files and generated
+instances, validate every output, and report CSV or Markdown rows.
+
+SOLVERS is the one table of what can run.  A name fixes a solver and its
+settings, so one run can set variants side by side: wfcc-random is the
+collapse solver with seeded random ties, dsatur-count counts colored
+neighbours instead of distinct colors, and rlf-lowest-id breaks RLF's
+ties by vertex id.
+"""
 from __future__ import annotations
 
 import csv
@@ -9,16 +16,36 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple, Sequence
 
-from .baselines import (RLF_TIE_BREAKS, SATURATION_MODES, dsatur,
-                        iterated_greedy, rlf)
+from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import validate
 from .dimacs import load_dimacs
 from .graph import Graph, barabasi_albert, crown_graph, random_gnp, star_graph
-from .wfc import TIE_BREAKS, SolveResult, solve
+from .wfc import SolveResult, solve
 
-ALGORITHMS = ("wfcc", "ig", "dsatur", "rlf")
-ALGORITHM_LABELS = {"wfcc": "WFC-C", "ig": "IG", "dsatur": "DSatur", "rlf": "RLF"}
+
+class Solver(NamedTuple):
+    label: str  # the Markdown and speed-ratio name
+    run: Callable[[Graph, int], SolveResult]  # run(g, seed)
+
+
+# each run looks its function up when called, so tests can substitute one
+SOLVERS = {
+    "wfcc": Solver("WFC-C", lambda g, seed: solve(g, seed=seed)),
+    "wfcc-random": Solver("WFC-C random", lambda g, seed: solve(
+        g, tie_break="random", seed=seed)),
+    "ig": Solver("IG", lambda g, seed: iterated_greedy(g)),
+    "dsatur": Solver("DSatur", lambda g, seed: dsatur(g)),
+    "dsatur-count": Solver("DSatur count", lambda g, seed: dsatur(
+        g, saturation="count")),
+    "rlf": Solver("RLF", lambda g, seed: rlf(g, seed=seed)),
+    "rlf-lowest-id": Solver("RLF lowest-id", lambda g, seed: rlf(
+        g, tie_break="lowest-id")),
+}
+
+# the solvers with the paper's restart loop, whose rows fill restarts
+_RESTARTING = ("wfcc", "wfcc-random")
 
 GENERATORS = "crown:<n>, gnp:<n>,<p>, star:<n> or ba:<n>,<k>"
 
@@ -49,44 +76,6 @@ class BenchRow:
     seed: int
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """What to benchmark and how.
-
-    generators take specs like "crown:8", "gnp:250,0.5", "star:1000" or
-    "ba:1000,3" (the gnp and ba seed is the global seed).  timeout_ms is
-    checked between repetitions: a running solve is never interrupted, but
-    any single repetition exceeding it marks the whole row N/A, and
-    remaining repetitions are skipped.
-    """
-
-    algorithms: tuple[str, ...] = ("wfcc",)
-    instances: tuple[str, ...] = ()
-    generators: tuple[str, ...] = ()
-    reps: int = 100
-    seed: int = 0
-    timeout_ms: float = 60_000.0
-    tie_break: str = "degree"
-    saturation: str = "distinct"
-    rlf_tie: str = "random"
-
-    def __post_init__(self) -> None:
-        if not self.algorithms:
-            raise ValueError("select at least one algorithm")
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}; use one of {ALGORITHMS}")
-        if not self.instances and not self.generators:
-            raise ValueError("select at least one instance or generator")
-        if self.reps < 1:
-            raise ValueError("repetitions must be >= 1")
-        for name, value, allowed in (("tie_break", self.tie_break, TIE_BREAKS),
-                                     ("saturation", self.saturation, SATURATION_MODES),
-                                     ("rlf_tie", self.rlf_tie, RLF_TIE_BREAKS)):
-            if value not in allowed:
-                raise ValueError(f"{name} must be one of {allowed}")
-
-
 def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
     """"crown:<n>", "gnp:<n>,<p>", "star:<n>" (n leaves) or "ba:<n>,<k>"
     (Barabasi-Albert) to a (name, graph) pair.  gnp and ba draw from seed."""
@@ -111,44 +100,17 @@ def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
     raise ValueError(f"unknown generator {kind!r}; use {GENERATORS}")
 
 
-def resolve_instances(cfg: RunConfig) -> list[tuple[str, Graph]]:
-    """Parse files and expand generator specs, in configuration order."""
-    out: list[tuple[str, Graph]] = []
-    for path in cfg.instances:
-        p = Path(path)
-        out.append((p.stem, load_dimacs(p)))
-    for spec in cfg.generators:
-        out.append(parse_generator_spec(spec, cfg.seed))
-    return out
-
-
-def run_algorithm(alg: str, g: Graph, *, seed: int = 0,
-                  tie_break: str = "degree", saturation: str = "distinct",
-                  rlf_tie: str = "random") -> SolveResult:
-    """Dispatch one solve by algorithm name with the harness mode flags."""
-    if alg == "wfcc":
-        return solve(g, tie_break=tie_break, seed=seed)
-    if alg == "ig":
-        return iterated_greedy(g, order="degree")
-    if alg == "dsatur":
-        return dsatur(g, saturation=saturation)
-    if alg == "rlf":
-        return rlf(g, seed=seed, tie_break=rlf_tie)
-    raise ValueError(f"unknown algorithm {alg!r}; use one of {ALGORITHMS}")
-
-
-def _bench_pair(name: str, g: Graph, alg: str, cfg: RunConfig,
-                best_known: int | None) -> BenchRow:
+def _bench_pair(name: str, g: Graph, alg: str, reps: int, seed: int,
+                timeout_ms: float, best_known: int | None) -> BenchRow:
+    run = SOLVERS[alg].run
     times_us: list[float] = []
     result: SolveResult | None = None
     timed_out = False
     # one untimed warm-up per pair so first-call costs never land in the
     # statistics; it still counts against the timeout
-    for rep in range(cfg.reps + 1):
+    for rep in range(reps + 1):
         t0 = time.perf_counter_ns()
-        result = run_algorithm(alg, g, seed=cfg.seed,
-                               tie_break=cfg.tie_break,
-                               saturation=cfg.saturation, rlf_tie=cfg.rlf_tie)
+        result = run(g, seed)
         dt_us = (time.perf_counter_ns() - t0) / 1000.0
         verdict = validate(g, result.coloring)
         if not verdict.ok:
@@ -156,41 +118,79 @@ def _bench_pair(name: str, g: Graph, alg: str, cfg: RunConfig,
                 f"{alg} produced an invalid coloring on {name}: {verdict}")
         if rep > 0:
             times_us.append(dt_us)
-        if dt_us > cfg.timeout_ms * 1000.0:
+        if dt_us > timeout_ms * 1000.0:
             timed_out = True
             break
     if timed_out:
         return BenchRow(instance=name, algorithm=alg, k=None,
-                        best_known=best_known, reps=cfg.reps,
+                        best_known=best_known, reps=reps,
                         time_mean_us=None, time_median_us=None,
-                        time_stddev_us=None, restarts=None, seed=cfg.seed)
+                        time_stddev_us=None, restarts=None, seed=seed)
     assert result is not None
     return BenchRow(
         instance=name,
         algorithm=alg,
         k=result.k,
         best_known=best_known,
-        reps=cfg.reps,
+        reps=reps,
         time_mean_us=statistics.fmean(times_us),
         time_median_us=statistics.median(times_us),
         time_stddev_us=statistics.pstdev(times_us),
-        restarts=result.restarts if alg == "wfcc" else None,
-        seed=cfg.seed,
+        restarts=result.restarts if alg in _RESTARTING else None,
+        seed=seed,
     )
 
 
-def run_bench(cfg: RunConfig,
-              best_known: dict[str, int] | None = None) -> list[BenchRow]:
-    """One BenchRow per (instance, algorithm) pair, in configuration order.
+def _check_unique(kind: str, names: list[str]) -> None:
+    # reports key rows by (instance, algorithm): a repeated name would
+    # silently hide a row
+    repeated = sorted({x for x in names if names.count(x) > 1})
+    if repeated:
+        raise ValueError(f"{kind} named more than once: {', '.join(repeated)}")
 
-    Every solve output is validated before its timing counts; an invalid
-    coloring aborts the offending row with BenchError.  Pairs run one after
-    another in this process, so no two timings overlap.
+
+def run_bench(algorithms: Sequence[str], instances: Sequence[str] = (),
+              generators: Sequence[str] = (), reps: int = 100, seed: int = 0,
+              timeout_ms: float = 60_000.0,
+              best_known: dict[str, int] | None = None) -> list[BenchRow]:
+    """One BenchRow per (instance, algorithm) pair: DIMACS files (named by
+    their stem), then generator specs, each with algorithms in the order
+    given.
+
+    algorithms are SOLVERS names.  generators take specs like "crown:8",
+    "gnp:250,0.5", "star:1000" or "ba:1000,3" (gnp and ba draw from seed).
+    timeout_ms is checked between repetitions: a running solve is never
+    interrupted, but any single repetition exceeding it marks the whole
+    row N/A, and remaining repetitions are skipped.  best_known maps
+    instance names to k* (default: the bundled table).
+
+    Bad arguments, and a repeated algorithm or instance name, raise
+    ValueError before any solve runs.  Every solve output is validated
+    before its timing counts; an invalid coloring aborts with BenchError.
+    Pairs run one after another in this process, so no two timings
+    overlap.
     """
+    algorithms = list(algorithms)
+    if not algorithms:
+        raise ValueError("select at least one algorithm")
+    for a in algorithms:
+        if a not in SOLVERS:
+            raise ValueError(f"unknown algorithm {a!r}; use one of {tuple(SOLVERS)}")
+    _check_unique("algorithm", algorithms)
+    if not instances and not generators:
+        raise ValueError("select at least one instance or generator")
+    if reps < 1:
+        raise ValueError("repetitions must be >= 1")
+    if not timeout_ms > 0:  # also rejects NaN, which no time exceeds
+        raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
+    graphs = [(Path(p).stem, load_dimacs(p)) for p in instances]
+    graphs += [parse_generator_spec(spec, seed) for spec in generators]
+    _check_unique("instance", [name for name, _ in graphs])
     if best_known is None:
         best_known = default_best_known()
-    return [_bench_pair(name, g, alg, cfg, best_known.get(name))
-            for name, g in resolve_instances(cfg) for alg in cfg.algorithms]
+    return [_bench_pair(name, g, alg, reps, seed, timeout_ms,
+                        best_known.get(name))
+            for name, g in graphs for alg in algorithms]
 
 
 # -- best-known table -------------------------------------------------------
@@ -247,27 +247,6 @@ def render_csv(rows: list[BenchRow]) -> str:
     return buf.getvalue()
 
 
-def parse_csv(text: str) -> list[BenchRow]:
-    """Inverse of render_csv (float fields at its 3-decimal precision)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header != CSV_HEADER.split(","):
-        raise ValueError("unexpected CSV header")
-
-    def opt_int(s):
-        return None if s == "NA" else int(s)
-
-    def opt_float(s):
-        return None if s == "NA" else float(s)
-
-    return [BenchRow(instance=r[0], algorithm=r[1], k=opt_int(r[2]),
-                     best_known=opt_int(r[3]), reps=int(r[4]),
-                     time_mean_us=opt_float(r[5]), time_median_us=opt_float(r[6]),
-                     time_stddev_us=opt_float(r[7]), restarts=opt_int(r[8]),
-                     seed=int(r[9]))
-            for r in reader]
-
-
 def render_markdown(rows: list[BenchRow]) -> str:
     """One table row per instance with a (k, time) column pair per algorithm."""
     algs: list[str] = []
@@ -281,7 +260,7 @@ def render_markdown(rows: list[BenchRow]) -> str:
             instances.append(r.instance)
     header = ["Instance (k*)"]
     for a in algs:
-        label = ALGORITHM_LABELS.get(a, a)
+        label = SOLVERS[a].label
         header += [f"{label} k", f"{label} time (us)"]
     lines = ["| " + " | ".join(header) + " |",
              "|" + "---|" * len(header)]
@@ -300,14 +279,6 @@ def render_markdown(rows: list[BenchRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report(rows: list[BenchRow], fmt: str) -> str:
-    if fmt == "csv":
-        return render_csv(rows)
-    if fmt == "md":
-        return render_markdown(rows)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
 def speedup_summary(rows: list[BenchRow]) -> str:
     """Informational mean-time ratios of every algorithm against wfcc."""
     lines = []
@@ -322,5 +293,5 @@ def speedup_summary(rows: list[BenchRow]) -> str:
             if alg == "wfcc" or r.time_mean_us is None:
                 continue
             ratio = r.time_mean_us / base.time_mean_us
-            lines.append(f"{name}: {ALGORITHM_LABELS[alg]} / WFC-C mean time = {ratio:.1f}x")
+            lines.append(f"{name}: {SOLVERS[alg].label} / WFC-C mean time = {ratio:.1f}x")
     return "\n".join(lines)

@@ -5,22 +5,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .baselines import RLF_TIE_BREAKS, SATURATION_MODES
-from .bench import (ALGORITHMS, GENERATORS, BenchError, RunConfig,
-                    load_best_known, render_report, run_algorithm, run_bench,
-                    speedup_summary)
+from .bench import (GENERATORS, SOLVERS, BenchError, load_best_known,
+                    render_csv, render_markdown, run_bench, speedup_summary)
 from .coloring import format_coloring, parse_coloring, validate
 from .dimacs import load_dimacs
-from .wfc import TIE_BREAKS
-
-
-def _add_mode_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tie-break", choices=TIE_BREAKS, default="degree",
-                   help="observe() tie-break for wfcc")
-    p.add_argument("--saturation", choices=SATURATION_MODES,
-                   default="distinct", help="dsatur saturation rule")
-    p.add_argument("--rlf-tie", choices=RLF_TIE_BREAKS,
-                   default="random", help="rlf tie-break rule")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +19,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="time colorers over instances")
     b.add_argument("--alg", default="wfcc",
-                   help=f"comma-separated subset of {','.join(ALGORITHMS)}")
+                   help=f"comma-separated subset of {','.join(SOLVERS)}")
     b.add_argument("--input", nargs="*", default=[], metavar="PATH",
                    help="DIMACS .col files")
     b.add_argument("--gen", action="append", default=[], metavar="SPEC",
@@ -44,17 +32,13 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     b.add_argument("--best-known", metavar="PATH",
                    help="instance -> k* file (defaults to the bundled table)")
-    b.add_argument("--speedups", action="store_true",
-                   help="also print mean-time ratios against wfcc")
-    _add_mode_flags(b)
 
     c = sub.add_parser("color", help="solve one instance and print/save the coloring")
-    c.add_argument("--alg", choices=ALGORITHMS, required=True)
+    c.add_argument("--alg", choices=SOLVERS, required=True)
     c.add_argument("--input", required=True, metavar="PATH")
     c.add_argument("--out", metavar="PATH",
                    help="write '<1-based vertex> <color>' lines here")
     c.add_argument("--seed", type=int, default=0)
-    _add_mode_flags(c)
 
     v = sub.add_parser("validate", help="check a coloring file against a graph")
     v.add_argument("--input", required=True, metavar="PATH")
@@ -63,36 +47,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    cfg = RunConfig(
-        algorithms=tuple(a.strip() for a in args.alg.split(",") if a.strip()),
-        instances=tuple(args.input),
-        generators=tuple(args.gen),
-        reps=args.reps,
-        seed=args.seed,
-        timeout_ms=args.timeout_ms,
-        tie_break=args.tie_break,
-        saturation=args.saturation,
-        rlf_tie=args.rlf_tie,
-    )
     best = load_best_known(args.best_known) if args.best_known else None
-    rows = run_bench(cfg, best_known=best)
-    report = render_report(rows, args.format)
+    rows = run_bench([a.strip() for a in args.alg.split(",") if a.strip()],
+                     args.input, args.gen, reps=args.reps, seed=args.seed,
+                     timeout_ms=args.timeout_ms, best_known=best)
+    render = render_markdown if args.format == "md" else render_csv
+    report = render(rows)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
     else:
         sys.stdout.write(report)
-    if args.speedups:
-        summary = speedup_summary(rows)
-        if summary:
-            print(summary, file=sys.stderr)
+    summary = speedup_summary(rows)
+    if summary:
+        print(summary, file=sys.stderr)
     return 0
 
 
 def _cmd_color(args) -> int:
     g = load_dimacs(args.input)
-    result = run_algorithm(args.alg, g, seed=args.seed,
-                           tie_break=args.tie_break,
-                           saturation=args.saturation, rlf_tie=args.rlf_tie)
+    result = SOLVERS[args.alg].run(g, args.seed)
     text = format_coloring(result.coloring)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

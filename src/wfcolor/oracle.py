@@ -87,25 +87,36 @@ def naive_propagate(g: Graph, colors: np.ndarray, m: int, v: int):
         colors[forced] = domains[forced].pop()
 
 
-def paper_wfc(g: Graph) -> tuple[np.ndarray, int, int, int]:
+def paper_wfc(g: Graph, tie_break: str = "degree",
+              seed: int = 0) -> tuple[np.ndarray, int, int, int]:
     """The paper's collapse loop, built on naive_propagate.  From budget
     m = max(max_degree, 1): seed the lowest-id maximum-degree vertex with
     color 1 and cascade, then give the uncolored vertex of minimum entropy
-    (ties to the highest degree, then the lowest id) its smallest open
-    color and cascade, until a domain empties (start over with m + 1) or
-    all are colored.  Returns (colors, restarts, final_m, the number of
-    vertices the cascades colored in the successful run)."""
+    its smallest open color and cascade, until a domain empties (start over
+    with m + 1) or all are colored.  Entropy ties go to the lowest rank:
+    with tie_break "degree" the rank orders by highest degree, then lowest
+    id; with "random" it is the position in a permutation of the vertices
+    drawn from numpy's default_rng(seed).  Returns (colors, restarts,
+    final_m, the number of vertices the cascades colored in the successful
+    run)."""
     if g.n < 1:
         raise ValueError("cannot color the empty graph")
+    if tie_break == "random":
+        ranked = np.random.default_rng(seed).permutation(g.n)
+    elif tie_break == "degree":
+        ranked = np.lexsort((np.arange(g.n), -g.degrees))
+    else:
+        raise ValueError(f"unknown tie_break {tie_break!r}")
+    rank = np.argsort(ranked).tolist()  # vertex -> its position in ranked
     degrees = g.degrees.tolist()
-    seed = max(range(g.n), key=lambda u: (degrees[u], -u))
+    seed_v = max(range(g.n), key=lambda u: (degrees[u], -u))
     m0 = max(g.max_degree, 1)
     m = m0
     while True:
         colors = np.zeros(g.n, dtype=np.int32)
-        colors[seed] = 1
+        colors[seed_v] = 1
         forced = 0
-        out = naive_propagate(g, colors, m, seed)
+        out = naive_propagate(g, colors, m, seed_v)
         while out is not None:
             after, domains = out
             forced += int(np.count_nonzero(after) - np.count_nonzero(colors))
@@ -113,7 +124,7 @@ def paper_wfc(g: Graph) -> tuple[np.ndarray, int, int, int]:
             open_ = [u for u in range(g.n) if domains[u] is not None]
             if not open_:
                 return colors, m - m0, m, forced
-            v = min(open_, key=lambda u: (len(domains[u]), -degrees[u], u))
+            v = min(open_, key=lambda u: (len(domains[u]), rank[u]))
             colors[v] = min(domains[v])
             out = naive_propagate(g, colors, m, v)
         m += 1

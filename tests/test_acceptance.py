@@ -10,11 +10,11 @@ import pytest
 
 from util import complete_graph
 from wfcolor.baselines import dsatur, iterated_greedy, rlf
-from wfcolor.bench import RunConfig, render_csv, run_bench
+from wfcolor.bench import render_csv, run_bench
 from wfcolor.coloring import validate
 from wfcolor.dimacs import load_dimacs
 from wfcolor.exact import exact_chromatic
-from wfcolor.graph import crown_graph, random_gnp
+from wfcolor.graph import crown_graph, random_gnp, star_graph
 from wfcolor.oracle import best_greedy_ordering_k, paper_wfc
 from wfcolor.wfc import solve
 
@@ -93,24 +93,28 @@ def test_oracle_dominance_and_tightness():
 
 
 def test_propagation_equivalence():
-    """The one-pass solver == the paper's loop on 500 random graphs: the
+    """The one-pass solver == the paper's loop on 500 random graphs plus
+    crowns and stars, with degree and with seeded random ties: the
     reference recomputes every domain at each step, cascades forced colors
     and restarts with one more color after a dead end.  Same coloring,
     restarts, final budget and forced-coloring count."""
     rng = np.random.default_rng(99)
-    restarts = forced = 0
-    for i in range(500):
-        n = int(rng.integers(2, 13))
-        g = random_gnp(n, [0.2, 0.5, 0.8][i % 3], seed=5000 + i)
-        r = solve(g)
-        ref = paper_wfc(g)
-        assert (r.coloring.assignment.tolist(), r.restarts, r.final_m,
-                r.forced_colorings) == (ref[0].tolist(), *ref[1:]), \
-            f"solve and the paper's loop differ on graph {i}"
-        restarts += r.restarts
-        forced += r.forced_colorings
-    # the check covers both derived fields, not only their zero values
-    assert restarts > 0 and forced > 0
+    graphs = [random_gnp(int(rng.integers(2, 13)), [0.2, 0.5, 0.8][i % 3],
+                         seed=5000 + i) for i in range(500)]
+    graphs += [crown_graph(n) for n in range(2, 8)]
+    graphs += [star_graph(n) for n in range(1, 8)]
+    for tie_break in ("degree", "random"):
+        restarts = forced = 0
+        for i, g in enumerate(graphs):
+            r = solve(g, tie_break=tie_break, seed=i)
+            ref = paper_wfc(g, tie_break=tie_break, seed=i)
+            assert (r.coloring.assignment.tolist(), r.restarts, r.final_m,
+                    r.forced_colorings) == (ref[0].tolist(), *ref[1:]), \
+                f"solve and the paper's loop differ on graph {i} ({tie_break})"
+            restarts += r.restarts
+            forced += r.forced_colorings
+        # the check covers both derived fields, not only their zero values
+        assert restarts > 0 and forced > 0, tie_break
     _passed("propagation-equivalence")
 
 
@@ -161,8 +165,7 @@ def test_relative_speed():
     path = _dimacs_path("dsjc250.5")
     source = ({"instances": (str(path),)} if path is not None
               else {"generators": ("gnp:250,0.5",)})
-    rows = run_bench(RunConfig(algorithms=("wfcc", "dsatur", "rlf"),
-                               reps=100, seed=0, **source))
+    rows = run_bench(("wfcc", "dsatur", "rlf"), reps=100, seed=0, **source)
     means = {r.algorithm: r.time_mean_us for r in rows}
     print("mean us:", {k: round(v, 1) for k, v in means.items()},
           "dsatur/wfcc = %.1fx" % (means["dsatur"] / means["wfcc"]),
@@ -188,16 +191,16 @@ def test_termination_and_clique_bound():
 
 
 def test_deterministic_bench_columns():
-    """Identical RunConfig (same seed) twice: the k and restarts CSV columns
-    are byte-identical."""
-    cfg = RunConfig(algorithms=("wfcc", "ig", "dsatur", "rlf"),
-                    generators=("crown:6", "gnp:40,0.5"), reps=3, seed=13)
+    """Identical bench arguments (same seed) twice: the k and restarts CSV
+    columns are byte-identical."""
+    args = dict(algorithms=("wfcc", "ig", "dsatur", "rlf"),
+                generators=("crown:6", "gnp:40,0.5"), reps=3, seed=13)
 
     def k_restart_columns(text: str) -> list[tuple[str, str]]:
         rows = [line.split(",") for line in text.splitlines()[1:]]
         return [(r[2], r[8]) for r in rows]
 
-    a = render_csv(run_bench(cfg))
-    b = render_csv(run_bench(cfg))
+    a = render_csv(run_bench(**args))
+    b = render_csv(run_bench(**args))
     assert k_restart_columns(a) == k_restart_columns(b)
     _passed("deterministic-bench")

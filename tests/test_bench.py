@@ -1,28 +1,30 @@
 import pytest
 
-from util import one_color_solve
-from wfcolor.bench import (BenchError, BenchRow, RunConfig, default_best_known,
-                           load_best_known, parse_csv, parse_generator_spec,
-                           render_csv, render_markdown, render_report,
-                           run_bench, speedup_summary)
+from util import one_color_solve, read_csv
+from wfcolor.bench import (BenchError, BenchRow, default_best_known,
+                           load_best_known, parse_generator_spec, render_csv,
+                           render_markdown, run_bench, speedup_summary)
 
 K3_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(algorithms=(), generators=("crown:3",))
-    with pytest.raises(ValueError):
-        RunConfig(algorithms=("wfcc",))
-    with pytest.raises(ValueError):
-        RunConfig(algorithms=("magic",), generators=("crown:3",))
-    with pytest.raises(ValueError):
-        RunConfig(algorithms=("wfcc",), generators=("crown:3",), reps=0)
-    # mode values are checked at construction, before any row runs
-    for mode in ({"tie_break": "nope"}, {"saturation": "bogus"},
-                 {"rlf_tie": "highest"}):
-        with pytest.raises(ValueError, match=next(iter(mode))):
-            RunConfig(algorithms=("ig", "dsatur"), generators=("crown:3",), **mode)
+def _never_called(*_, **__):
+    raise AssertionError("a solve ran before the arguments were checked")
+
+
+def test_config_validation(monkeypatch):
+    # every argument is checked up front, before any solve runs
+    monkeypatch.setattr("wfcolor.bench.solve", _never_called)
+    crown = {"generators": ("crown:3",)}
+    for bad in ({"algorithms": (), **crown},
+                {"algorithms": ("wfcc",)},
+                {"algorithms": ("magic",), **crown},
+                {"algorithms": ("wfcc",), "reps": 0, **crown},
+                {"algorithms": ("wfcc",), "timeout_ms": 0.0, **crown},
+                {"algorithms": ("wfcc", "wfcc"), **crown},
+                {"algorithms": ("wfcc",), "generators": ("crown:3", "crown:3")}):
+        with pytest.raises(ValueError):
+            run_bench(**bad)
 
 
 def test_generator_specs():
@@ -44,8 +46,7 @@ def test_generator_specs():
 
 
 def test_crown_row_reports_two_colors():
-    cfg = RunConfig(algorithms=("wfcc",), generators=("crown:4",), reps=3)
-    rows = run_bench(cfg)
+    rows = run_bench(("wfcc",), generators=("crown:4",), reps=3)
     assert len(rows) == 1
     row = rows[0]
     assert row.instance == "crown_4"
@@ -58,17 +59,15 @@ def test_crown_row_reports_two_colors():
 def test_two_algorithms_on_a_file(tmp_path):
     path = tmp_path / "k3.col"
     path.write_text(K3_TEXT)
-    cfg = RunConfig(algorithms=("ig", "dsatur"), instances=(str(path),), reps=1)
-    rows = run_bench(cfg)
+    rows = run_bench(("ig", "dsatur"), instances=(str(path),), reps=1)
     assert [(r.instance, r.algorithm, r.k) for r in rows] == [
         ("k3", "ig", 3), ("k3", "dsatur", 3)]
     assert rows[0].restarts is None
 
 
 def test_timeout_yields_na_row():
-    cfg = RunConfig(algorithms=("rlf",), generators=("gnp:120,0.5",),
-                    reps=5, timeout_ms=1e-6)
-    row = run_bench(cfg)[0]
+    row = run_bench(("rlf",), generators=("gnp:120,0.5",), reps=5,
+                    timeout_ms=1e-6)[0]
     assert row.k is None
     assert row.time_mean_us is None
     assert row.restarts is None
@@ -80,22 +79,21 @@ def test_invalid_output_aborts_the_row(tmp_path, monkeypatch):
     monkeypatch.setattr("wfcolor.bench.solve", one_color_solve)
     path = tmp_path / "k2.col"
     path.write_text("p edge 2 1\ne 1 2\n")
-    cfg = RunConfig(algorithms=("wfcc",), instances=(str(path),), reps=1)
     with pytest.raises(BenchError):
-        run_bench(cfg)
+        run_bench(("wfcc",), instances=(str(path),), reps=1)
 
 
 def test_best_known_attached_to_rows():
-    cfg = RunConfig(algorithms=("dsatur",), generators=("crown:4",), reps=1)
-    row = run_bench(cfg, best_known={"crown_4": 2})[0]
+    row = run_bench(("dsatur",), generators=("crown:4",), reps=1,
+                    best_known={"crown_4": 2})[0]
     assert row.best_known == 2
 
 
 def test_rows_are_deterministic_across_runs():
-    cfg = RunConfig(algorithms=("wfcc", "rlf"), generators=("gnp:30,0.5",),
-                    reps=2, seed=9)
-    a = run_bench(cfg)
-    b = run_bench(cfg)
+    args = dict(algorithms=("wfcc", "rlf"), generators=("gnp:30,0.5",),
+                reps=2, seed=9)
+    a = run_bench(**args)
+    b = run_bench(**args)
     assert [(r.instance, r.algorithm, r.k, r.restarts) for r in a] == \
            [(r.instance, r.algorithm, r.k, r.restarts) for r in b]
 
@@ -126,15 +124,10 @@ def test_csv_round_trip():
             _sample_row(algorithm="rlf", k=None, time_mean_us=None,
                         time_median_us=None, time_stddev_us=None,
                         restarts=None, best_known=None)]
-    text = render_csv(rows)
-    parsed = parse_csv(text)
-    assert render_csv(parsed) == text
-    assert parsed[1].k is None and parsed[1].restarts is None
-
-
-def test_parse_csv_rejects_other_headers():
-    with pytest.raises(ValueError):
-        parse_csv("a,b,c\n1,2,3\n")
+    back = read_csv(render_csv(rows))
+    assert [list(r.values()) for r in back] == [
+        ["crown_4", "wfcc", "2", "2", "3", "12.346", "11.000", "0.500", "0", "1"],
+        ["crown_4", "rlf", "NA", "NA", "3", "NA", "NA", "NA", "NA", "1"]]
 
 
 def test_markdown_groups_by_instance():
@@ -150,13 +143,6 @@ def test_markdown_groups_by_instance():
 def test_markdown_renders_na():
     rows = [_sample_row(k=None, time_mean_us=None, best_known=None)]
     assert "| N/A | N/A |" in render_markdown(rows)
-
-
-def test_render_report_dispatch():
-    assert render_report([], "csv").startswith("instance,")
-    assert render_report([_sample_row()], "md").startswith("| Instance")
-    with pytest.raises(ValueError):
-        render_report([], "yaml")
 
 
 def test_speedup_summary_mentions_ratios():

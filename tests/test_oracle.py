@@ -108,3 +108,5 @@ def test_paper_wfc_small_cases():
     assert (colors.tolist(), restarts, final_m, forced) == ([1], 0, 1, 0)
     with pytest.raises(ValueError):
         paper_wfc(Graph.from_edges(0, []))
+    with pytest.raises(ValueError, match="tie_break"):
+        paper_wfc(path_graph(3), tie_break="lowest-id")

@@ -1,4 +1,8 @@
-"""Tiny graph builders and solver stand-ins shared across the test modules."""
+"""Tiny graph builders, solver stand-ins and a bench CSV reader shared
+across the test modules."""
+import csv
+import io
+
 import numpy as np
 
 from wfcolor.coloring import Coloring
@@ -23,3 +27,8 @@ def one_color_solve(g: Graph, **_) -> SolveResult:
     """A broken stand-in for wfc.solve: every vertex gets color 1, which is
     improper on any graph with an edge."""
     return SolveResult(coloring=Coloring(np.ones(g.n, dtype=np.int32)), k=1)
+
+
+def read_csv(text: str) -> list[dict[str, str]]:
+    """A bench CSV report as one dict per row, keyed by the header."""
+    return list(csv.DictReader(io.StringIO(text)))
