@@ -16,7 +16,6 @@ from .coloring import Coloring
 from .graph import Graph
 from .wfc import SolveResult
 
-ORDERINGS = ("degree", "natural")
 SATURATION_MODES = ("distinct", "count")
 RLF_TIE_BREAKS = ("random", "lowest-id")
 
@@ -34,13 +33,12 @@ def xorshift32(seed: int) -> Iterator[int]:
 
 def resolve_order(g: Graph, order: str | Sequence[int]) -> np.ndarray:
     """Vertex ordering as an int32 array: "degree" (highest first, lowest id
-    on ties), "natural" (0..n-1), or an explicit permutation of integers."""
+    on ties) or an explicit permutation of integers."""
     if isinstance(order, str):
-        if order == "natural":
-            return np.arange(g.n, dtype=np.int32)
         if order == "degree":
             return np.argsort(-g.degrees, kind="stable").astype(np.int32)
-        raise ValueError(f"unknown ordering {order!r}; use one of {ORDERINGS}")
+        raise ValueError(f"unknown ordering {order!r}; use 'degree' or a "
+                         "permutation")
     items = list(order)
     arr = np.asarray(items)
     if arr.size == 0:

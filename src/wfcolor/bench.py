@@ -44,9 +44,6 @@ SOLVERS = {
         g, tie_break="lowest-id")),
 }
 
-# the solvers with the paper's restart loop, whose rows fill restarts
-_RESTARTING = ("wfcc", "wfcc-random")
-
 GENERATORS = "crown:<n>, gnp:<n>,<p>, star:<n> or ba:<n>,<k>"
 
 CSV_HEADER = ("instance,algorithm,k,k_best_known,reps,time_mean_us,"
@@ -136,7 +133,8 @@ def _bench_pair(name: str, g: Graph, alg: str, reps: int, seed: int,
         time_mean_us=statistics.fmean(times_us),
         time_median_us=statistics.median(times_us),
         time_stddev_us=statistics.pstdev(times_us),
-        restarts=result.restarts if alg in _RESTARTING else None,
+        # only solve reports a final budget, so only its rows have restarts
+        restarts=result.restarts if result.final_m is not None else None,
         seed=seed,
     )
 
@@ -197,7 +195,8 @@ def run_bench(algorithms: Sequence[str], instances: Sequence[str] = (),
 
 def load_best_known(path) -> dict[str, int]:
     """Read an instance -> k* map from lines of ``<instance-name> <k*>``.
-    Blank lines and ``#`` comments are skipped."""
+    Blank lines and ``#`` comments are skipped; a repeated name or a k*
+    below 1 raises ValueError naming the line."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_best_known(fh.read())
 
@@ -211,10 +210,16 @@ def parse_best_known(text: str) -> dict[str, int]:
         if len(tokens) != 2:
             raise ValueError(
                 f"line {line_no}: expected '<instance-name> <k*>', got {raw!r}")
+        name, value = tokens
         try:
-            out[tokens[0]] = int(tokens[1])
+            k = int(value)
         except ValueError:
-            raise ValueError(f"line {line_no}: bad k* value {tokens[1]!r}") from None
+            raise ValueError(f"line {line_no}: bad k* value {value!r}") from None
+        if k < 1:
+            raise ValueError(f"line {line_no}: k* must be >= 1, got {k}")
+        if name in out:
+            raise ValueError(f"line {line_no}: {name!r} listed twice")
+        out[name] = k
     return out
 
 

@@ -16,7 +16,9 @@ max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 
 DomainState is the engine: a heap of (saturation, rank) keys with lazy
 deletion and a Python-int bitset of the colors around each vertex, so its
-memory grows with the colors in use, not with n times the budget.
+memory grows with the colors in use, not with n times the budget.  It
+keeps no domain sets (oracle.naive_propagate does), and under a budget its
+one dead-end signal is observe returning RESTART.
 """
 from __future__ import annotations
 
@@ -53,7 +55,8 @@ class SolveResult:
 
 
 class DomainState:
-    """Saturation engine for one run, with an optional color budget m.
+    """Saturation engine for one run, with an optional color budget m,
+    spent when observe returns RESTART.
 
     A vertex's saturation is the number of distinct colors among its
     colored neighbors; an uncolored vertex's domain is {1..m} minus those
@@ -116,32 +119,29 @@ class DomainState:
     def saturation(self, v: int) -> int:
         """Distinct colors among v's colored neighbors; fixed once v is
         colored."""
+        n = self.g.n
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
         k = self._key[v]
-        return self.sat[v] if k == self.g.n else -(k // self.g.n)
+        return self.sat[v] if k == n else -(k // n)
 
     @property
     def colors(self) -> np.ndarray:
         """int32 per-vertex colors, 0 for uncolored (a copy)."""
         return np.array(self._colors, dtype=np.int32)
 
-    def domain(self, v: int) -> set[int]:
-        """Colors still open to uncolored v: the budget, or 1..n without
-        one, minus its neighbors' colors."""
-        if self._colors[v]:
-            raise ValueError(f"vertex {v} is colored")
-        u = self._used[v]
-        return {c for c in range(1, self._cap + 1) if not u >> (c - 1) & 1}
-
     # -- steps ------------------------------------------------------------
 
     def set_color(self, v: int, color: int) -> None:
         """Assign v a color directly (the seeding step; collapse goes
         through it too).  No propagation."""
+        n = self.g.n
+        if not 0 <= v < n:  # a negative id would index from the end
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
         if self._colors[v]:
             raise ValueError(f"vertex {v} already colored")
         if not 1 <= color <= self._cap:
             raise ValueError(f"color {color} outside 1..{self._cap}")
-        n = self.g.n
         self._colors[v] = color
         self._used[v] = -1
         self.sat[v] = -(self._key[v] // n)
@@ -149,9 +149,9 @@ class DomainState:
         self._colored += 1
 
     def observe(self) -> int:
-        """Uncolored vertex of highest saturation, ties to the lowest rank;
-        RESTART if that saturation has reached the budget (its domain is
-        empty).  Leaves the vertex in the heap, so repeated calls agree."""
+        """Uncolored vertex of highest saturation, ties to the lowest rank,
+        or RESTART, the one dead-end signal, if that saturation has reached
+        the budget.  Leaves the vertex in the heap, so repeated calls agree."""
         if self._colored >= self.g.n:
             raise ValueError("observe() called with no uncolored vertices")
         heap, n, order, key = self._heap, self.g.n, self._order, self._key
@@ -166,26 +166,27 @@ class DomainState:
     def collapse(self, v: int) -> int:
         """Assign v the smallest color absent from its neighbors and return
         it."""
+        if not 0 <= v < self.g.n:
+            raise ValueError(f"vertex {v} outside 0..{self.g.n - 1}")
         u = self._used[v]
-        # lowest clear bit, 1-based; 0 if v is colored (u = -1), which
-        # set_color rejects
+        # lowest clear bit, 1-based; set_color rejects 0, for colored v
+        # (u = -1), and a color past the budget, for an empty domain
         c = (~u & (u + 1)).bit_length()
-        if c > self._cap:
-            raise ValueError(f"vertex {v} has an empty domain")
         self.set_color(v, c)
         return c
 
     def propagate(self, v: int) -> bool:
         """Strike colored v's color from its uncolored neighbors, pushing
-        one heap key per neighbor whose saturation rises.  False as soon as
-        a saturation reaches the budget: the state must then be
-        discarded."""
+        one heap key per neighbor whose saturation rises.  Always True: a
+        saturation that reaches the budget shows at the next observe."""
+        n = self.g.n
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
         c = self._colors[v]
         if not c:
             raise ValueError(f"vertex {v} is not colored")
         bit = 1 << (c - 1)
         used, key, heap = self._used, self._key, self._heap
-        n, floor = self.g.n, self._floor
         for w in self.g.indices[self._ptr[v]:self._ptr[v + 1]].tolist():
             u = used[w]
             if u & bit:
@@ -194,8 +195,6 @@ class DomainState:
             k = key[w] - n  # one more color around w
             key[w] = k
             heappush(heap, k)
-            if k < floor:
-                return False
         if len(heap) > 2 * (n - self._colored):
             # keep only the live keys, one per uncolored vertex: each
             # rebuild drops at least half the heap, so it costs O(1) a push
@@ -226,7 +225,7 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     v = int(np.argmax(g.degrees))  # first maximum: the lowest id
     st.set_color(v, 1)
     st.propagate(v)
-    while st.colored_count < g.n:
+    for _ in range(g.n - 1):  # one selection per vertex after the seed
         v = st.observe()
         st.collapse(v)
         st.propagate(v)

@@ -2,7 +2,8 @@ import pytest
 
 from util import one_color_solve, read_csv
 from wfcolor.bench import (BenchError, BenchRow, default_best_known,
-                           load_best_known, parse_generator_spec, render_csv,
+                           load_best_known, parse_best_known,
+                           parse_generator_spec, render_csv,
                            render_markdown, run_bench, speedup_summary)
 
 K3_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -173,6 +174,16 @@ def test_load_best_known_malformed_line(tmp_path):
     path.write_text("dsjc250.5 twenty\n")
     with pytest.raises(ValueError, match="line 1"):
         load_best_known(path)
+
+
+def test_parse_best_known_rejects_repeats_and_low_k():
+    # each bad line is named, so the CLI's --best-known exits 2 on it
+    with pytest.raises(ValueError, match="line 2: 'x' listed twice"):
+        parse_best_known("x 5\nx 7\n")
+    for text, line in (("y -3", 1), ("# k*\nz 0", 2)):
+        with pytest.raises(ValueError, match=f"line {line}: k\\* must be >= 1"):
+            parse_best_known(text)
+    assert parse_best_known("x 5\ny 1\n") == {"x": 5, "y": 1}
 
 
 def test_bundled_best_known_values():

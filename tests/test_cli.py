@@ -93,6 +93,15 @@ def test_bench_with_input_file_and_best_known(tmp_path):
     assert row["k_best_known"] == "3"
 
 
+def test_bench_rejects_a_repeated_best_known_name(tmp_path, capsys):
+    bk = tmp_path / "bk.txt"
+    bk.write_text("crown_3 2\ncrown_3 3\n")
+    rc = main(["bench", "--alg", "dsatur", "--gen", "crown:3", "--reps", "1",
+               "--best-known", str(bk)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: line 2: 'crown_3' listed twice\n"
+
+
 def test_bench_deterministic_k_columns(tmp_path):
     argv = ["bench", "--alg", "wfcc,rlf", "--gen", "gnp:25,0.5",
             "--reps", "2", "--seed", "7", "--format", "csv"]

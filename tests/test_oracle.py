@@ -67,7 +67,8 @@ def test_naive_propagate_requires_colored_vertex():
 def test_naive_propagate_matches_forced_picks():
     """From one colored vertex, the engine picking every vertex left with a
     single color (saturation m - 1) reaches naive_propagate's fixed point:
-    same verdict, same colors, same domains."""
+    same verdict (observe's RESTART for an emptied domain), same colors, and
+    domains of m minus the engine's saturation."""
     rng = np.random.default_rng(17)
     for trial in range(150):
         n = int(rng.integers(2, 12))
@@ -77,23 +78,27 @@ def test_naive_propagate_matches_forced_picks():
         state = DomainState(g, m)
         state.set_color(v, 1)
         snapshot = state.colors
-        ok = state.propagate(v)
-        while ok and m >= 2 and state.colored_count < n:
+        assert state.propagate(v) is True
+        ok = True
+        while state.colored_count < n:
             u = state.observe()
             if u == RESTART:
                 ok = False
-            elif state.saturation(u) < m - 1:
                 break
-            else:
-                state.collapse(u)
-                ok = state.propagate(u)
+            if m < 2 or state.saturation(u) < m - 1:
+                break  # no unit domain left (with m = 1, none is forced)
+            state.collapse(u)
+            assert state.propagate(u) is True
         ref = naive_propagate(g, snapshot, m, v)
         assert ok == (ref is not None)
         if ok:
             assert np.array_equal(ref[0], state.colors)
             colors = state.colors.tolist()
-            assert ref[1] == [None if colors[u] else state.domain(u)
-                              for u in range(n)]
+            for u in range(n):
+                if colors[u]:
+                    assert ref[1][u] is None
+                else:
+                    assert len(ref[1][u]) == m - state.saturation(u)
 
 
 def test_paper_wfc_small_cases():

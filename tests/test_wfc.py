@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from util import complete_graph, path_graph
+from util import complete_graph, cycle_graph, path_graph
 from wfcolor.baselines import dsatur
 from wfcolor.coloring import validate
 from wfcolor.exact import exact_chromatic
@@ -252,13 +252,13 @@ def test_heap_stays_compact():
 # most distinct colors around it
 
 def _state(g, m=None, colored=(), seed=0, tie_break="degree"):
-    """A state with the (vertex, color) pairs set, then propagated; also
-    returns whether every propagate succeeded."""
+    """A state with the (vertex, color) pairs set, then propagated."""
     st_ = DomainState(g, m, seed=seed, tie_break=tie_break)
     for v, c in colored:
         st_.set_color(v, c)
-    ok = all([st_.propagate(v) for v, _ in colored])
-    return st_, ok
+    for v, _ in colored:
+        assert st_.propagate(v) is True
+    return st_
 
 
 def _scan_saturation(g, colors, v):
@@ -268,8 +268,7 @@ def _scan_saturation(g, colors, v):
 def test_observe_picks_minimum_entropy():
     # 1 sees colors {1, 2}, 0 sees {1}, 2 sees none
     g = Graph.from_edges(5, [(0, 3), (1, 3), (1, 4)])
-    st_, ok = _state(g, 4, [(3, 1), (4, 2)])
-    assert ok
+    st_ = _state(g, 4, [(3, 1), (4, 2)])
     assert [st_.saturation(v) for v in range(3)] == [1, 2, 0]
     assert st_.observe() == 1
     assert st_.observe() == 1  # observing picks nothing
@@ -279,8 +278,7 @@ def test_observe_breaks_ties_by_degree():
     # vertices 0 and 1 tie at saturation 1; 0 has the higher degree
     g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
                              (1, 2), (1, 3), (1, 4)])
-    st_, ok = _state(g, 4, [(v, 1) for v in range(2, 7)])
-    assert ok
+    st_ = _state(g, 4, [(v, 1) for v in range(2, 7)])
     assert st_.observe() == 0
 
 
@@ -295,18 +293,20 @@ def test_observe_ties_fall_back_to_lowest_id():
 def test_observe_empty_domain_signals_restart():
     # 0 -- 1 -- 2 with two colors: 1 sees both, so its domain is empty
     g = path_graph(3)
-    st_, ok = _state(g, 2, [(0, 1), (2, 2)])
-    assert not ok
+    st_ = _state(g, 2, [(0, 1), (2, 2)])
+    assert st_.saturation(1) == 2
     assert st_.observe() == RESTART
+    assert naive_propagate(g, st_.colors, 2, 2) is None
     # with one color, the first strike already empties a domain
-    st_, ok = _state(g, 1, [(0, 1)])
-    assert not ok
+    st_ = _state(g, 1, [(0, 1)])
+    assert st_.saturation(1) == 1
     assert st_.observe() == RESTART
+    assert naive_propagate(g, st_.colors, 1, 0) is None
 
 
 def test_observe_requires_uncolored():
     g = path_graph(2)
-    st_, _ = _state(g, 2, [(0, 1), (1, 2)])
+    st_ = _state(g, 2, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
         st_.observe()
 
@@ -316,7 +316,7 @@ def test_observe_random_mode_stays_on_minimum():
     g = Graph.from_edges(6, [(1, 5), (2, 5)])
     picks = set()
     for seed in range(30):
-        st_, _ = _state(g, 3, [(5, 1)], seed=seed, tie_break="random")
+        st_ = _state(g, 3, [(5, 1)], seed=seed, tie_break="random")
         picks.add(st_.observe())
     assert picks == {1, 2}
 
@@ -339,15 +339,13 @@ def test_observe_agrees_with_plain_scan():
         uncolored = [v for v in range(n) if not colors[v]]
         sat = {v: _scan_saturation(g, colors, v) for v in uncolored}
         expected = min(uncolored, key=lambda v: (-sat[v], -g.degrees[v], v))
-        st_, ok = _state(g, None, pairs)
-        assert ok
+        st_ = _state(g, None, pairs)
         assert {v: st_.saturation(v) for v in uncolored} == sat
         assert st_.observe() == expected
-        st_, ok = _state(g, m, pairs)
-        assert ok == (sat[expected] < m)
-        assert st_.observe() == (expected if ok else RESTART)
+        st_ = _state(g, m, pairs)
+        assert st_.observe() == (expected if sat[expected] < m else RESTART)
         for seed in range(5):
-            st_, _ = _state(g, None, pairs, seed=seed, tie_break="random")
+            st_ = _state(g, None, pairs, seed=seed, tie_break="random")
             assert sat[st_.observe()] == sat[expected]
 
 
@@ -355,31 +353,36 @@ def test_observe_agrees_with_plain_scan():
 
 def test_collapse_takes_minimum_color():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    st_, _ = _state(g, 5, [(1, 1), (2, 3), (3, 4)])
+    st_ = _state(g, 5, [(1, 1), (2, 3), (3, 4)])
     assert st_.collapse(0) == 2
     assert st_.colors[0] == 2
 
 
 def test_collapse_singleton():
+    # 0 sees colors 2 and 3 of three: one color is left, and the reference
+    # cascade colors 0 with it
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    st_, _ = _state(g, 3, [(1, 2), (2, 3)])
-    assert st_.domain(0) == {1}
-    assert st_.collapse(0) == 1
+    st_ = _state(g, 3, [(1, 2), (2, 3)])
+    assert st_.saturation(0) == 2
+    ref = naive_propagate(g, st_.colors, 3, 2)
+    assert st_.collapse(0) == 1 == ref[0][0]
 
 
 def test_collapse_min_is_set_min():
     g = Graph.from_edges(2, [(0, 1)])
-    st_, _ = _state(g, 3, [(1, 2)])
-    assert st_.domain(0) == {1, 3}
-    assert st_.collapse(0) == 1
+    st_ = _state(g, 3, [(1, 2)])
+    colors, domains = naive_propagate(g, st_.colors, 3, 1)
+    assert domains[0] == {1, 3}
+    assert len(domains[0]) == 3 - st_.saturation(0)
+    assert st_.collapse(0) == min(domains[0])
 
 
 def test_collapse_empty_domain_is_an_error():
     g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    st_, ok = _state(g, 2, [(1, 1), (2, 2)])
-    assert not ok
+    st_ = _state(g, 2, [(1, 1), (2, 2)])
+    assert st_.observe() == RESTART
     with pytest.raises(ValueError):
-        st_.collapse(0)
+        st_.collapse(0)  # no color left in the budget
     with pytest.raises(ValueError):
         st_.collapse(1)  # already colored
 
@@ -389,10 +392,11 @@ def test_collapse_empty_domain_is_an_error():
 def test_restriction_stops_at_wide_domains():
     # 0 -- 1 -- 2; coloring 0 cannot reach 2 while 1 keeps two options
     g = path_graph(3)
-    st_, ok = _state(g, 3, [(0, 1)])
-    assert ok
-    assert st_.domain(1) == {2, 3}
-    assert st_.domain(2) == {1, 2, 3}
+    st_ = _state(g, 3, [(0, 1)])
+    colors, domains = naive_propagate(g, st_.colors, 3, 0)
+    assert colors.tolist() == [1, 0, 0]  # the reference cascades nothing
+    assert domains == [None, {2, 3}, {1, 2, 3}]
+    assert [st_.saturation(v) for v in (1, 2)] == [1, 0]
     assert st_.forced_count == 0
 
 
@@ -400,13 +404,15 @@ def test_restriction_cascades_through_unit_domains():
     # 1 is left with the single color 2: it is picked next, as the cascade
     # would color it, and its strike reaches 2
     g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    st_, ok = _state(g, 3, [(3, 3), (0, 1)])
-    assert ok
-    assert st_.domain(1) == {2}
+    st_ = _state(g, 3, [(3, 3), (0, 1)])
+    colors, domains = naive_propagate(g, st_.colors, 3, 0)
+    assert colors.tolist() == [1, 2, 0, 3] and domains[2] == {1, 3}
+    assert st_.saturation(1) == 2
     assert st_.observe() == 1
     assert st_.collapse(1) == 2
-    assert st_.propagate(1)
-    assert st_.domain(2) == {1, 3}
+    assert st_.propagate(1) is True
+    assert np.array_equal(st_.colors, colors)
+    assert st_.saturation(2) == 3 - len(domains[2])
     assert st_.forced_count == 1
 
 
@@ -414,13 +420,13 @@ def test_path_5_cascade_colors_everything():
     # every vertex after the first is picked with one color left, as the
     # recomputing reference cascade colors them
     g = path_graph(5)
-    st_, ok = _state(g, 2, [(0, 1)])
+    st_ = _state(g, 2, [(0, 1)])
     snapshot = st_.colors
-    while ok and st_.colored_count < g.n:
+    while st_.colored_count < g.n:
         v = st_.observe()
+        assert v != RESTART
         st_.collapse(v)
-        ok = st_.propagate(v)
-    assert ok
+        st_.propagate(v)
     assert st_.colors.tolist() == [1, 2, 1, 2, 1]
     assert st_.forced_count == 4
     ref = naive_propagate(g, snapshot, 2, 0)
@@ -430,18 +436,46 @@ def test_path_5_cascade_colors_everything():
 
 def test_triangle_with_two_colors_restarts():
     g = complete_graph(3)
-    st_, ok = _state(g, 2, [(0, 1)])
-    assert ok
+    st_ = _state(g, 2, [(0, 1)])
     v = st_.observe()
     assert st_.collapse(v) == 2
-    assert not st_.propagate(v)  # the third vertex sees both colors
+    assert st_.propagate(v) is True
+    # the third vertex sees both colors: its domain is empty
+    assert st_.saturation(3 - v) == 2
+    assert st_.observe() == RESTART
+    assert naive_propagate(g, st_.colors, 2, v) is None
 
 
 def test_edge_with_one_color_restarts_on_empty_domain():
     g = path_graph(2)
     st_ = DomainState(g, 1)
     st_.set_color(0, 1)
-    assert not st_.propagate(0)
+    assert st_.propagate(0) is True
+    assert st_.saturation(1) == 1
+    assert st_.observe() == RESTART
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("g, m", [(complete_graph(3), 2), (path_graph(2), 1),
+                                  (cycle_graph(5), 2)],
+                         ids=["K3", "edge", "C5"])
+def test_propagate_returns_true_past_the_budget(g, m, tie_break):
+    # a caller that loops on a falsy propagate (retrying with one more
+    # color) would spin forever; the dead end shows only at observe
+    for seed in range(5):
+        st_ = DomainState(g, m, seed=seed, tie_break=tie_break)
+        v = int(np.argmax(g.degrees))
+        st_.set_color(v, 1)
+        while True:
+            assert st_.propagate(v) is True
+            assert st_.colored_count < g.n  # m colors cannot do
+            v = st_.observe()
+            if v == RESTART:
+                break
+            st_.collapse(v)
+        colors = st_.colors.tolist()
+        assert any(_scan_saturation(g, colors, u) >= m
+                   for u in range(g.n) if not colors[u])
 
 
 def test_propagate_requires_colored_start():
@@ -451,39 +485,59 @@ def test_propagate_requires_colored_start():
         st_.propagate(0)
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+def test_steps_reject_vertex_ids_outside_the_graph(v):
+    # a negative id would otherwise index the per-vertex lists from the end
+    g = path_graph(3)
+    st_ = DomainState(g)
+    st_.set_color(1, 1)
+    for step, args in ((st_.set_color, (v, 1)), (st_.collapse, (v,)),
+                       (st_.propagate, (v,)), (st_.saturation, (v,))):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            step(*args)
+    assert st_.colors.tolist() == [0, 1, 0] and st_.colored_count == 1
+
+
 def test_propagate_keeps_colored_neighbor_exclusion():
-    # after every successful step, each uncolored domain is exactly the
-    # budget minus the colors of its colored neighbors
+    # after every step, each uncolored vertex's saturation is exactly the
+    # number of distinct colors among its colored neighbors, and its
+    # reference domain is the budget minus those colors
     rng = np.random.default_rng(3)
     for trial in range(40):
         n = int(rng.integers(3, 14))
         g = random_gnp(n, 0.5, seed=100 + trial)
         m = max(g.max_degree, 1) + int(rng.integers(0, 3))
         v = int(rng.integers(0, n))
-        st_, ok = _state(g, m, [(v, 1)])
-        while ok:
+        st_ = _state(g, m, [(v, 1)])
+        while True:
             colors = st_.colors.tolist()
             for u in range(n):
                 if not colors[u]:
                     seen = {colors[w] for w in g.neighbors(u).tolist()}
-                    assert st_.domain(u) == set(range(1, m + 1)) - seen
+                    assert st_.saturation(u) == len(seen - {0})
             if st_.colored_count == n:
                 break
             v = st_.observe()
-            ok = v != RESTART
-            if ok:
-                st_.collapse(v)
-                ok = st_.propagate(v)
+            if v == RESTART:
+                break
+            st_.collapse(v)
+            assert st_.propagate(v) is True
 
 
 def test_propagate_only_shrinks_domains():
+    # saturations never fall, so domains (m minus saturation) never grow;
+    # the reference domains after the strike sit inside the budget
     g = crown_graph(5)
     st_ = DomainState(g, 4)
     st_.set_color(0, 1)
-    before = [st_.domain(v) for v in range(1, g.n)]
-    assert st_.propagate(0)
+    before = [st_.saturation(v) for v in range(1, g.n)]
+    assert st_.propagate(0) is True
+    after = [st_.saturation(v) for v in range(1, g.n)]
+    assert all(a >= b for a, b in zip(after, before))
+    _, domains = naive_propagate(g, st_.colors, 4, 0)
     for v in range(1, g.n):
-        assert st_.domain(v) <= before[v - 1]
+        assert domains[v] <= {1, 2, 3, 4}
+        assert len(domains[v]) == 4 - after[v - 1]
 
 
 # -- forced colorings vs. observation ----------------------------------------
@@ -492,6 +546,9 @@ def test_star_center_seed_forces_nothing_with_wide_budget():
     g = star_graph(5)
     st_ = DomainState(g, 5)
     st_.set_color(0, 1)
-    assert st_.propagate(0)
+    assert st_.propagate(0) is True
     assert st_.forced_count == 0
-    assert all(st_.domain(v) == {2, 3, 4, 5} for v in range(1, 6))
+    assert all(st_.saturation(v) == 1 for v in range(1, 6))
+    colors, domains = naive_propagate(g, st_.colors, 5, 0)
+    assert colors.tolist() == [1, 0, 0, 0, 0, 0]
+    assert domains[1:] == [{2, 3, 4, 5}] * 5
