@@ -14,11 +14,16 @@ least nonzero entropy, so it is the next pick anyway.  The attempt at
 max(max_degree, 1) fails exactly when the pass needs more colors, and
 max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 
-DomainState is the engine: a heap of (saturation, rank) keys with lazy
-deletion and a Python-int bitset of the colors around each vertex, so its
-memory grows with the colors in use, not with n times the budget.  It
-keeps no domain sets (oracle.naive_propagate does), and under a budget its
-one dead-end signal is observe returning RESTART.
+DomainState is the engine.  It has two layouts, picked from the graph
+alone by one rule on the mean degree (_is_dense), and both give the same
+picks, colors and counters: sparse graphs keep a heap of (saturation,
+rank) keys with lazy deletion and a Python-int bitset of the colors around
+each vertex; dense graphs keep one key array, whose argmin is the pick, and
+uint64 color words, so a strike is a few whole-array numpy operations
+instead of a Python loop over every arc.  Either way memory grows with the
+colors in use, not with n times the budget.  It keeps no domain sets
+(oracle.naive_propagate does), and under a budget its one dead-end signal
+is observe returning RESTART.
 """
 from __future__ import annotations
 
@@ -32,8 +37,14 @@ from .graph import Graph
 
 # observe's dead-end result (never a vertex id)
 RESTART = -1
+_NOTHING_LEFT = "observe() called with no uncolored vertices"
 
 TIE_BREAKS = ("degree", "random")
+
+# a graph whose mean degree reaches DENSE_DEGREE + n / DENSE_PER_N gets the
+# dense layout (see _is_dense)
+DENSE_DEGREE = 150
+DENSE_PER_N = 1000
 
 
 @dataclass(frozen=True)
@@ -42,9 +53,9 @@ class SolveResult:
     restarts is 0 or 1 and final_m = max(max_degree, 1) + restarts is the
     budget the paper's loop succeeds with; forced_colorings counts the
     vertices its cascade colors.  stats holds the pass's work counters:
-    selections (vertices picked from the heap), strikes (colors struck from
-    neighbors, one heap push each) and stale_pops (outdated heap keys
-    discarded)."""
+    selections (vertices picked), strikes (colors struck from neighbors,
+    one key update each) and stale_pops (outdated heap keys discarded; 0 on
+    the dense layout, which has no heap)."""
 
     coloring: Coloring
     k: int
@@ -60,14 +71,39 @@ class DomainState:
 
     A vertex's saturation is the number of distinct colors among its
     colored neighbors; an uncolored vertex's domain is {1..m} minus those
-    colors.  Each uncolored vertex has one live heap key ``rank - sat * n``,
-    pushed anew at every strike, so the heap's minimum is the vertex of
-    highest saturation, then lowest rank; divmod(key, n) gives back both.
-    Keys that are no longer live are dropped when they surface.  The rank
+    colors.  Each uncolored vertex has a key ``rank - sat * n``, so the
+    least key is the vertex of highest saturation, then lowest rank, and
+    divmod(key, n) gives back both; a colored vertex's key is n.  The rank
     is the (-degree, id) order, or a seeded random permutation of the
     vertices when tie_break is "random".  A state is owned by a single run
     and never shared.
+
+    Constructing a DomainState picks one of two layouts from the graph
+    alone (``_is_dense``); both give the same picks, colors and counters:
+
+    * sparse graphs: a heap of keys with lazy deletion (a strike pushes a
+      new key, and outdated keys are dropped when they surface) and a
+      Python-int bitset of the colors around each vertex;
+    * dense graphs: one int64 key array, whose argmin is the pick, and the
+      colors around each vertex as uint64 words, 64 colors to a word and
+      one length-n array per word, so a strike is a few whole-array numpy
+      operations over the colored vertex's neighbors.  It has no heap, so
+      stale_pops stays 0.  The words take n * ceil(k / 64) * 8 bytes for k
+      colors.  In solve's pass k <= sqrt(2m) + 1, since a greedy coloring
+      has an edge between every two color classes; with mean degree d =
+      2m/n that is about n * sqrt(d * n) / 8 bytes, which the rule's d >
+      n / 1000 keeps below the int32 CSR's 8m bytes, and in practice far
+      below it: 16 kB against 2 MB on gnp(1000, 0.5).
+
+    Colors are bounded by n, or by m when it is smaller: no saturation
+    reaches n, so a larger budget changes no verdict of observe.
     """
+
+    def __new__(cls, g: Graph | None = None, *args, **kwargs):
+        # copy and pickle call a layout's __new__ with no arguments
+        if cls is DomainState and g is not None:
+            cls = _DenseState if _is_dense(g) else _HeapState
+        return super().__new__(cls)
 
     def __init__(self, g: Graph, m: int | None = None, seed: int = 0,
                  tie_break: str = "degree"):
@@ -75,31 +111,22 @@ class DomainState:
             raise ValueError("need at least one color")
         if tie_break not in TIE_BREAKS:
             raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-        n = g.n
         self.g = g
+        self._n = n = g.n
         self.m = m
-        # saturation never exceeds n - 1, so n stands for "no budget"
-        self._cap = n if m is None else m
+        self._cap = n if m is None else min(m, n)
         if tie_break == "random":
             order = np.random.default_rng(seed).permutation(n)
         else:
             order = np.argsort(-g.degrees, kind="stable")
-        self._order = order.tolist()
-        self._ptr = g.indptr.tolist()
-        # colors used around each vertex, bit c-1 for color c; -1 (every
-        # bit) once the vertex is colored, so strikes skip it in one test
-        self._used = [0] * n
         self._colors = [0] * n
         # the saturation each vertex was colored at (0 while uncolored)
         self.sat = [0] * n
-        # each vertex's live key (at first its rank), or n (never a key)
-        # once it is colored
-        self._key = np.argsort(order).tolist()
-        self._heap = list(range(n))  # rank order: already a heap
         # a key below this has saturation >= the budget
         self._floor = (1 - self._cap) * n
         self._colored = 0
         self.stale_pops = 0
+        self._build(order)  # the layout's _key and color sets
 
     # -- counters ---------------------------------------------------------
 
@@ -116,13 +143,23 @@ class DomainState:
             return 0
         return self.sat.count(self.m - 1)
 
+    def _refuse(self, v: int) -> None:
+        """Raise a step's ValueError for v: an id outside the graph (a
+        negative one would index the per-vertex lists from the end), else a
+        vertex propagate cannot start from.  The steps test ``0 <= v < n``
+        inline and call this only to fail."""
+        n = self._n
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        raise ValueError(f"vertex {v} is not colored")
+
     def saturation(self, v: int) -> int:
         """Distinct colors among v's colored neighbors; fixed once v is
         colored."""
-        n = self.g.n
+        n = self._n
         if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
-        k = self._key[v]
+            self._refuse(v)
+        k = int(self._key[v])
         return self.sat[v] if k == n else -(k // n)
 
     @property
@@ -135,26 +172,46 @@ class DomainState:
     def set_color(self, v: int, color: int) -> None:
         """Assign v a color directly (the seeding step; collapse goes
         through it too).  No propagation."""
-        n = self.g.n
-        if not 0 <= v < n:  # a negative id would index from the end
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        if not 0 <= v < self._n:
+            self._refuse(v)
         if self._colors[v]:
             raise ValueError(f"vertex {v} already colored")
         if not 1 <= color <= self._cap:
             raise ValueError(f"color {color} outside 1..{self._cap}")
         self._colors[v] = color
-        self._used[v] = -1
-        self.sat[v] = -(self._key[v] // n)
-        self._key[v] = n
+        self.sat[v] = self._retire(v)  # the layout's key and color set
         self._colored += 1
+
+
+class _HeapState(DomainState):
+    """The sparse layout: a lazy heap of keys and Python-int bitsets."""
+
+    def _build(self, order: np.ndarray) -> None:
+        n = self._n
+        self._order = order.tolist()
+        self._ptr = self.g.indptr.tolist()
+        # colors used around each vertex, bit c-1 for color c; -1 (every
+        # bit) once the vertex is colored, so strikes skip it in one test
+        self._used = [0] * n
+        # each vertex's live key (at first its rank), or n (never a key)
+        # once it is colored
+        self._key = np.argsort(order).tolist()
+        self._heap = list(range(n))  # rank order: already a heap
+
+    def _retire(self, v: int) -> int:
+        n = self._n
+        k = self._key[v]
+        self._key[v] = n
+        self._used[v] = -1
+        return -(k // n)
 
     def observe(self) -> int:
         """Uncolored vertex of highest saturation, ties to the lowest rank,
         or RESTART, the one dead-end signal, if that saturation has reached
         the budget.  Leaves the vertex in the heap, so repeated calls agree."""
-        if self._colored >= self.g.n:
-            raise ValueError("observe() called with no uncolored vertices")
-        heap, n, order, key = self._heap, self.g.n, self._order, self._key
+        if self._colored >= self._n:
+            raise ValueError(_NOTHING_LEFT)
+        heap, n, order, key = self._heap, self._n, self._order, self._key
         while True:
             k = heap[0]
             v = order[k % n]
@@ -166,8 +223,8 @@ class DomainState:
     def collapse(self, v: int) -> int:
         """Assign v the smallest color absent from its neighbors and return
         it."""
-        if not 0 <= v < self.g.n:
-            raise ValueError(f"vertex {v} outside 0..{self.g.n - 1}")
+        if not 0 <= v < self._n:
+            self._refuse(v)
         u = self._used[v]
         # lowest clear bit, 1-based; set_color rejects 0, for colored v
         # (u = -1), and a color past the budget, for an empty domain
@@ -179,12 +236,10 @@ class DomainState:
         """Strike colored v's color from its uncolored neighbors, pushing
         one heap key per neighbor whose saturation rises.  Always True: a
         saturation that reaches the budget shows at the next observe."""
-        n = self.g.n
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
-        c = self._colors[v]
+        n = self._n
+        c = self._colors[v] if 0 <= v < n else 0
         if not c:
-            raise ValueError(f"vertex {v} is not colored")
+            self._refuse(v)
         bit = 1 << (c - 1)
         used, key, heap = self._used, self._key, self._heap
         for w in self.g.indices[self._ptr[v]:self._ptr[v + 1]].tolist():
@@ -202,6 +257,90 @@ class DomainState:
             self._heap = [k for k in heap if key[order[k % n]] == k]
             heapify(self._heap)
         return True
+
+
+class _DenseState(DomainState):
+    """The dense layout: an int64 key array and uint64 color words."""
+
+    def _build(self, order: np.ndarray) -> None:
+        self._key = np.argsort(order).astype(np.int64)
+        # _words[j][v] bit i: color 64 * j + i + 1 is around v; every bit
+        # once v is colored.  A word is added when a color first needs it.
+        self._words: list[np.ndarray] = []
+
+    def _retire(self, v: int) -> int:
+        n = self._n
+        k = int(self._key[v])
+        self._key[v] = n
+        for word in self._words:
+            word[v] = _ALL
+        return -(k // n)
+
+    def observe(self) -> int:
+        """Uncolored vertex of highest saturation, ties to the lowest rank,
+        or RESTART, the one dead-end signal, if that saturation has reached
+        the budget: the key array's argmin, since a colored vertex's key n
+        exceeds every uncolored one's."""
+        if self._colored >= self._n:
+            raise ValueError(_NOTHING_LEFT)
+        v = int(self._key.argmin())
+        return RESTART if self._key[v] < self._floor else v
+
+    def collapse(self, v: int) -> int:
+        """Assign v the smallest color absent from its neighbors and return
+        it."""
+        if not 0 <= v < self._n:
+            self._refuse(v)
+        c = 64 * len(self._words) + 1
+        for j, word in enumerate(self._words):
+            u = int(word[v])
+            if u != _FULL:
+                c = 64 * j + (~u & (u + 1)).bit_length()
+                break
+        # set_color rejects a colored v and a color past the budget
+        self.set_color(v, c)
+        return c
+
+    def propagate(self, v: int) -> bool:
+        """Strike colored v's color from its uncolored neighbors in one
+        gather, mask and scatter, lowering the key of each neighbor whose
+        saturation rises.  Always True: a saturation that reaches the
+        budget shows at the next observe."""
+        n = self._n
+        c = self._colors[v] if 0 <= v < n else 0
+        if not c:
+            self._refuse(v)
+        j, i = divmod(c - 1, 64)
+        words = self._words
+        while len(words) <= j:
+            words.append(np.where(self._key == n, _ALL, _NONE))
+        word = words[j]
+        bit = _BITS[i]
+        ptr = self.g.indptr
+        # intp ids: numpy casts int32 indices on every fancy index otherwise
+        nb = self.g.indices[ptr[v]:ptr[v + 1]].astype(np.intp)
+        fresh = nb[(word[nb] & bit) == _NONE]
+        word[fresh] |= bit
+        self._key[fresh] -= n  # one more color around each
+        return True
+
+
+# the dense layout's bit masks, as np.uint64 scalars: numpy < 2 promotes
+# uint64 with a Python int to float64
+_FULL = 2**64 - 1  # a word with every color
+_ALL = np.uint64(_FULL)
+_NONE = np.uint64(0)
+_BITS = [np.uint64(1 << i) for i in range(64)]
+
+
+def _is_dense(g: Graph) -> bool:
+    """True when g's mean degree 2m/n reaches DENSE_DEGREE + n /
+    DENSE_PER_N: then the dense layout's whole-array strikes save more than
+    its O(n) argmin per pick costs.  The constants follow the measured
+    crossovers of the graphs with the fewest strikes, which favor the heap
+    most (crowns and random bipartite graphs: mean degree about 125-155 up
+    to n = 16,000, 175 at n = 32,000); G(n,p) crosses lower."""
+    return g.n > 0 and 2 * g.m >= g.n * (DENSE_DEGREE + g.n / DENSE_PER_N)
 
 
 def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
@@ -224,11 +363,12 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     st = DomainState(g, seed=seed, tie_break=tie_break)
     v = int(np.argmax(g.degrees))  # first maximum: the lowest id
     st.set_color(v, 1)
-    st.propagate(v)
+    observe, collapse, propagate = st.observe, st.collapse, st.propagate
+    propagate(v)
     for _ in range(g.n - 1):  # one selection per vertex after the seed
-        v = st.observe()
-        st.collapse(v)
-        st.propagate(v)
+        v = observe()
+        collapse(v)
+        propagate(v)
     coloring = Coloring(st.colors)
     m0 = max(g.max_degree, 1)
     restarts = int(coloring.k > m0)

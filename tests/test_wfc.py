@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,7 +15,8 @@ from wfcolor.exact import exact_chromatic
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
 from wfcolor.oracle import naive_propagate
-from wfcolor.wfc import RESTART, TIE_BREAKS, DomainState, solve
+from wfcolor.wfc import (RESTART, TIE_BREAKS, DomainState, _DenseState,
+                         _HeapState, solve)
 
 
 # -- solve ------------------------------------------------------------------
@@ -157,14 +160,14 @@ def test_solve_is_dsatur(g):
     assert r.final_m == max(g.max_degree, 1) + r.restarts
 
 
-def _solve_by_hand(g, tie_break, seed):
+def _solve_by_hand(g, tie_break, seed, layout=DomainState):
     """The paper's loop, one DomainState call at a time: at budget
     max(max_degree, 1), then one more color after a dead end, seed the
     lowest-id maximum-degree vertex with color 1 and propagate, then
     observe/collapse/propagate."""
     m0 = max(g.max_degree, 1)
     for m in (m0, m0 + 1):
-        state = DomainState(g, m, seed=seed, tie_break=tie_break)
+        state = layout(g, m, seed=seed, tie_break=tie_break)
         v = max(range(g.n), key=lambda u: (g.degrees[u], -u))
         state.set_color(v, 1)
         ok = state.propagate(v)
@@ -225,13 +228,75 @@ def test_large_star_solves_in_little_memory():
     assert peak < 64 * 2**20
 
 
+@pytest.mark.parametrize("g, layout", [(crown_graph(5), _HeapState),
+                                       (crown_graph(200), _DenseState)],
+                         ids=["heap", "dense"])
+def test_a_copied_state_runs_on_alone(g, layout):
+    # copy.deepcopy and pickle rebuild the layout's class, and the copy
+    # shares nothing with the original
+    st_ = _state(g, None, [(0, 1)])
+    assert type(st_) is layout
+    for twin in (copy.deepcopy(st_), pickle.loads(pickle.dumps(st_))):
+        assert type(twin) is type(st_)
+        v = twin.observe()
+        twin.collapse(v)
+        twin.propagate(v)
+        assert twin.colored_count == 2 and st_.colored_count == 1
+    assert _pass(type(st_), g) == _pass(DomainState, g)
+
+
+def _clique_with_pendants(clique, pendants):
+    """K_clique with pendant vertex clique + i hung on clique vertex
+    i % clique."""
+    us, ws = np.triu_indices(clique, 1)
+    leaves = np.arange(pendants)
+    edges = np.stack([np.concatenate([us, leaves % clique]),
+                      np.concatenate([ws, clique + leaves])], axis=1)
+    return Graph.from_edges(clique + pendants, edges)
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("make, k", [
+    (lambda: star_graph(50_000), 2),
+    (lambda: _clique_with_pendants(500, 100_000), 500)],
+    ids=["star50k", "clique500+pendants100k"])
+def test_sparse_graphs_with_a_dense_core_stay_on_the_heap(make, k):
+    # the dense layout's argmin costs O(n) a pick, which mean degree 2 or 4
+    # cannot pay for; the heap layout's state grows with n and the colors
+    g = make()
+    assert type(DomainState(g)) is _HeapState
+    r, peak = _peak(solve, g)
+    assert r.k == k and validate(g, r.coloring).ok
+    assert r.stats["stale_pops"] > 0  # the heap ran
+    assert peak < 64 * 2**20
+
+
+def test_dense_layout_takes_less_memory_than_the_heap():
+    # an int64 key and a uint64 word or two per vertex, where the heap
+    # layout keeps a heap and five more Python lists
+    g = random_gnp(1000, 0.5, 1)
+    assert type(DomainState(g)) is _DenseState
+    dense, dense_peak = _peak(_pass, _DenseState, g)
+    heap, heap_peak = _peak(_pass, _HeapState, g)
+    assert dense == heap
+    assert dense_peak < heap_peak
+
+
 def test_heap_stays_compact():
     # lazy deletion leaves old keys behind; the rebuild keeps the heap at
     # most twice the uncolored count, and every uncolored vertex keeps its
     # live key
     for seed in range(3):
         g = random_gnp(150, [0.1, 0.5, 0.9][seed], seed)
-        state = DomainState(g)
+        state = _HeapState(g)  # 0.9 may sit on either side of the rule
         v = int(np.argmax(g.degrees))
         state.set_color(v, 1)
         while True:
@@ -245,6 +310,42 @@ def test_heap_stays_compact():
                 break
             v = state.observe()
             state.collapse(v)
+
+
+def _colors_around(g, colors, width):
+    """n x width bools: column c - 1 is set where color c is on a
+    neighbor."""
+    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    c = np.asarray(colors)[g.indices]
+    around = np.zeros((g.n, width), dtype=bool)
+    around[src[c > 0], c[c > 0] - 1] = True
+    return around
+
+
+@pytest.mark.parametrize("name", ["crown200", "gnp320_0.9", "K200"])
+def test_dense_words_match_the_colors_around(name):
+    # after every step each colored vertex's words are all ones, and each
+    # uncolored vertex's words hold exactly the colors on its neighbors,
+    # as many as its saturation
+    g = _dense_graph(name)
+    state = _DenseState(g)
+    v = int(np.argmax(g.degrees))
+    state.set_color(v, 1)
+    while True:
+        assert state.propagate(v) is True
+        colors = state.colors
+        words = np.stack(state._words, axis=1)
+        around = _colors_around(g, colors, 64 * words.shape[1])
+        packed = np.packbits(around, axis=1, bitorder="little").view("<u8")
+        done = colors > 0
+        assert (words[done] == np.uint64(2**64 - 1)).all()
+        assert np.array_equal(words[~done], packed[~done])
+        sat = [state.saturation(u) for u in range(g.n)]
+        assert np.array_equal(np.array(sat)[~done], around[~done].sum(axis=1))
+        if done.all():
+            break
+        v = state.observe()
+        state.collapse(v)
 
 
 # -- observe ----------------------------------------------------------------
@@ -498,6 +599,31 @@ def test_steps_reject_vertex_ids_outside_the_graph(v):
     assert st_.colors.tolist() == [0, 1, 0] and st_.colored_count == 1
 
 
+@pytest.mark.parametrize("layout", [_HeapState, _DenseState])
+def test_a_budget_above_n_still_bounds_colors_by_n(layout):
+    # no saturation reaches n, so colors past n can never be needed; a
+    # color of 10**8 would otherwise size a bitset, or 1.5 million words
+    big = layout(path_graph(2), 10**8)
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        big.set_color(0, 10**8)
+    assert big.colored_count == 0
+    # and observe gives the verdicts of a budget of 5 at every step
+    for g in (path_graph(2), complete_graph(3), complete_graph(5),
+              cycle_graph(5), star_graph(4)):
+        states = [layout(g, m) for m in (10**8, 5)]
+        for st_ in states:
+            st_.set_color(0, 1)
+            st_.propagate(0)
+        while states[0].colored_count < g.n:
+            picks = {st_.observe() for st_ in states}
+            assert len(picks) == 1 and RESTART not in picks
+            v = picks.pop()
+            assert len({st_.collapse(v) for st_ in states}) == 1
+            for st_ in states:
+                st_.propagate(v)
+        assert states[0].colors.tolist() == states[1].colors.tolist()
+
+
 def test_propagate_keeps_colored_neighbor_exclusion():
     # after every step, each uncolored vertex's saturation is exactly the
     # number of distinct colors among its colored neighbors, and its
@@ -552,3 +678,140 @@ def test_star_center_seed_forces_nothing_with_wide_budget():
     colors, domains = naive_propagate(g, st_.colors, 5, 0)
     assert colors.tolist() == [1, 0, 0, 0, 0, 0]
     assert domains[1:] == [{2, 3, 4, 5}] * 5
+
+
+# -- the dense layout ---------------------------------------------------------
+# graphs the rule routes to the dense layout, checked against the heap
+# layout's class built directly
+
+_DENSE = {
+    "gnp320_0.9": lambda: random_gnp(320, 0.9, 1),
+    "gnp400_0.5": lambda: random_gnp(400, 0.5, 2),
+    "gnp500_0.7": lambda: random_gnp(500, 0.7, 3),
+    "gnp800_0.5": lambda: random_gnp(800, 0.5, 4),
+    "K200": lambda: complete_graph(200),
+    "crown200": lambda: crown_graph(200),
+}
+_BUILT = {}
+
+
+def _dense_graph(name):
+    if name not in _BUILT:
+        _BUILT[name] = _DENSE[name]()
+    return _BUILT[name]
+
+
+def _pass(layout, g, tie_break="degree", seed=0):
+    """solve's pass through one layout: the colors, and the saturation each
+    vertex was colored at."""
+    st_ = layout(g, seed=seed, tie_break=tie_break)
+    v = int(np.argmax(g.degrees))
+    st_.set_color(v, 1)
+    st_.propagate(v)
+    for _ in range(g.n - 1):
+        v = st_.observe()
+        st_.collapse(v)
+        st_.propagate(v)
+    return st_.colors.tolist(), st_.sat
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("name", sorted(_DENSE))
+def test_dense_layout_solves_as_the_heap_does(name, tie_break):
+    g = _dense_graph(name)
+    assert type(DomainState(g)) is _DenseState
+    r = solve(g, tie_break=tie_break, seed=7)
+    colors, sat = _pass(_HeapState, g, tie_break, 7)
+    assert r.coloring.assignment.tolist() == colors
+    assert r.stats == {"selections": g.n - 1, "strikes": sum(sat),
+                       "stale_pops": 0}
+    if tie_break == "degree":
+        assert r.coloring.assignment.tobytes() == \
+            dsatur(g).coloring.assignment.tobytes()
+
+
+def _budgeted_steps(layout, g, m, tie_break, seed):
+    """The paper's loop at budget m, one step at a time: every observe
+    result up to the first RESTART, then the colors, saturations and forced
+    count where it stopped.  (gnp500_0.7 takes 99 colors: at m = 90 it dead
+    ends mid-run, and at 99 its forced count is above 0.)"""
+    st_ = layout(g, m, seed=seed, tie_break=tie_break)
+    v = int(np.argmax(g.degrees))
+    st_.set_color(v, 1)
+    picks = []
+    while True:
+        assert st_.propagate(v) is True
+        if st_.colored_count == g.n:
+            break
+        v = st_.observe()
+        picks.append(v)
+        if v == RESTART:
+            break
+        st_.collapse(v)
+    return (picks, st_.colors.tolist(),
+            [st_.saturation(u) for u in range(g.n)], st_.forced_count)
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("name, m", [
+    ("K200", 199), ("K200", 200), ("crown200", 1), ("crown200", 2),
+    ("gnp500_0.7", 90), ("gnp500_0.7", 99), ("gnp320_0.9", 70)])
+def test_dense_layout_steps_as_the_heap_does(name, m, tie_break):
+    g = _dense_graph(name)
+    dense = _budgeted_steps(_DenseState, g, m, tie_break, 3)
+    assert dense == _budgeted_steps(_HeapState, g, m, tie_break, 3)
+    # K_n needs n colors, crown 2: the dead end comes where it must
+    if name == "K200":
+        assert (dense[0][-1] == RESTART) == (m < 200)
+    if name == "crown200":
+        assert (dense[0][-1] == RESTART) == (m < 2)
+
+
+@pytest.mark.parametrize("name", ["K200", "gnp400_0.5", "crown200"])
+def test_dense_layout_solves_by_hand_as_the_heap_does(name):
+    g = _dense_graph(name)
+    for tie_break in TIE_BREAKS:
+        r = solve(g, tie_break=tie_break, seed=11)
+        dense = _solve_by_hand(g, tie_break, 11, _DenseState)
+        assert dense == _solve_by_hand(g, tie_break, 11, _HeapState)
+        assert dense == (r.coloring.assignment.tolist(), r.restarts,
+                         r.final_m, r.forced_colorings)
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_dense_observe_agrees_with_plain_scan(tie_break):
+    # random partial colorings with colors up to C, at most n, so that
+    # several words are in use; observe and saturation must match a scan
+    # and the heap, without a budget and at a budget of C or C + 1
+    g = _dense_graph("gnp320_0.9")
+    rng = np.random.default_rng(9)
+    for trial in range(16):
+        colored = rng.choice(g.n, size=int(rng.integers(1, g.n)),
+                             replace=False)
+        top = int(rng.choice([2, 5, 64, 65, 130, g.n]))
+        pairs = [(int(v), int(rng.integers(1, top + 1))) for v in colored]
+        colors = [0] * g.n
+        for v, c in pairs:
+            colors[v] = c
+        uncolored = [v for v in range(g.n) if not colors[v]]
+        sat = {v: _scan_saturation(g, colors, v) for v in uncolored}
+        expected = min(uncolored, key=lambda v: (-sat[v], -g.degrees[v], v))
+        for budget in (None, min(top + trial % 2, g.n)):
+            states = []
+            for layout in (_DenseState, _HeapState):
+                st_ = layout(g, budget, seed=trial, tie_break=tie_break)
+                for v, c in pairs:
+                    st_.set_color(v, c)
+                for v, _ in pairs:
+                    st_.propagate(v)
+                states.append(st_)
+            dense, heap = states
+            assert {v: dense.saturation(v) for v in uncolored} == sat
+            pick = dense.observe()
+            assert pick == heap.observe()
+            if budget is not None and sat[expected] >= budget:
+                assert pick == RESTART
+            elif tie_break == "degree":
+                assert pick == expected
+            else:
+                assert sat[pick] == sat[expected]
