@@ -24,6 +24,14 @@ instead of a Python loop over every arc.  Either way memory grows with the
 colors in use, not with n times the budget.  It keeps no domain sets
 (oracle.naive_propagate does), and under a budget its one dead-end signal
 is observe returning RESTART.
+
+solve runs each layout's _pass: the whole pass as one loop, with observe,
+collapse and propagate inlined over local variables, since three method
+calls and fresh attribute loads a pick cost the heap layout about a fifth
+of its time on sparse graphs.  The public steps (set_color, observe,
+collapse, propagate) are the paper's step API, which a traced driver can
+time one by one, and the reference the tests compare _pass against; both
+paths share the rare work (compacting the heap, adding a color word).
 """
 from __future__ import annotations
 
@@ -97,6 +105,10 @@ class DomainState:
 
     Colors are bounded by n, or by m when it is smaller: no saturation
     reaches n, so a larger budget changes no verdict of observe.
+
+    The steps are the paper's step API and the tests' reference.  solve
+    calls the layout's private _pass instead, which runs the same steps
+    inlined in one loop and leaves the same state.
     """
 
     def __new__(cls, g: Graph | None = None, *args, **kwargs):
@@ -251,12 +263,71 @@ class _HeapState(DomainState):
             key[w] = k
             heappush(heap, k)
         if len(heap) > 2 * (n - self._colored):
-            # keep only the live keys, one per uncolored vertex: each
-            # rebuild drops at least half the heap, so it costs O(1) a push
-            order = self._order
-            self._heap = [k for k in heap if key[order[k % n]] == k]
-            heapify(self._heap)
+            self._compact()
         return True
+
+    def _compact(self) -> list[int]:
+        """Keep only the live keys, one per uncolored vertex, and return the
+        new heap: propagate calls this once the heap holds more than twice
+        the uncolored count, so each rebuild drops at least half the heap
+        and costs O(1) a push."""
+        n, key, order = self._n, self._key, self._order
+        heap = [k for k in self._heap if key[order[k % n]] == k]
+        heapify(heap)
+        self._heap = heap
+        return heap
+
+    def _pass(self, v: int) -> None:
+        """solve's pass from uncolored v: collapse and propagate v, then
+        observe, collapse and propagate until every vertex is colored.  The
+        steps are inlined over locals, and the state is left as the step
+        loop leaves it.  Under a budget a dead end raises at the color
+        check, where the step loop's observe would return RESTART."""
+        n = self._n
+        if not 0 <= v < n:
+            self._refuse(v)
+        colors, sat, used, key, order = (self._colors, self.sat, self._used,
+                                         self._key, self._order)
+        ptr, indices, cap = self._ptr, self.g.indices, self._cap
+        heap, colored, stale = self._heap, self._colored, self.stale_pops
+        try:
+            while True:
+                # collapse: the lowest clear bit of v's bitset
+                if colors[v]:
+                    raise ValueError(f"vertex {v} already colored")
+                u = used[v]
+                c = (~u & (u + 1)).bit_length()
+                if c > cap:
+                    raise ValueError(f"color {c} outside 1..{cap}")
+                colors[v] = c
+                sat[v] = -(key[v] // n)
+                key[v] = n
+                used[v] = -1
+                colored += 1
+                # propagate
+                bit = 1 << (c - 1)
+                for w in indices[ptr[v]:ptr[v + 1]].tolist():
+                    u = used[w]
+                    if u & bit:
+                        continue
+                    used[w] = u | bit
+                    k = key[w] - n
+                    key[w] = k
+                    heappush(heap, k)
+                if len(heap) > 2 * (n - colored):
+                    heap = self._compact()
+                if colored == n:
+                    return
+                # observe
+                while True:
+                    k = heap[0]
+                    v = order[k % n]
+                    if key[v] == k:
+                        break
+                    heappop(heap)
+                    stale += 1
+        finally:
+            self._colored, self.stale_pops = colored, stale
 
 
 class _DenseState(DomainState):
@@ -311,10 +382,9 @@ class _DenseState(DomainState):
         if not c:
             self._refuse(v)
         j, i = divmod(c - 1, 64)
-        words = self._words
-        while len(words) <= j:
-            words.append(np.where(self._key == n, _ALL, _NONE))
-        word = words[j]
+        if len(self._words) <= j:
+            self._add_words(j)
+        word = self._words[j]
         bit = _BITS[i]
         ptr = self.g.indptr
         # intp ids: numpy casts int32 indices on every fancy index otherwise
@@ -323,6 +393,60 @@ class _DenseState(DomainState):
         word[fresh] |= bit
         self._key[fresh] -= n  # one more color around each
         return True
+
+    def _add_words(self, j: int) -> None:
+        """Add color words up to word j, each all ones at the colored
+        vertices and empty elsewhere."""
+        words, n = self._words, self._n
+        while len(words) <= j:
+            words.append(np.where(self._key == n, _ALL, _NONE))
+
+    def _pass(self, v: int) -> None:
+        """solve's pass from uncolored v, as _HeapState._pass."""
+        n = self._n
+        if not 0 <= v < n:
+            self._refuse(v)
+        colors, sat = self._colors, self.sat
+        key, words = self._key, self._words
+        ptr, indices, cap = self.g.indptr, self.g.indices, self._cap
+        argmin, colored = key.argmin, self._colored
+        try:
+            while True:
+                # collapse: the lowest clear bit of v's first open word
+                if colors[v]:
+                    raise ValueError(f"vertex {v} already colored")
+                c = 64 * len(words) + 1
+                for j, word in enumerate(words):
+                    u = int(word[v])
+                    if u != _FULL:
+                        c = 64 * j + (~u & (u + 1)).bit_length()
+                        break
+                if c > cap:
+                    raise ValueError(f"color {c} outside 1..{cap}")
+                colors[v] = c
+                sat[v] = -(int(key[v]) // n)
+                key[v] = n
+                for word in words:
+                    word[v] = _ALL
+                colored += 1
+                # propagate
+                j, i = divmod(c - 1, 64)
+                if len(words) <= j:
+                    self._add_words(j)
+                word = words[j]
+                bit = _BITS[i]
+                nb = indices[ptr[v]:ptr[v + 1]].astype(np.intp)
+                fresh = nb[(word[nb] & bit) == _NONE]
+                word[fresh] |= bit
+                key[fresh] -= n
+                # as between the steps, no array outlives its pick
+                del nb, fresh
+                if colored == n:
+                    return
+                # observe
+                v = int(argmin())
+        finally:
+            self._colored = colored
 
 
 # the dense layout's bit masks, as np.uint64 scalars: numpy < 2 promotes
@@ -346,7 +470,7 @@ def _is_dense(g: Graph) -> bool:
 def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     """Color g in one saturation pass: seed the lowest-id maximum-degree
     vertex with color 1, then observe/collapse/propagate until every vertex
-    is colored.
+    is colored, as DomainState's steps inlined in its layout's _pass.
 
     tie_break orders vertices of equal saturation: "degree" (highest degree,
     then lowest id) or "random" (a permutation of the vertices drawn from
@@ -361,20 +485,16 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     if g.n < 1:
         raise ValueError("cannot color the empty graph")
     st = DomainState(g, seed=seed, tie_break=tie_break)
-    v = int(np.argmax(g.degrees))  # first maximum: the lowest id
-    st.set_color(v, 1)
-    observe, collapse, propagate = st.observe, st.collapse, st.propagate
-    propagate(v)
-    for _ in range(g.n - 1):  # one selection per vertex after the seed
-        v = observe()
-        collapse(v)
-        propagate(v)
+    # the first maximum is the lowest id; nothing is colored yet, so its
+    # smallest open color is 1
+    st._pass(int(np.argmax(g.degrees)))
     coloring = Coloring(st.colors)
+    k = coloring.k
     m0 = max(g.max_degree, 1)
-    restarts = int(coloring.k > m0)
+    restarts = int(k > m0)
     final_m = m0 + restarts
     forced = st.sat.count(final_m - 1) if final_m >= 2 else 0
     stats = {"selections": g.n - 1, "strikes": sum(st.sat),
              "stale_pops": st.stale_pops}
-    return SolveResult(coloring=coloring, k=coloring.k, restarts=restarts,
+    return SolveResult(coloring=coloring, k=k, restarts=restarts,
                        final_m=final_m, forced_colorings=forced, stats=stats)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from util import complete_graph
 from wfcolor.coloring import (MAX_COLOR, UNCOLORED, Coloring, format_coloring,
@@ -11,6 +13,17 @@ def test_k_counts_distinct_colors_not_max():
     c = Coloring.from_list([1, 5, 5, 1])
     assert c.k == 2
     assert c.total
+
+
+@given(colors=st.lists(st.one_of(st.just(UNCOLORED), st.just(MAX_COLOR),
+                                 st.integers(1, 6), st.integers(1, MAX_COLOR)),
+                       max_size=40))
+@example(colors=[])
+@example(colors=[UNCOLORED, MAX_COLOR, UNCOLORED, MAX_COLOR, 1])
+def test_k_counts_as_a_set_does(colors):
+    # zeros are unassigned, and the largest int32 color is one color
+    assert Coloring(np.array(colors, dtype=np.int64)).k == \
+        len(set(colors) - {UNCOLORED})
 
 
 def test_partial_coloring():

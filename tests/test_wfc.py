@@ -242,7 +242,7 @@ def test_a_copied_state_runs_on_alone(g, layout):
         twin.collapse(v)
         twin.propagate(v)
         assert twin.colored_count == 2 and st_.colored_count == 1
-    assert _pass(type(st_), g) == _pass(DomainState, g)
+    assert _left(_step_pass(type(st_), g)) == _left(_step_pass(DomainState, g))
 
 
 def _clique_with_pendants(clique, pendants):
@@ -284,10 +284,25 @@ def test_dense_layout_takes_less_memory_than_the_heap():
     # layout keeps a heap and five more Python lists
     g = random_gnp(1000, 0.5, 1)
     assert type(DomainState(g)) is _DenseState
-    dense, dense_peak = _peak(_pass, _DenseState, g)
-    heap, heap_peak = _peak(_pass, _HeapState, g)
-    assert dense == heap
+    dense, dense_peak = _peak(_step_pass, _DenseState, g)
+    heap, heap_peak = _peak(_step_pass, _HeapState, g)
+    assert dense.colors.tolist() == heap.colors.tolist()
+    assert dense.sat == heap.sat
     assert dense_peak < heap_peak
+
+
+@pytest.mark.parametrize("g", [random_gnp(1000, 0.006, 1),
+                               random_gnp(1000, 0.5, 1)],
+                         ids=["heap", "dense"])
+def test_solve_takes_no_more_memory_than_the_steps(g):
+    # the inlined pass holds no per-pass list or array (indptr.tolist()
+    # alone would add about 36 bytes a vertex).  A peak moves by tens of
+    # bytes with the int objects alive at its moment, and solve builds its
+    # result after the pass: about 2 bytes a vertex above it on the dense
+    # layout, whose state is smallest
+    steps = _peak(_step_pass, DomainState, g)[1]
+    assert _peak(_inlined_pass, DomainState, g)[1] <= steps + 256
+    assert _peak(solve, g)[1] <= steps + 4 * g.n
 
 
 def test_heap_stays_compact():
@@ -701,9 +716,9 @@ def _dense_graph(name):
     return _BUILT[name]
 
 
-def _pass(layout, g, tie_break="degree", seed=0):
-    """solve's pass through one layout: the colors, and the saturation each
-    vertex was colored at."""
+def _step_pass(layout, g, tie_break="degree", seed=0):
+    """solve's pass through one layout, one step at a time: the reference
+    for the layouts' _pass.  Returns the state it leaves."""
     st_ = layout(g, seed=seed, tie_break=tie_break)
     v = int(np.argmax(g.degrees))
     st_.set_color(v, 1)
@@ -712,7 +727,61 @@ def _pass(layout, g, tie_break="degree", seed=0):
         v = st_.observe()
         st_.collapse(v)
         st_.propagate(v)
-    return st_.colors.tolist(), st_.sat
+    return st_
+
+
+def _left(st_):
+    """What a pass leaves in a state: the colors, the saturation each vertex
+    was colored at, the stale pops and colored count, and saturation(v)."""
+    return (st_.colors.tolist(), st_.sat, st_.stale_pops, st_.colored_count,
+            [st_.saturation(v) for v in range(st_.g.n)])
+
+
+def _inlined_pass(layout, g, tie_break="degree", seed=0):
+    st_ = layout(g, seed=seed, tie_break=tie_break)
+    st_._pass(int(np.argmax(g.degrees)))
+    return st_
+
+
+@given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
+       seed=st.integers(0, 1000))
+def test_pass_leaves_the_state_the_steps_leave(g, tie_break, seed):
+    # either layout runs any graph, so each is forced onto every family
+    for layout in (_HeapState, _DenseState):
+        assert _left(_inlined_pass(layout, g, tie_break, seed)) == \
+            _left(_step_pass(layout, g, tie_break, seed))
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("layout", [_HeapState, _DenseState])
+@pytest.mark.parametrize("name", ["gnp500_0.7", "K200", "crown200"])
+def test_pass_leaves_the_state_the_steps_leave_above_the_rule(
+        name, layout, tie_break):
+    # graphs the rule routes to the dense layout: more than 64 colors on
+    # K200 and gnp500_0.7, and many heap compactions
+    g = _dense_graph(name)
+    assert _left(_inlined_pass(layout, g, tie_break, 5)) == \
+        _left(_step_pass(layout, g, tie_break, 5))
+
+
+@pytest.mark.parametrize("layout", [_HeapState, _DenseState])
+def test_pass_keeps_the_steps_checks(layout):
+    g = path_graph(3)
+    for v in (-1, 3):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            layout(g)._pass(v)
+    st_ = layout(g)
+    st_.set_color(1, 1)
+    with pytest.raises(ValueError, match="vertex 1 already colored"):
+        st_._pass(1)
+    assert st_.colored_count == 1
+    # one color: where observe would return RESTART, the next color
+    # breaks the budget; the state holds the one colored vertex
+    st_ = layout(g, 1)
+    with pytest.raises(ValueError, match=r"color 2 outside 1\.\.1"):
+        st_._pass(1)
+    assert (st_.colors.tolist(), st_.colored_count) == ([0, 1, 0], 1)
+    assert [st_.saturation(v) for v in range(3)] == [1, 0, 1]
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -721,9 +790,9 @@ def test_dense_layout_solves_as_the_heap_does(name, tie_break):
     g = _dense_graph(name)
     assert type(DomainState(g)) is _DenseState
     r = solve(g, tie_break=tie_break, seed=7)
-    colors, sat = _pass(_HeapState, g, tie_break, 7)
-    assert r.coloring.assignment.tolist() == colors
-    assert r.stats == {"selections": g.n - 1, "strikes": sum(sat),
+    heap = _step_pass(_HeapState, g, tie_break, 7)
+    assert r.coloring.assignment.tolist() == heap.colors.tolist()
+    assert r.stats == {"selections": g.n - 1, "strikes": sum(heap.sat),
                        "stale_pops": 0}
     if tie_break == "degree":
         assert r.coloring.assignment.tobytes() == \
