@@ -181,6 +181,8 @@ def run_bench(algorithms: Sequence[str], instances: Sequence[str] = (),
         raise ValueError("repetitions must be >= 1")
     if not timeout_ms > 0:  # also rejects NaN, which no time exceeds
         raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed}")
     graphs = [(Path(p).stem, load_dimacs(p)) for p in instances]
     graphs += [parse_generator_spec(spec, seed) for spec in generators]
     _check_unique("instance", [name for name, _ in graphs])

@@ -94,11 +94,26 @@ class Graph:
         u, w = pairs.astype(np.int64, copy=False).T
         if np.any(u == w):
             raise ValueError("self-loops are not allowed")
-        # one key per arc, both orientations; sorted keys are in (src, dst) order
-        keys = np.sort(np.concatenate([u * n + w, w * n + u]))
-        keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+        # one key per arc, both orientations, written and sorted in place in
+        # one array; sorted keys are in (src, dst) order
+        k = u.shape[0]
+        keys = np.empty(2 * k, np.int64)
+        np.multiply(u, n, out=keys[:k])
+        keys[:k] += w
+        np.multiply(w, n, out=keys[k:])
+        keys[k:] += u
+        keys.sort()
+        fresh = np.empty(2 * k, bool)
+        fresh[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        if not fresh.all():  # a repeated edge
+            keys = keys[fresh]
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        return cls(n=n, indptr=indptr, indices=(keys % n).astype(np.int32))
+        keys %= n
+        indices = keys.astype(np.int32)
+        # free the keys before the canonical check allocates its own
+        del fresh, keys
+        return cls(n=n, indptr=indptr, indices=indices)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -118,7 +133,7 @@ def _check_canonical(n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         raise ValueError("malformed CSR index")
     if np.any(indices < 0) or np.any(indices >= n):
         raise ValueError("neighbor id out of range")
-    src = np.repeat(np.arange(n), np.diff(indptr))
+    src = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
     # name the lowest offending vertex; on one vertex, row order beats a self-loop
     unsorted = src[1:][(indices[1:] <= indices[:-1]) & (src[1:] == src[:-1])]
     loops = src[indices == src]
@@ -126,10 +141,15 @@ def _check_canonical(n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
         raise ValueError(f"adjacency of vertex {unsorted[0]} not strictly increasing")
     if loops.size:
         raise ValueError(f"self-loop at vertex {loops[0]}")
-    # symmetry: the (u, w) arc keys, already sorted, must equal the (w, u) keys
-    fwd = src * n + indices
-    rev = indices.astype(np.int64) * n + src
-    if not np.array_equal(fwd, np.sort(rev)):
+    # symmetry: the (u, w) arc keys, already sorted, must equal the (w, u)
+    # keys once sorted; int64 keys, since n * n overflows int32
+    fwd = np.multiply(src, n, dtype=np.int64)
+    fwd += indices
+    rev = np.multiply(indices, n, dtype=np.int64)
+    rev += src
+    del src
+    rev.sort()
+    if not np.array_equal(fwd, rev):
         raise ValueError("adjacency is not symmetric")
 
 

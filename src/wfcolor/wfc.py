@@ -14,24 +14,21 @@ least nonzero entropy, so it is the next pick anyway.  The attempt at
 max(max_degree, 1) fails exactly when the pass needs more colors, and
 max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 
-DomainState is the engine.  It has two layouts, picked from the graph
-alone by one rule on the mean degree (_is_dense), and both give the same
-picks, colors and counters: sparse graphs keep a heap of (saturation,
-rank) keys with lazy deletion and a Python-int bitset of the colors around
-each vertex; dense graphs keep one key array, whose argmin is the pick, and
-uint64 color words, so a strike is a few whole-array numpy operations
-instead of a Python loop over every arc.  Either way memory grows with the
-colors in use, not with n times the budget.  It keeps no domain sets
-(oracle.naive_propagate does), and under a budget its one dead-end signal
-is observe returning RESTART.
+DomainState is the paper's step API (set_color, observe, collapse,
+propagate), which a traced driver can time one by one, and the reference
+the tests hold solve to.  It keeps a heap of (saturation, rank) keys with
+lazy deletion and a Python-int bitset of the colors around each vertex, so
+memory grows with the colors in use, not with n times the budget.  It keeps
+no domain sets (oracle.naive_propagate does), and under a budget its one
+dead-end signal is observe returning RESTART.
 
-solve runs each layout's _pass: the whole pass as one loop, with observe,
-collapse and propagate inlined over local variables, since three method
-calls and fresh attribute loads a pick cost the heap layout about a fifth
-of its time on sparse graphs.  The public steps (set_color, observe,
-collapse, propagate) are the paper's step API, which a traced driver can
-time one by one, and the reference the tests compare _pass against; both
-paths share the rare work (compacting the heap, adding a color word).
+solve runs one of two passes, picked from the graph alone by one rule on
+the mean degree (_is_dense); both give the steps' picks and colors.  Sparse
+graphs take DomainState._pass, the steps inlined in one loop over local
+variables, since three method calls and fresh attribute loads a pick cost
+about a fifth of the time there.  Dense graphs take _dense_pass, whose pick
+is the argmin of one key array and whose strike is a few whole-array numpy
+operations over uint64 color words instead of a Python loop over every arc.
 """
 from __future__ import annotations
 
@@ -45,12 +42,11 @@ from .graph import Graph
 
 # observe's dead-end result (never a vertex id)
 RESTART = -1
-_NOTHING_LEFT = "observe() called with no uncolored vertices"
 
 TIE_BREAKS = ("degree", "random")
 
 # a graph whose mean degree reaches DENSE_DEGREE + n / DENSE_PER_N gets the
-# dense layout (see _is_dense)
+# dense pass (see _is_dense)
 DENSE_DEGREE = 150
 DENSE_PER_N = 1000
 
@@ -63,7 +59,7 @@ class SolveResult:
     vertices its cascade colors.  stats holds the pass's work counters:
     selections (vertices picked), strikes (colors struck from neighbors,
     one key update each) and stale_pops (outdated heap keys discarded; 0 on
-    the dense layout, which has no heap)."""
+    the dense pass, which has no heap)."""
 
     coloring: Coloring
     k: int
@@ -73,9 +69,22 @@ class SolveResult:
     stats: dict[str, int] = field(default_factory=dict)
 
 
+def _rank_order(g: Graph, tie_break: str, seed: int) -> np.ndarray:
+    """The vertices in rank order, the tie-break among equal saturations:
+    (-degree, id), or a permutation drawn from seed when tie_break is
+    "random"."""
+    if tie_break not in TIE_BREAKS:
+        raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed}")
+    if tie_break == "random":
+        return np.random.default_rng(seed).permutation(g.n)
+    return np.argsort(-g.degrees, kind="stable")
+
+
 class DomainState:
-    """Saturation engine for one run, with an optional color budget m,
-    spent when observe returns RESTART.
+    """The paper's step API for one run: a saturation engine with an
+    optional color budget m, spent when observe returns RESTART.
 
     A vertex's saturation is the number of distinct colors among its
     colored neighbors; an uncolored vertex's domain is {1..m} minus those
@@ -83,54 +92,27 @@ class DomainState:
     least key is the vertex of highest saturation, then lowest rank, and
     divmod(key, n) gives back both; a colored vertex's key is n.  The rank
     is the (-degree, id) order, or a seeded random permutation of the
-    vertices when tie_break is "random".  A state is owned by a single run
-    and never shared.
-
-    Constructing a DomainState picks one of two layouts from the graph
-    alone (``_is_dense``); both give the same picks, colors and counters:
-
-    * sparse graphs: a heap of keys with lazy deletion (a strike pushes a
-      new key, and outdated keys are dropped when they surface) and a
-      Python-int bitset of the colors around each vertex;
-    * dense graphs: one int64 key array, whose argmin is the pick, and the
-      colors around each vertex as uint64 words, 64 colors to a word and
-      one length-n array per word, so a strike is a few whole-array numpy
-      operations over the colored vertex's neighbors.  It has no heap, so
-      stale_pops stays 0.  The words take n * ceil(k / 64) * 8 bytes for k
-      colors.  In solve's pass k <= sqrt(2m) + 1, since a greedy coloring
-      has an edge between every two color classes; with mean degree d =
-      2m/n that is about n * sqrt(d * n) / 8 bytes, which the rule's d >
-      n / 1000 keeps below the int32 CSR's 8m bytes, and in practice far
-      below it: 16 kB against 2 MB on gnp(1000, 0.5).
+    vertices when tie_break is "random".  The keys sit in a heap with lazy
+    deletion (a strike pushes a new key, and outdated keys are dropped when
+    they surface), and the colors around each vertex in a Python-int
+    bitset.  A state is owned by a single run and never shared.
 
     Colors are bounded by n, or by m when it is smaller: no saturation
     reaches n, so a larger budget changes no verdict of observe.
 
-    The steps are the paper's step API and the tests' reference.  solve
-    calls the layout's private _pass instead, which runs the same steps
-    inlined in one loop and leaves the same state.
+    solve calls the private _pass on sparse graphs instead of the steps: it
+    runs them inlined in one loop and leaves the same state.
     """
-
-    def __new__(cls, g: Graph | None = None, *args, **kwargs):
-        # copy and pickle call a layout's __new__ with no arguments
-        if cls is DomainState and g is not None:
-            cls = _DenseState if _is_dense(g) else _HeapState
-        return super().__new__(cls)
 
     def __init__(self, g: Graph, m: int | None = None, seed: int = 0,
                  tie_break: str = "degree"):
         if m is not None and m < 1:
             raise ValueError("need at least one color")
-        if tie_break not in TIE_BREAKS:
-            raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
+        order = _rank_order(g, tie_break, seed)
         self.g = g
         self._n = n = g.n
         self.m = m
         self._cap = n if m is None else min(m, n)
-        if tie_break == "random":
-            order = np.random.default_rng(seed).permutation(n)
-        else:
-            order = np.argsort(-g.degrees, kind="stable")
         self._colors = [0] * n
         # the saturation each vertex was colored at (0 while uncolored)
         self.sat = [0] * n
@@ -138,7 +120,15 @@ class DomainState:
         self._floor = (1 - self._cap) * n
         self._colored = 0
         self.stale_pops = 0
-        self._build(order)  # the layout's _key and color sets
+        self._order = order.tolist()
+        self._ptr = g.indptr.tolist()
+        # colors used around each vertex, bit c-1 for color c; -1 (every
+        # bit) once the vertex is colored, so strikes skip it in one test
+        self._used = [0] * n
+        # each vertex's live key (at first its rank), or n (never a key)
+        # once it is colored
+        self._key = np.argsort(order).tolist()
+        self._heap = list(range(n))  # rank order: already a heap
 
     # -- counters ---------------------------------------------------------
 
@@ -171,7 +161,7 @@ class DomainState:
         n = self._n
         if not 0 <= v < n:
             self._refuse(v)
-        k = int(self._key[v])
+        k = self._key[v]
         return self.sat[v] if k == n else -(k // n)
 
     @property
@@ -184,45 +174,25 @@ class DomainState:
     def set_color(self, v: int, color: int) -> None:
         """Assign v a color directly (the seeding step; collapse goes
         through it too).  No propagation."""
-        if not 0 <= v < self._n:
+        n = self._n
+        if not 0 <= v < n:
             self._refuse(v)
         if self._colors[v]:
             raise ValueError(f"vertex {v} already colored")
         if not 1 <= color <= self._cap:
             raise ValueError(f"color {color} outside 1..{self._cap}")
         self._colors[v] = color
-        self.sat[v] = self._retire(v)  # the layout's key and color set
-        self._colored += 1
-
-
-class _HeapState(DomainState):
-    """The sparse layout: a lazy heap of keys and Python-int bitsets."""
-
-    def _build(self, order: np.ndarray) -> None:
-        n = self._n
-        self._order = order.tolist()
-        self._ptr = self.g.indptr.tolist()
-        # colors used around each vertex, bit c-1 for color c; -1 (every
-        # bit) once the vertex is colored, so strikes skip it in one test
-        self._used = [0] * n
-        # each vertex's live key (at first its rank), or n (never a key)
-        # once it is colored
-        self._key = np.argsort(order).tolist()
-        self._heap = list(range(n))  # rank order: already a heap
-
-    def _retire(self, v: int) -> int:
-        n = self._n
-        k = self._key[v]
+        self.sat[v] = -(self._key[v] // n)
         self._key[v] = n
         self._used[v] = -1
-        return -(k // n)
+        self._colored += 1
 
     def observe(self) -> int:
         """Uncolored vertex of highest saturation, ties to the lowest rank,
         or RESTART, the one dead-end signal, if that saturation has reached
         the budget.  Leaves the vertex in the heap, so repeated calls agree."""
         if self._colored >= self._n:
-            raise ValueError(_NOTHING_LEFT)
+            raise ValueError("observe() called with no uncolored vertices")
         heap, n, order, key = self._heap, self._n, self._order, self._key
         while True:
             k = heap[0]
@@ -330,137 +300,77 @@ class _HeapState(DomainState):
             self._colored, self.stale_pops = colored, stale
 
 
-class _DenseState(DomainState):
-    """The dense layout: an int64 key array and uint64 color words."""
-
-    def _build(self, order: np.ndarray) -> None:
-        self._key = np.argsort(order).astype(np.int64)
-        # _words[j][v] bit i: color 64 * j + i + 1 is around v; every bit
-        # once v is colored.  A word is added when a color first needs it.
-        self._words: list[np.ndarray] = []
-
-    def _retire(self, v: int) -> int:
-        n = self._n
-        k = int(self._key[v])
-        self._key[v] = n
-        for word in self._words:
-            word[v] = _ALL
-        return -(k // n)
-
-    def observe(self) -> int:
-        """Uncolored vertex of highest saturation, ties to the lowest rank,
-        or RESTART, the one dead-end signal, if that saturation has reached
-        the budget: the key array's argmin, since a colored vertex's key n
-        exceeds every uncolored one's."""
-        if self._colored >= self._n:
-            raise ValueError(_NOTHING_LEFT)
-        v = int(self._key.argmin())
-        return RESTART if self._key[v] < self._floor else v
-
-    def collapse(self, v: int) -> int:
-        """Assign v the smallest color absent from its neighbors and return
-        it."""
-        if not 0 <= v < self._n:
-            self._refuse(v)
-        c = 64 * len(self._words) + 1
-        for j, word in enumerate(self._words):
-            u = int(word[v])
-            if u != _FULL:
-                c = 64 * j + (~u & (u + 1)).bit_length()
-                break
-        # set_color rejects a colored v and a color past the budget
-        self.set_color(v, c)
-        return c
-
-    def propagate(self, v: int) -> bool:
-        """Strike colored v's color from its uncolored neighbors in one
-        gather, mask and scatter, lowering the key of each neighbor whose
-        saturation rises.  Always True: a saturation that reaches the
-        budget shows at the next observe."""
-        n = self._n
-        c = self._colors[v] if 0 <= v < n else 0
-        if not c:
-            self._refuse(v)
-        j, i = divmod(c - 1, 64)
-        if len(self._words) <= j:
-            self._add_words(j)
-        word = self._words[j]
-        bit = _BITS[i]
-        ptr = self.g.indptr
-        # intp ids: numpy casts int32 indices on every fancy index otherwise
-        nb = self.g.indices[ptr[v]:ptr[v + 1]].astype(np.intp)
-        fresh = nb[(word[nb] & bit) == _NONE]
-        word[fresh] |= bit
-        self._key[fresh] -= n  # one more color around each
-        return True
-
-    def _add_words(self, j: int) -> None:
-        """Add color words up to word j, each all ones at the colored
-        vertices and empty elsewhere."""
-        words, n = self._words, self._n
-        while len(words) <= j:
-            words.append(np.where(self._key == n, _ALL, _NONE))
-
-    def _pass(self, v: int) -> None:
-        """solve's pass from uncolored v, as _HeapState._pass."""
-        n = self._n
-        if not 0 <= v < n:
-            self._refuse(v)
-        colors, sat = self._colors, self.sat
-        key, words = self._key, self._words
-        ptr, indices, cap = self.g.indptr, self.g.indices, self._cap
-        argmin, colored = key.argmin, self._colored
-        try:
-            while True:
-                # collapse: the lowest clear bit of v's first open word
-                if colors[v]:
-                    raise ValueError(f"vertex {v} already colored")
-                c = 64 * len(words) + 1
-                for j, word in enumerate(words):
-                    u = int(word[v])
-                    if u != _FULL:
-                        c = 64 * j + (~u & (u + 1)).bit_length()
-                        break
-                if c > cap:
-                    raise ValueError(f"color {c} outside 1..{cap}")
-                colors[v] = c
-                sat[v] = -(int(key[v]) // n)
-                key[v] = n
-                for word in words:
-                    word[v] = _ALL
-                colored += 1
-                # propagate
-                j, i = divmod(c - 1, 64)
-                if len(words) <= j:
-                    self._add_words(j)
-                word = words[j]
-                bit = _BITS[i]
-                nb = indices[ptr[v]:ptr[v + 1]].astype(np.intp)
-                fresh = nb[(word[nb] & bit) == _NONE]
-                word[fresh] |= bit
-                key[fresh] -= n
-                # as between the steps, no array outlives its pick
-                del nb, fresh
-                if colored == n:
-                    return
-                # observe
-                v = int(argmin())
-        finally:
-            self._colored = colored
-
-
-# the dense layout's bit masks, as np.uint64 scalars: numpy < 2 promotes
-# uint64 with a Python int to float64
+# _dense_pass's bit masks, as np.uint64 scalars: numpy < 2 promotes uint64
+# with a Python int to float64
 _FULL = 2**64 - 1  # a word with every color
 _ALL = np.uint64(_FULL)
 _NONE = np.uint64(0)
 _BITS = [np.uint64(1 << i) for i in range(64)]
 
 
+def _dense_pass(g: Graph, v: int, tie_break: str,
+                seed: int) -> tuple[list[int], list[int]]:
+    """solve's pass on a dense graph from vertex v, with tie_break and seed
+    as in DomainState: its picks and colors without its heap, so there are
+    no stale pops.  Returns each vertex's color and the saturation it was
+    colored at.  It draws the rank order itself, so that the order is freed
+    once the key array is built.
+
+    DomainState's keys sit in one int64 array, whose argmin is the pick (a
+    colored vertex's key n exceeds every uncolored one's), and the colors
+    around each vertex in uint64 words, 64 colors to a word and one
+    length-n array per word, so a strike is a few whole-array numpy
+    operations over the colored vertex's neighbors.  The words take n *
+    ceil(k / 64) * 8 bytes for k colors.  Here k <= sqrt(2m) + 1, since a
+    greedy coloring has an edge between every two color classes; with mean
+    degree d = 2m/n that is about n * sqrt(d * n) / 8 bytes, which
+    _is_dense's d > n / 1000 keeps below the int32 CSR's 8m bytes, and in
+    practice far below it: 16 kB against 2 MB on gnp(1000, 0.5).
+    """
+    n = g.n
+    key = np.argsort(_rank_order(g, tie_break, seed)).astype(np.int64)
+    # words[j][u] bit i: color 64 * j + i + 1 is around u; every bit once u
+    # is colored.  A word is added when a color first needs it.
+    words: list[np.ndarray] = []
+    colors, sat = [0] * n, [0] * n
+    ptr, indices, argmin = g.indptr, g.indices, key.argmin
+    for colored in range(1, n + 1):
+        # collapse: the lowest clear bit of v's first open word
+        c = 64 * len(words) + 1
+        for j, word in enumerate(words):
+            u = int(word[v])
+            if u != _FULL:
+                c = 64 * j + (~u & (u + 1)).bit_length()
+                break
+        colors[v] = c
+        sat[v] = -(int(key[v]) // n)
+        key[v] = n
+        for word in words:
+            word[v] = _ALL
+        # propagate; a color past the last word needs one more word, all
+        # ones at the colored vertices and empty elsewhere
+        j, i = divmod(c - 1, 64)
+        if j == len(words):
+            words.append(np.where(key == n, _ALL, _NONE))
+        word = words[j]
+        bit = _BITS[i]
+        # intp ids: numpy casts int32 indices on every fancy index otherwise
+        nb = indices[ptr[v]:ptr[v + 1]].astype(np.intp)
+        fresh = nb[(word[nb] & bit) == _NONE]
+        word[fresh] |= bit
+        key[fresh] -= n  # one more color around each
+        # no array outlives its pick
+        del nb, fresh
+        if colored < n:
+            # observe
+            v = int(argmin())
+    return colors, sat
+
+
 def _is_dense(g: Graph) -> bool:
     """True when g's mean degree 2m/n reaches DENSE_DEGREE + n /
-    DENSE_PER_N: then the dense layout's whole-array strikes save more than
-    its O(n) argmin per pick costs.  The constants follow the measured
+    DENSE_PER_N: then _dense_pass's whole-array strikes save more than its
+    O(n) argmin per pick costs.  The constants follow the measured
     crossovers of the graphs with the fewest strikes, which favor the heap
     most (crowns and random bipartite graphs: mean degree about 125-155 up
     to n = 16,000, 175 at n = 32,000); G(n,p) crosses lower."""
@@ -470,12 +380,13 @@ def _is_dense(g: Graph) -> bool:
 def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     """Color g in one saturation pass: seed the lowest-id maximum-degree
     vertex with color 1, then observe/collapse/propagate until every vertex
-    is colored, as DomainState's steps inlined in its layout's _pass.
+    is colored.  The pass is _dense_pass when _is_dense(g), and otherwise
+    DomainState's _pass; both give the picks of DomainState's steps.
 
     tie_break orders vertices of equal saturation: "degree" (highest degree,
     then lowest id) or "random" (a permutation of the vertices drawn from
-    seed, so a fixed seed gives identical runs).  seed is unused with
-    "degree".
+    seed, so a fixed seed gives identical runs).  seed is a non-negative
+    int, unused with "degree".
 
     The paper's counters follow from the pass (see the module docstring):
     restarts = int(k > m0) with m0 = max(max_degree, 1), final_m = m0 +
@@ -484,17 +395,23 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     """
     if g.n < 1:
         raise ValueError("cannot color the empty graph")
-    st = DomainState(g, seed=seed, tie_break=tie_break)
     # the first maximum is the lowest id; nothing is colored yet, so its
     # smallest open color is 1
-    st._pass(int(np.argmax(g.degrees)))
-    coloring = Coloring(st.colors)
+    v = int(np.argmax(g.degrees))
+    if _is_dense(g):
+        colors, sat = _dense_pass(g, v, tie_break, seed)
+        stale_pops = 0
+    else:
+        st = DomainState(g, seed=seed, tie_break=tie_break)
+        st._pass(v)
+        colors, sat, stale_pops = st._colors, st.sat, st.stale_pops
+    coloring = Coloring(np.array(colors, dtype=np.int32))
     k = coloring.k
     m0 = max(g.max_degree, 1)
     restarts = int(k > m0)
     final_m = m0 + restarts
-    forced = st.sat.count(final_m - 1) if final_m >= 2 else 0
-    stats = {"selections": g.n - 1, "strikes": sum(st.sat),
-             "stale_pops": st.stale_pops}
+    forced = sat.count(final_m - 1) if final_m >= 2 else 0
+    stats = {"selections": g.n - 1, "strikes": sum(sat),
+             "stale_pops": stale_pops}
     return SolveResult(coloring=coloring, k=k, restarts=restarts,
                        final_m=final_m, forced_colorings=forced, stats=stats)

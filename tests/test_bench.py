@@ -22,6 +22,7 @@ def test_config_validation(monkeypatch):
                 {"algorithms": ("magic",), **crown},
                 {"algorithms": ("wfcc",), "reps": 0, **crown},
                 {"algorithms": ("wfcc",), "timeout_ms": 0.0, **crown},
+                {"algorithms": ("wfcc",), "seed": -1, **crown},
                 {"algorithms": ("wfcc", "wfcc"), **crown},
                 {"algorithms": ("wfcc",), "generators": ("crown:3", "crown:3")}):
         with pytest.raises(ValueError):

@@ -237,6 +237,15 @@ def test_bench_rejects_a_bad_timeout(timeout, capsys):
     assert out.out == "" and "timeout_ms must be > 0" in out.err
 
 
+def test_bench_rejects_a_negative_seed(capsys):
+    # the generator would fail on it too, and blame the spec
+    rc = main(["bench", "--gen", "gnp:10,0.5", "--reps", "1", "--seed", "-1"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "seed must be a non-negative int, got -1" in out.err
+
+
 def test_bench_rejects_repeated_names(tmp_path, capsys):
     # two files with one stem would share a Markdown row
     (tmp_path / "a").mkdir()

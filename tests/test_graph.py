@@ -65,6 +65,25 @@ def test_from_edges_empty_input_is_edgeless():
         assert g.n == 3 and g.m == 0
 
 
+def test_from_edges_builds_and_checks_in_little_memory():
+    # 122,608 edges: one int64 key array of both orientations is 1.9 MB, and
+    # the canonical check's int32 sources and two int64 key arrays 4.7 MB;
+    # a copy per step (concatenate, sort, dedupe, modulo) took 11 MB
+    g = random_gnp(700, 0.5, 408)
+    us, ws = g.edge_arrays()
+    pairs = np.column_stack((us, ws)).astype(np.int64)
+    tracemalloc.start()
+    try:
+        h = Graph.from_edges(g.n, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.m == 122_608
+    assert h.indptr.tobytes() == g.indptr.tobytes()
+    assert h.indices.tobytes() == g.indices.tobytes()
+    assert peak < 7 * 2**20
+
+
 def test_degrees_and_max_degree():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     assert g.degrees.tolist() == [3, 1, 1, 1]

@@ -15,8 +15,8 @@ from wfcolor.exact import exact_chromatic
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
 from wfcolor.oracle import naive_propagate
-from wfcolor.wfc import (RESTART, TIE_BREAKS, DomainState, _DenseState,
-                         _HeapState, solve)
+from wfcolor.wfc import (RESTART, TIE_BREAKS, DomainState, _dense_pass,
+                         _is_dense, solve)
 
 
 # -- solve ------------------------------------------------------------------
@@ -84,8 +84,16 @@ def test_random_tie_break_is_seeded():
 
 
 def test_config_validation():
+    g = random_gnp(5, 0.5, seed=0)
     with pytest.raises(ValueError):
-        solve(random_gnp(5, 0.5, seed=0), tie_break="alphabetical")
+        solve(g, tie_break="alphabetical")
+    # numpy's own error would not say which argument it means
+    for tie_break in TIE_BREAKS:
+        with pytest.raises(ValueError, match="seed must be a non-negative "
+                                             "int, got -1"):
+            solve(g, tie_break=tie_break, seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            DomainState(g, seed=-1, tie_break=tie_break)
 
 
 def test_concurrent_solves_share_one_graph():
@@ -160,14 +168,14 @@ def test_solve_is_dsatur(g):
     assert r.final_m == max(g.max_degree, 1) + r.restarts
 
 
-def _solve_by_hand(g, tie_break, seed, layout=DomainState):
+def _solve_by_hand(g, tie_break, seed):
     """The paper's loop, one DomainState call at a time: at budget
     max(max_degree, 1), then one more color after a dead end, seed the
     lowest-id maximum-degree vertex with color 1 and propagate, then
     observe/collapse/propagate."""
     m0 = max(g.max_degree, 1)
     for m in (m0, m0 + 1):
-        state = layout(g, m, seed=seed, tie_break=tie_break)
+        state = DomainState(g, m, seed=seed, tie_break=tie_break)
         v = max(range(g.n), key=lambda u: (g.degrees[u], -u))
         state.set_color(v, 1)
         ok = state.propagate(v)
@@ -228,21 +236,22 @@ def test_large_star_solves_in_little_memory():
     assert peak < 64 * 2**20
 
 
-@pytest.mark.parametrize("g, layout", [(crown_graph(5), _HeapState),
-                                       (crown_graph(200), _DenseState)],
-                         ids=["heap", "dense"])
-def test_a_copied_state_runs_on_alone(g, layout):
-    # copy.deepcopy and pickle rebuild the layout's class, and the copy
-    # shares nothing with the original
+def test_a_copied_state_runs_on_alone():
+    # copy.deepcopy and pickle rebuild the state, and the copy shares
+    # nothing with the original; run on, it ends where the step loop does
+    g = crown_graph(5)  # every degree is 4, so the step loop seeds 0 too
     st_ = _state(g, None, [(0, 1)])
-    assert type(st_) is layout
     for twin in (copy.deepcopy(st_), pickle.loads(pickle.dumps(st_))):
-        assert type(twin) is type(st_)
+        assert type(twin) is DomainState
         v = twin.observe()
         twin.collapse(v)
         twin.propagate(v)
         assert twin.colored_count == 2 and st_.colored_count == 1
-    assert _left(_step_pass(type(st_), g)) == _left(_step_pass(DomainState, g))
+        while twin.colored_count < g.n:
+            v = twin.observe()
+            twin.collapse(v)
+            twin.propagate(v)
+        assert _left(twin) == _left(_step_pass(g))
 
 
 def _clique_with_pendants(clique, pendants):
@@ -269,10 +278,10 @@ def _peak(fn, *args):
     (lambda: _clique_with_pendants(500, 100_000), 500)],
     ids=["star50k", "clique500+pendants100k"])
 def test_sparse_graphs_with_a_dense_core_stay_on_the_heap(make, k):
-    # the dense layout's argmin costs O(n) a pick, which mean degree 2 or 4
-    # cannot pay for; the heap layout's state grows with n and the colors
+    # _dense_pass's argmin costs O(n) a pick, which mean degree 2 or 4
+    # cannot pay for; DomainState's heap grows with n and the colors
     g = make()
-    assert type(DomainState(g)) is _HeapState
+    assert not _is_dense(g)
     r, peak = _peak(solve, g)
     assert r.k == k and validate(g, r.coloring).ok
     assert r.stats["stale_pops"] > 0  # the heap ran
@@ -281,14 +290,17 @@ def test_sparse_graphs_with_a_dense_core_stay_on_the_heap(make, k):
 
 def test_dense_layout_takes_less_memory_than_the_heap():
     # an int64 key and a uint64 word or two per vertex, where the heap
-    # layout keeps a heap and five more Python lists
+    # layout keeps a heap and five more Python lists.  With the two result
+    # lists and the temporaries of a new word that is about 56 bytes a
+    # vertex; a per-pass list such as indptr.tolist() would add about 36
+    # more
     g = random_gnp(1000, 0.5, 1)
-    assert type(DomainState(g)) is _DenseState
-    dense, dense_peak = _peak(_step_pass, _DenseState, g)
-    heap, heap_peak = _peak(_step_pass, _HeapState, g)
-    assert dense.colors.tolist() == heap.colors.tolist()
-    assert dense.sat == heap.sat
+    assert _is_dense(g)
+    dense, dense_peak = _peak(_dense_run, g)
+    heap, heap_peak = _peak(_step_pass, g)
+    assert dense == (heap.colors.tolist(), heap.sat)
     assert dense_peak < heap_peak
+    assert dense_peak < 80 * g.n
 
 
 @pytest.mark.parametrize("g", [random_gnp(1000, 0.006, 1),
@@ -298,10 +310,10 @@ def test_solve_takes_no_more_memory_than_the_steps(g):
     # the inlined pass holds no per-pass list or array (indptr.tolist()
     # alone would add about 36 bytes a vertex).  A peak moves by tens of
     # bytes with the int objects alive at its moment, and solve builds its
-    # result after the pass: about 2 bytes a vertex above it on the dense
-    # layout, whose state is smallest
-    steps = _peak(_step_pass, DomainState, g)[1]
-    assert _peak(_inlined_pass, DomainState, g)[1] <= steps + 256
+    # result after the pass, a few bytes a vertex; on the dense graph it
+    # runs _dense_pass, whose state is smaller still
+    steps = _peak(_step_pass, g)[1]
+    assert _peak(_inlined_pass, g)[1] <= steps + 256
     assert _peak(solve, g)[1] <= steps + 4 * g.n
 
 
@@ -311,7 +323,7 @@ def test_heap_stays_compact():
     # live key
     for seed in range(3):
         g = random_gnp(150, [0.1, 0.5, 0.9][seed], seed)
-        state = _HeapState(g)  # 0.9 may sit on either side of the rule
+        state = DomainState(g)
         v = int(np.argmax(g.degrees))
         state.set_color(v, 1)
         while True:
@@ -325,42 +337,6 @@ def test_heap_stays_compact():
                 break
             v = state.observe()
             state.collapse(v)
-
-
-def _colors_around(g, colors, width):
-    """n x width bools: column c - 1 is set where color c is on a
-    neighbor."""
-    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
-    c = np.asarray(colors)[g.indices]
-    around = np.zeros((g.n, width), dtype=bool)
-    around[src[c > 0], c[c > 0] - 1] = True
-    return around
-
-
-@pytest.mark.parametrize("name", ["crown200", "gnp320_0.9", "K200"])
-def test_dense_words_match_the_colors_around(name):
-    # after every step each colored vertex's words are all ones, and each
-    # uncolored vertex's words hold exactly the colors on its neighbors,
-    # as many as its saturation
-    g = _dense_graph(name)
-    state = _DenseState(g)
-    v = int(np.argmax(g.degrees))
-    state.set_color(v, 1)
-    while True:
-        assert state.propagate(v) is True
-        colors = state.colors
-        words = np.stack(state._words, axis=1)
-        around = _colors_around(g, colors, 64 * words.shape[1])
-        packed = np.packbits(around, axis=1, bitorder="little").view("<u8")
-        done = colors > 0
-        assert (words[done] == np.uint64(2**64 - 1)).all()
-        assert np.array_equal(words[~done], packed[~done])
-        sat = [state.saturation(u) for u in range(g.n)]
-        assert np.array_equal(np.array(sat)[~done], around[~done].sum(axis=1))
-        if done.all():
-            break
-        v = state.observe()
-        state.collapse(v)
 
 
 # -- observe ----------------------------------------------------------------
@@ -614,18 +590,17 @@ def test_steps_reject_vertex_ids_outside_the_graph(v):
     assert st_.colors.tolist() == [0, 1, 0] and st_.colored_count == 1
 
 
-@pytest.mark.parametrize("layout", [_HeapState, _DenseState])
-def test_a_budget_above_n_still_bounds_colors_by_n(layout):
+def test_a_budget_above_n_still_bounds_colors_by_n():
     # no saturation reaches n, so colors past n can never be needed; a
-    # color of 10**8 would otherwise size a bitset, or 1.5 million words
-    big = layout(path_graph(2), 10**8)
+    # color of 10**8 would otherwise size a bitset
+    big = DomainState(path_graph(2), 10**8)
     with pytest.raises(ValueError, match=r"outside 1\.\.2"):
         big.set_color(0, 10**8)
     assert big.colored_count == 0
     # and observe gives the verdicts of a budget of 5 at every step
     for g in (path_graph(2), complete_graph(3), complete_graph(5),
               cycle_graph(5), star_graph(4)):
-        states = [layout(g, m) for m in (10**8, 5)]
+        states = [DomainState(g, m) for m in (10**8, 5)]
         for st_ in states:
             st_.set_color(0, 1)
             st_.propagate(0)
@@ -695,9 +670,8 @@ def test_star_center_seed_forces_nothing_with_wide_budget():
     assert domains[1:] == [{2, 3, 4, 5}] * 5
 
 
-# -- the dense layout ---------------------------------------------------------
-# graphs the rule routes to the dense layout, checked against the heap
-# layout's class built directly
+# -- the dense pass -----------------------------------------------------------
+# graphs the rule routes to _dense_pass, checked against DomainState's steps
 
 _DENSE = {
     "gnp320_0.9": lambda: random_gnp(320, 0.9, 1),
@@ -716,10 +690,10 @@ def _dense_graph(name):
     return _BUILT[name]
 
 
-def _step_pass(layout, g, tie_break="degree", seed=0):
-    """solve's pass through one layout, one step at a time: the reference
-    for the layouts' _pass.  Returns the state it leaves."""
-    st_ = layout(g, seed=seed, tie_break=tie_break)
+def _step_pass(g, tie_break="degree", seed=0):
+    """solve's pass one step at a time: the reference for both passes.
+    Returns the state it leaves."""
+    st_ = DomainState(g, seed=seed, tie_break=tie_break)
     v = int(np.argmax(g.degrees))
     st_.set_color(v, 1)
     st_.propagate(v)
@@ -737,47 +711,52 @@ def _left(st_):
             [st_.saturation(v) for v in range(st_.g.n)])
 
 
-def _inlined_pass(layout, g, tie_break="degree", seed=0):
-    st_ = layout(g, seed=seed, tie_break=tie_break)
+def _inlined_pass(g, tie_break="degree", seed=0):
+    st_ = DomainState(g, seed=seed, tie_break=tie_break)
     st_._pass(int(np.argmax(g.degrees)))
     return st_
+
+
+def _dense_run(g, tie_break="degree", seed=0):
+    """_dense_pass from solve's seed vertex, on any graph: (colors, sat)."""
+    return _dense_pass(g, int(np.argmax(g.degrees)), tie_break, seed)
 
 
 @given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
        seed=st.integers(0, 1000))
 def test_pass_leaves_the_state_the_steps_leave(g, tie_break, seed):
-    # either layout runs any graph, so each is forced onto every family
-    for layout in (_HeapState, _DenseState):
-        assert _left(_inlined_pass(layout, g, tie_break, seed)) == \
-            _left(_step_pass(layout, g, tie_break, seed))
+    # either pass runs any graph, so _dense_pass is forced onto every family
+    steps = _step_pass(g, tie_break, seed)
+    assert _left(_inlined_pass(g, tie_break, seed)) == _left(steps)
+    assert _dense_run(g, tie_break, seed) == (steps.colors.tolist(),
+                                              steps.sat)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-@pytest.mark.parametrize("layout", [_HeapState, _DenseState])
 @pytest.mark.parametrize("name", ["gnp500_0.7", "K200", "crown200"])
-def test_pass_leaves_the_state_the_steps_leave_above_the_rule(
-        name, layout, tie_break):
-    # graphs the rule routes to the dense layout: more than 64 colors on
-    # K200 and gnp500_0.7, and many heap compactions
+def test_pass_leaves_the_state_the_steps_leave_above_the_rule(name,
+                                                              tie_break):
+    # graphs the rule routes to _dense_pass: more than 64 colors on K200
+    # and gnp500_0.7, so several color words, and many heap compactions
     g = _dense_graph(name)
-    assert _left(_inlined_pass(layout, g, tie_break, 5)) == \
-        _left(_step_pass(layout, g, tie_break, 5))
+    steps = _step_pass(g, tie_break, 5)
+    assert _left(_inlined_pass(g, tie_break, 5)) == _left(steps)
+    assert _dense_run(g, tie_break, 5) == (steps.colors.tolist(), steps.sat)
 
 
-@pytest.mark.parametrize("layout", [_HeapState, _DenseState])
-def test_pass_keeps_the_steps_checks(layout):
+def test_pass_keeps_the_steps_checks():
     g = path_graph(3)
     for v in (-1, 3):
         with pytest.raises(ValueError, match="outside 0..2"):
-            layout(g)._pass(v)
-    st_ = layout(g)
+            DomainState(g)._pass(v)
+    st_ = DomainState(g)
     st_.set_color(1, 1)
     with pytest.raises(ValueError, match="vertex 1 already colored"):
         st_._pass(1)
     assert st_.colored_count == 1
     # one color: where observe would return RESTART, the next color
     # breaks the budget; the state holds the one colored vertex
-    st_ = layout(g, 1)
+    st_ = DomainState(g, 1)
     with pytest.raises(ValueError, match=r"color 2 outside 1\.\.1"):
         st_._pass(1)
     assert (st_.colors.tolist(), st_.colored_count) == ([0, 1, 0], 1)
@@ -788,99 +767,15 @@ def test_pass_keeps_the_steps_checks(layout):
 @pytest.mark.parametrize("name", sorted(_DENSE))
 def test_dense_layout_solves_as_the_heap_does(name, tie_break):
     g = _dense_graph(name)
-    assert type(DomainState(g)) is _DenseState
+    assert _is_dense(g)
     r = solve(g, tie_break=tie_break, seed=7)
-    heap = _step_pass(_HeapState, g, tie_break, 7)
+    heap = _step_pass(g, tie_break, 7)
     assert r.coloring.assignment.tolist() == heap.colors.tolist()
+    # and the paper's counters are those of its loop run by hand
+    assert (r.coloring.assignment.tolist(), r.restarts, r.final_m,
+            r.forced_colorings) == _solve_by_hand(g, tie_break, 7)
     assert r.stats == {"selections": g.n - 1, "strikes": sum(heap.sat),
                        "stale_pops": 0}
     if tie_break == "degree":
         assert r.coloring.assignment.tobytes() == \
             dsatur(g).coloring.assignment.tobytes()
-
-
-def _budgeted_steps(layout, g, m, tie_break, seed):
-    """The paper's loop at budget m, one step at a time: every observe
-    result up to the first RESTART, then the colors, saturations and forced
-    count where it stopped.  (gnp500_0.7 takes 99 colors: at m = 90 it dead
-    ends mid-run, and at 99 its forced count is above 0.)"""
-    st_ = layout(g, m, seed=seed, tie_break=tie_break)
-    v = int(np.argmax(g.degrees))
-    st_.set_color(v, 1)
-    picks = []
-    while True:
-        assert st_.propagate(v) is True
-        if st_.colored_count == g.n:
-            break
-        v = st_.observe()
-        picks.append(v)
-        if v == RESTART:
-            break
-        st_.collapse(v)
-    return (picks, st_.colors.tolist(),
-            [st_.saturation(u) for u in range(g.n)], st_.forced_count)
-
-
-@pytest.mark.parametrize("tie_break", TIE_BREAKS)
-@pytest.mark.parametrize("name, m", [
-    ("K200", 199), ("K200", 200), ("crown200", 1), ("crown200", 2),
-    ("gnp500_0.7", 90), ("gnp500_0.7", 99), ("gnp320_0.9", 70)])
-def test_dense_layout_steps_as_the_heap_does(name, m, tie_break):
-    g = _dense_graph(name)
-    dense = _budgeted_steps(_DenseState, g, m, tie_break, 3)
-    assert dense == _budgeted_steps(_HeapState, g, m, tie_break, 3)
-    # K_n needs n colors, crown 2: the dead end comes where it must
-    if name == "K200":
-        assert (dense[0][-1] == RESTART) == (m < 200)
-    if name == "crown200":
-        assert (dense[0][-1] == RESTART) == (m < 2)
-
-
-@pytest.mark.parametrize("name", ["K200", "gnp400_0.5", "crown200"])
-def test_dense_layout_solves_by_hand_as_the_heap_does(name):
-    g = _dense_graph(name)
-    for tie_break in TIE_BREAKS:
-        r = solve(g, tie_break=tie_break, seed=11)
-        dense = _solve_by_hand(g, tie_break, 11, _DenseState)
-        assert dense == _solve_by_hand(g, tie_break, 11, _HeapState)
-        assert dense == (r.coloring.assignment.tolist(), r.restarts,
-                         r.final_m, r.forced_colorings)
-
-
-@pytest.mark.parametrize("tie_break", TIE_BREAKS)
-def test_dense_observe_agrees_with_plain_scan(tie_break):
-    # random partial colorings with colors up to C, at most n, so that
-    # several words are in use; observe and saturation must match a scan
-    # and the heap, without a budget and at a budget of C or C + 1
-    g = _dense_graph("gnp320_0.9")
-    rng = np.random.default_rng(9)
-    for trial in range(16):
-        colored = rng.choice(g.n, size=int(rng.integers(1, g.n)),
-                             replace=False)
-        top = int(rng.choice([2, 5, 64, 65, 130, g.n]))
-        pairs = [(int(v), int(rng.integers(1, top + 1))) for v in colored]
-        colors = [0] * g.n
-        for v, c in pairs:
-            colors[v] = c
-        uncolored = [v for v in range(g.n) if not colors[v]]
-        sat = {v: _scan_saturation(g, colors, v) for v in uncolored}
-        expected = min(uncolored, key=lambda v: (-sat[v], -g.degrees[v], v))
-        for budget in (None, min(top + trial % 2, g.n)):
-            states = []
-            for layout in (_DenseState, _HeapState):
-                st_ = layout(g, budget, seed=trial, tie_break=tie_break)
-                for v, c in pairs:
-                    st_.set_color(v, c)
-                for v, _ in pairs:
-                    st_.propagate(v)
-                states.append(st_)
-            dense, heap = states
-            assert {v: dense.saturation(v) for v in uncolored} == sat
-            pick = dense.observe()
-            assert pick == heap.observe()
-            if budget is not None and sat[expected] >= budget:
-                assert pick == RESTART
-            elif tie_break == "degree":
-                assert pick == expected
-            else:
-                assert sat[pick] == sat[expected]
