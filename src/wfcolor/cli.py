@@ -64,6 +64,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_color(args) -> int:
+    if args.seed < 0:  # as bench does: some solvers would ignore it
+        raise ValueError(f"seed must be a non-negative int, got {args.seed}")
     g = load_dimacs(args.input)
     result = SOLVERS[args.alg].run(g, args.seed)
     text = format_coloring(result.coloring)

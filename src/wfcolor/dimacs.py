@@ -4,17 +4,16 @@ Lines are: comments ``c ...``, one problem line ``p edge <n> <m>`` (``edges``
 is accepted too), and edge lines ``e <u> <v>`` with 1-based vertex ids.
 Internally everything is 0-based; the translation happens only here.
 
-parse_dimacs has two paths that give the same graph.  Canonical text, as
-write_dimacs emits it (a ``c`` comment header allowed), is read at array
-speed: past the problem line, every line must be exactly ``e <u> <v>`` and
-``\n``-terminated, with in-range, distinct ids written as ASCII digits with
-no sign and no leading zero.  That form is checked with a few whole-buffer
-byte operations and the ids are read by one np.fromstring call.  Anything
-else goes through a loop over the lines, the only source of
-DimacsParseError, so error kinds, line numbers and messages do not depend on
-the path taken.  A file object is read into one ``str`` first, and bytes are
-decoded as load_dimacs decodes a file, so they take the same paths and split
-into the same lines.
+parse_dimacs has two paths that give the same graph.  Canonical text, what
+write_dimacs writes for its ids (a ``c`` comment header allowed), is read at
+array speed: the ids past the head are read by one np.fromstring call, and
+the edge lines are taken as read only when they are in range, no edge is a
+self-loop, and int_lines writes them back as the exact text.  Anything else
+goes through a loop over the lines, the only source of DimacsParseError, so
+error kinds, line numbers and messages do not depend on the path taken.  A
+file object is read into one ``str`` first, and bytes are decoded as
+load_dimacs decodes a file, so they take the same paths and split into the
+same lines.
 
 write_dimacs, like coloring.format_coloring, writes its lines of integers
 with int_lines: every id becomes 4-byte cells gathered from one table, and
@@ -52,14 +51,13 @@ def parse_dimacs(text: str | bytes | IO[str] | IO[bytes]) -> Graph:
     edge count produces a DimacsWarning, not an error.
 
     The text, or a file object's whole contents, is read at array speed
-    when every line from its first ``e `` line on is exactly
-    ``e <u> <v>\n``, with in-range, distinct ids of 1 to 18 ASCII digits
-    and no leading zero, as write_dimacs emits.  Everything else goes
-    through the line loop over str.splitlines(), which gives the same graph
-    and is the only source of DimacsParseError.  A problem line declaring
-    more than MAX_VERTICES vertices is malformed.  Bytes, and what a binary
-    file object reads, are decoded as UTF-8 with errors replaced, as
-    load_dimacs decodes a file.
+    when its lines from the first ``e `` line on are canonical: what
+    write_dimacs writes for their ids, which must be in range and give no
+    self-loop.  Everything else goes through the line loop over
+    str.splitlines(), which gives the same graph and is the only source of
+    DimacsParseError.  A problem line declaring more than MAX_VERTICES
+    vertices is malformed.  Bytes, and what a binary file object reads, are
+    decoded as UTF-8 with errors replaced, as load_dimacs decodes a file.
     """
     if not isinstance(text, (str, bytes)):
         text = text.read()
@@ -78,10 +76,11 @@ def parse_dimacs(text: str | bytes | IO[str] | IO[bytes]) -> Graph:
 
 
 def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
-    """The line loop's result for text of the strict form in parse_dimacs's
-    docstring, or None for any other text.  The lines before the first edge
-    line go through the loop; the edge lines after them are checked with a
-    few whole-buffer byte operations and read by one np.fromstring call."""
+    """The line loop's result for canonical text, as parse_dimacs's
+    docstring defines it, or None for any other text.  The lines before the
+    first edge line go through the loop; the ids after them are read by one
+    np.fromstring call and kept only if int_lines writes them back as the
+    same text."""
     # the body starts at the first "e " line after the first line, if any
     cut = text.find("\ne ") + 1 or len(text)
     head, body = text[:cut], text[cut:]
@@ -89,32 +88,21 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
         n, head_ends, declared_m = _parse_lines(head.splitlines())
     except DimacsParseError:
         return None  # the loop over the whole text raises the right error
-    if not body:  # np.fromstring reads a blank string as [0]
+    if not body:  # no edge lines
         return n, head_ends, declared_m
-    if not body.isascii():
+    # An id np.fromstring cannot read raises a ValueError, or, on older
+    # numpy releases, warns and ends the array early: the loop decides then.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            ends = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
         return None
-    raw = body.encode("ascii")
-    skeleton = raw.translate(None, b"0123456789")  # every byte but the digits
-    if skeleton != b"e  \n" * (len(skeleton) // 4) or not raw.endswith(b"\n"):
-        return None
-    # the spaces and newlines are the only bytes up to " " now, 3 per line
-    seps = np.flatnonzero(np.frombuffer(raw, np.uint8) <= ord(" "))
-    sp1, sp2, nl = seps.reshape(-1, 3).T
-    # with no digit between a line's "e" and its first " " (the first
-    # line's "e " is where the body was cut), each line is "e", " ", 1 to 18
-    # digits, " ", 1 to 18 digits, "\n", and no id starts with "0".  So the
-    # body's lines are exactly the ones str.splitlines would give the loop,
-    # and "e" and " " are its only separators.  [0-9] only: non-ASCII
-    # digits, which int() reads but np.fromstring does not, never get here,
-    # and the 18-digit cap keeps every id below 2**63, where np.fromstring
-    # would saturate an overflowing token without a warning.
-    u_len, v_len = sp2 - sp1 - 1, nl - sp2 - 1
-    if (np.any(sp1[1:] != nl[:-1] + 2)
-            or np.any((u_len < 1) | (u_len > 18) | (v_len < 1) | (v_len > 18))
-            or raw.count(b" 0")):
-        return None
-    ends = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
-    if int(ends.max()) > n or np.any(ends[0::2] == ends[1::2]):
+    # the line loop's checks, the range first, as int_lines takes only ids
+    # of 1 or more; then the body must be what write_dimacs writes for them
+    if (ends.size == 0 or ends.size % 2 or ends.min() < 1 or ends.max() > n
+            or np.any(ends[0::2] == ends[1::2])
+            or int_lines(ends.reshape(-1, 2), lead="e ") != body):
         return None
     # canonical text has no edge line in its head: no copy then
     return n, np.concatenate([head_ends, ends]) if head_ends.size else ends, declared_m

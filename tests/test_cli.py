@@ -246,6 +246,17 @@ def test_bench_rejects_a_negative_seed(capsys):
     assert "seed must be a non-negative int, got -1" in out.err
 
 
+@pytest.mark.parametrize("alg", SOLVERS)
+def test_color_rejects_a_negative_seed(alg, tmp_path, capsys):
+    graph_path = tmp_path / "path.col"
+    graph_path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    rc = main(["color", "--alg", alg, "--input", str(graph_path), "--seed", "-1"])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "seed must be a non-negative int, got -1" in out.err
+
+
 def test_bench_rejects_repeated_names(tmp_path, capsys):
     # two files with one stem would share a Markdown row
     (tmp_path / "a").mkdir()
