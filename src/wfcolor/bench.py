@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import validate
-from .dimacs import load_dimacs
+from .dimacs import _int_token, load_dimacs
 from .graph import Graph, barabasi_albert, crown_graph, random_gnp, star_graph
 from .wfc import SolveResult, solve
 
@@ -214,7 +214,7 @@ def parse_best_known(text: str) -> dict[str, int]:
                 f"line {line_no}: expected '<instance-name> <k*>', got {raw!r}")
         name, value = tokens
         try:
-            k = int(value)
+            k = _int_token(value)
         except ValueError:
             raise ValueError(f"line {line_no}: bad k* value {value!r}") from None
         if k < 1:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimacs import int_lines
+from .dimacs import _int_token, int_lines
 from .graph import Graph
 
 UNCOLORED = 0  # sentinel in assignment arrays; real colors start at 1
@@ -94,7 +94,7 @@ def parse_coloring(text: str, n: int) -> Coloring:
         if len(tokens) != 2:
             raise ValueError(f"line {line_no}: expected '<vertex> <color>'")
         try:
-            v, c = int(tokens[0]), int(tokens[1])
+            v, c = _int_token(tokens[0]), _int_token(tokens[1])
         except ValueError:
             raise ValueError(f"line {line_no}: expected two integers") from None
         if not 1 <= v <= n:

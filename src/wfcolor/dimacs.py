@@ -55,9 +55,11 @@ def parse_dimacs(text: str | bytes | IO[str] | IO[bytes]) -> Graph:
     write_dimacs writes for their ids, which must be in range and give no
     self-loop.  Everything else goes through the line loop over
     str.splitlines(), which gives the same graph and is the only source of
-    DimacsParseError.  A problem line declaring more than MAX_VERTICES
-    vertices is malformed.  Bytes, and what a binary file object reads, are
-    decoded as UTF-8 with errors replaced, as load_dimacs decodes a file.
+    DimacsParseError.  A count or id that is not an ASCII decimal integer,
+    a sign allowed, makes its line malformed, and so does a problem line
+    declaring more than MAX_VERTICES vertices.  Bytes, and what a binary
+    file object reads, are decoded as UTF-8 with errors replaced, as
+    load_dimacs decodes a file.
     """
     if not isinstance(text, (str, bytes)):
         text = text.read()
@@ -124,7 +126,7 @@ def _parse_lines(lines: Iterable[str]) -> tuple[int, np.ndarray, int]:
             if len(tokens) != 4 or tokens[1] not in ("edge", "edges"):
                 raise DimacsParseError("malformed", line_no, f"bad problem line {raw!r}")
             try:
-                n, declared_m = int(tokens[2]), int(tokens[3])
+                n, declared_m = _int_token(tokens[2]), _int_token(tokens[3])
             except ValueError:
                 raise DimacsParseError("malformed", line_no, f"bad problem line {raw!r}") from None
             if n < 0 or declared_m < 0:
@@ -139,7 +141,7 @@ def _parse_lines(lines: Iterable[str]) -> tuple[int, np.ndarray, int]:
             if len(tokens) != 3:
                 raise DimacsParseError("malformed", line_no, f"bad edge line {raw!r}")
             try:
-                u, v = int(tokens[1]), int(tokens[2])
+                u, v = _int_token(tokens[1]), _int_token(tokens[2])
             except ValueError:
                 raise DimacsParseError("malformed", line_no, f"bad edge line {raw!r}") from None
             if u < 1 or u > n or v < 1 or v > n:
@@ -153,6 +155,15 @@ def _parse_lines(lines: Iterable[str]) -> tuple[int, np.ndarray, int]:
     if n < 0:
         raise DimacsParseError("missing-problem-line", 0, "no problem line found")
     return n, np.array(ends, dtype=np.int64), declared_m
+
+
+def _int_token(token: str) -> int:
+    """The int a token of outside text spells, or a ValueError: what int()
+    reads, less the two forms int_lines never writes and int() accepts, an
+    underscore ("1_0" is 10) and a non-ASCII digit.  A sign stays."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
 
 
 def load_dimacs(path) -> Graph:

@@ -117,7 +117,10 @@ class Graph:
 
 
 def _check_vertex_count(n: int) -> None:
-    # before any allocation: the CSR build allocates O(n) arrays
+    # before any allocation: the CSR build allocates O(n) arrays.  A bool is
+    # an int to Python, so it is rejected by type, as an endpoint is
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"vertex count {n!r} is not an integer")
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
@@ -170,6 +173,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     """G(n, p) with a seeded generator: each unordered pair is an edge with
     probability p.  The same (n, p, seed) yields the same graph everywhere.
     """
+    _check_vertex_count(n)
     if n < 1:
         raise ValueError("need at least one vertex")
     if not 0.0 <= p <= 1.0:

@@ -15,20 +15,23 @@ max(max_degree, 1) fails exactly when the pass needs more colors, and
 max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 
 DomainState is the paper's step API (set_color, observe, collapse,
-propagate), which a traced driver can time one by one, and the reference
-the tests hold solve to.  It keeps a heap of (saturation, rank) keys with
-lazy deletion and a Python-int bitset of the colors around each vertex, so
-memory grows with the colors in use, not with n times the budget.  It keeps
-no domain sets (oracle.naive_propagate does), and under a budget its one
-dead-end signal is observe returning RESTART.
+propagate) with an optional color budget, which a traced driver can time
+one by one, and the reference the tests hold solve to; solve does not use
+it.  It keeps a heap of (saturation, rank) keys with lazy deletion and a
+Python-int bitset of the colors around each vertex, so memory grows with
+the colors in use, not with n times the budget.  It keeps no domain sets
+(oracle.naive_propagate does), and under a budget its one dead-end signal
+is observe returning RESTART.
 
-solve runs one of two passes, picked from the graph alone by one rule on
-the mean degree (_is_dense); both give the steps' picks and colors.  Sparse
-graphs take DomainState._pass, the steps inlined in one loop over local
-variables, since three method calls and fresh attribute loads a pick cost
-about a fifth of the time there.  Dense graphs take _dense_pass, whose pick
-is the argmin of one key array and whose strike is a few whole-array numpy
-operations over uint64 color words instead of a Python loop over every arc.
+solve runs one of two passes, module functions with one signature and one
+result, picked from the graph alone by one rule on the mean degree
+(_is_dense); both give the steps' picks and colors.  Sparse graphs take
+_heap_pass, DomainState's heap layout with the steps inlined in one loop
+over local variables, since three method calls and fresh attribute loads a
+pick cost about a fifth of the time there.  Dense graphs take _dense_pass,
+whose pick is the argmin of one key array and whose strike is a few
+whole-array numpy operations over uint64 color words instead of a Python
+loop over every arc.
 """
 from __future__ import annotations
 
@@ -98,17 +101,15 @@ class DomainState:
     bitset.  A state is owned by a single run and never shared.
 
     Colors are bounded by n, or by m when it is smaller: no saturation
-    reaches n, so a larger budget changes no verdict of observe.
-
-    solve calls the private _pass on sparse graphs instead of the steps: it
-    runs them inlined in one loop and leaves the same state.
+    reaches n, so a larger budget changes no verdict of observe.  solve
+    builds no state: its passes are module functions.
     """
 
     def __init__(self, g: Graph, m: int | None = None, seed: int = 0,
                  tie_break: str = "degree"):
         if m is not None and m < 1:
             raise ValueError("need at least one color")
-        order = _rank_order(g, tie_break, seed)
+        self._order, self._key, self._heap = _heap_start(g, tie_break, seed)
         self.g = g
         self._n = n = g.n
         self.m = m
@@ -120,15 +121,10 @@ class DomainState:
         self._floor = (1 - self._cap) * n
         self._colored = 0
         self.stale_pops = 0
-        self._order = order.tolist()
         self._ptr = g.indptr.tolist()
         # colors used around each vertex, bit c-1 for color c; -1 (every
         # bit) once the vertex is colored, so strikes skip it in one test
         self._used = [0] * n
-        # each vertex's live key (at first its rank), or n (never a key)
-        # once it is colored
-        self._key = np.argsort(order).tolist()
-        self._heap = list(range(n))  # rank order: already a heap
 
     # -- counters ---------------------------------------------------------
 
@@ -233,71 +229,72 @@ class DomainState:
             key[w] = k
             heappush(heap, k)
         if len(heap) > 2 * (n - self._colored):
-            self._compact()
+            self._heap = _compact(heap, key, self._order, n)
         return True
 
-    def _compact(self) -> list[int]:
-        """Keep only the live keys, one per uncolored vertex, and return the
-        new heap: propagate calls this once the heap holds more than twice
-        the uncolored count, so each rebuild drops at least half the heap
-        and costs O(1) a push."""
-        n, key, order = self._n, self._key, self._order
-        heap = [k for k in self._heap if key[order[k % n]] == k]
-        heapify(heap)
-        self._heap = heap
-        return heap
 
-    def _pass(self, v: int) -> None:
-        """solve's pass from uncolored v: collapse and propagate v, then
-        observe, collapse and propagate until every vertex is colored.  The
-        steps are inlined over locals, and the state is left as the step
-        loop leaves it.  Under a budget a dead end raises at the color
-        check, where the step loop's observe would return RESTART."""
-        n = self._n
-        if not 0 <= v < n:
-            self._refuse(v)
-        colors, sat, used, key, order = (self._colors, self.sat, self._used,
-                                         self._key, self._order)
-        ptr, indices, cap = self._ptr, self.g.indices, self._cap
-        heap, colored, stale = self._heap, self._colored, self.stale_pops
-        try:
+def _heap_start(g: Graph, tie_break: str,
+                seed: int) -> tuple[list[int], list[int], list[int]]:
+    """The heap layout's first lists: the vertices in rank order, each
+    vertex's key, at first its rank (n, never a key, once it is colored),
+    and the heap of keys, which in rank order is already a heap."""
+    order = _rank_order(g, tie_break, seed)
+    return order.tolist(), np.argsort(order).tolist(), list(range(g.n))
+
+
+def _compact(heap: list[int], key: list[int], order: list[int],
+             n: int) -> list[int]:
+    """heap's live keys, one per uncolored vertex, as a new heap: the heap
+    layout calls this once its heap holds more than twice the uncolored
+    count, so each rebuild drops at least half the heap and costs O(1) a
+    push."""
+    heap = [k for k in heap if key[order[k % n]] == k]
+    heapify(heap)
+    return heap
+
+
+def _heap_pass(g: Graph, v: int, tie_break: str,
+               seed: int) -> tuple[list[int], list[int], int]:
+    """solve's pass on a sparse graph from vertex v, with tie_break and seed
+    as in DomainState: collapse and propagate v, then observe, collapse and
+    propagate until every vertex is colored, the steps inlined in one loop
+    over DomainState's lists as local variables.  Returns each vertex's
+    color, the saturation it was colored at and the stale heap pops."""
+    n = g.n
+    order, key, heap = _heap_start(g, tie_break, seed)
+    colors, sat, used = [0] * n, [0] * n, [0] * n
+    ptr, indices = g.indptr.tolist(), g.indices
+    stale = 0
+    for colored in range(1, n + 1):
+        # collapse: the lowest clear bit of v's bitset
+        u = used[v]
+        c = (~u & (u + 1)).bit_length()
+        colors[v] = c
+        sat[v] = -(key[v] // n)
+        key[v] = n
+        used[v] = -1
+        # propagate
+        bit = 1 << (c - 1)
+        for w in indices[ptr[v]:ptr[v + 1]].tolist():
+            u = used[w]
+            if u & bit:
+                continue
+            used[w] = u | bit
+            k = key[w] - n
+            key[w] = k
+            heappush(heap, k)
+        if len(heap) > 2 * (n - colored):
+            heap = _compact(heap, key, order, n)
+        if colored < n:
+            # observe
             while True:
-                # collapse: the lowest clear bit of v's bitset
-                if colors[v]:
-                    raise ValueError(f"vertex {v} already colored")
-                u = used[v]
-                c = (~u & (u + 1)).bit_length()
-                if c > cap:
-                    raise ValueError(f"color {c} outside 1..{cap}")
-                colors[v] = c
-                sat[v] = -(key[v] // n)
-                key[v] = n
-                used[v] = -1
-                colored += 1
-                # propagate
-                bit = 1 << (c - 1)
-                for w in indices[ptr[v]:ptr[v + 1]].tolist():
-                    u = used[w]
-                    if u & bit:
-                        continue
-                    used[w] = u | bit
-                    k = key[w] - n
-                    key[w] = k
-                    heappush(heap, k)
-                if len(heap) > 2 * (n - colored):
-                    heap = self._compact()
-                if colored == n:
-                    return
-                # observe
-                while True:
-                    k = heap[0]
-                    v = order[k % n]
-                    if key[v] == k:
-                        break
-                    heappop(heap)
-                    stale += 1
-        finally:
-            self._colored, self.stale_pops = colored, stale
+                k = heap[0]
+                v = order[k % n]
+                if key[v] == k:
+                    break
+                heappop(heap)
+                stale += 1
+    return colors, sat, stale
 
 
 # _dense_pass's bit masks, as np.uint64 scalars: numpy < 2 promotes uint64
@@ -309,12 +306,11 @@ _BITS = [np.uint64(1 << i) for i in range(64)]
 
 
 def _dense_pass(g: Graph, v: int, tie_break: str,
-                seed: int) -> tuple[list[int], list[int]]:
-    """solve's pass on a dense graph from vertex v, with tie_break and seed
-    as in DomainState: its picks and colors without its heap, so there are
-    no stale pops.  Returns each vertex's color and the saturation it was
-    colored at.  It draws the rank order itself, so that the order is freed
-    once the key array is built.
+                seed: int) -> tuple[list[int], list[int], int]:
+    """solve's pass on a dense graph, called as _heap_pass is: its picks
+    and colors without its heap.  Returns each vertex's color, the
+    saturation it was colored at and 0 stale pops.  It draws the rank order
+    itself, so that the order is freed once the key array is built.
 
     DomainState's keys sit in one int64 array, whose argmin is the pick (a
     colored vertex's key n exceeds every uncolored one's), and the colors
@@ -364,7 +360,7 @@ def _dense_pass(g: Graph, v: int, tie_break: str,
         if colored < n:
             # observe
             v = int(argmin())
-    return colors, sat
+    return colors, sat, 0
 
 
 def _is_dense(g: Graph) -> bool:
@@ -381,7 +377,8 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     """Color g in one saturation pass: seed the lowest-id maximum-degree
     vertex with color 1, then observe/collapse/propagate until every vertex
     is colored.  The pass is _dense_pass when _is_dense(g), and otherwise
-    DomainState's _pass; both give the picks of DomainState's steps.
+    _heap_pass; both give the picks of DomainState's steps, and neither
+    builds a DomainState.
 
     tie_break orders vertices of equal saturation: "degree" (highest degree,
     then lowest id) or "random" (a permutation of the vertices drawn from
@@ -398,13 +395,8 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     # the first maximum is the lowest id; nothing is colored yet, so its
     # smallest open color is 1
     v = int(np.argmax(g.degrees))
-    if _is_dense(g):
-        colors, sat = _dense_pass(g, v, tie_break, seed)
-        stale_pops = 0
-    else:
-        st = DomainState(g, seed=seed, tie_break=tie_break)
-        st._pass(v)
-        colors, sat, stale_pops = st._colors, st.sat, st.stale_pops
+    run = _dense_pass if _is_dense(g) else _heap_pass
+    colors, sat, stale_pops = run(g, v, tie_break, seed)
     coloring = Coloring(np.array(colors, dtype=np.int32))
     k = coloring.k
     m0 = max(g.max_degree, 1)

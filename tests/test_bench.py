@@ -185,6 +185,11 @@ def test_parse_best_known_rejects_repeats_and_low_k():
         with pytest.raises(ValueError, match=f"line {line}: k\\* must be >= 1"):
             parse_best_known(text)
     assert parse_best_known("x 5\ny 1\n") == {"x": 5, "y": 1}
+    # int() reads these as 12 and 2
+    for value in ("1_2", "\u0662"):
+        with pytest.raises(ValueError, match=f"line 1: bad k\\* value '{value}'"):
+            parse_best_known(f"x {value}\n")
+    assert parse_best_known("x +3\n") == {"x": 3}
 
 
 def test_bundled_best_known_values():

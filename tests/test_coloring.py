@@ -143,3 +143,8 @@ def test_parse_coloring_errors():
         parse_coloring("1 0\n", 3)
     with pytest.raises(ValueError, match="^line 2: color 2147483648 out of range"):
         parse_coloring("1 1\n2 2147483648\n", 3)
+    # int() reads these as 10 and 1; the ids are decimal ASCII, a sign allowed
+    for text in ("1_0 1\n", "\u0661 1\n", "1 1_0\n"):
+        with pytest.raises(ValueError, match="^line 1: expected two integers"):
+            parse_coloring(text, 12)
+    assert parse_coloring("+2 1\n", 3).assignment.tolist() == [0, 1, 0]

@@ -72,6 +72,25 @@ def test_malformed_lines(text):
         parse_dimacs(text)
 
 
+@pytest.mark.parametrize("text, line_no", [
+    ("p edge 20 1\ne 1_0 2\n", 2),  # int() reads 10
+    ("p edge 3 1\ne \u0661 2\n", 2),  # an Arabic-Indic 1
+    ("p edge 1_0 0\n", 1),
+    ("p edge 3 \u0661\n", 1),
+])
+def test_ids_write_dimacs_never_writes_are_malformed(text, line_no):
+    with pytest.raises(DimacsParseError) as exc:
+        parse_dimacs(text)
+    assert (exc.value.kind, exc.value.line_no) == ("malformed", line_no)
+
+
+def test_signed_ids_keep_their_meaning():
+    assert parse_dimacs("p edge 3 1\ne +1 2\n").edges() == [(0, 1)]
+    with pytest.raises(DimacsParseError) as exc:
+        parse_dimacs("p edge 3 1\ne -1 2\n")
+    assert exc.value.kind == "vertex-range"
+
+
 def test_declared_edge_count_is_advisory():
     with pytest.warns(DimacsWarning):
         g = parse_dimacs("p edge 3 5\ne 1 2\n")
@@ -136,7 +155,8 @@ def _loop_outcome(text):
 # whitespace to str.split, or line breaks to str.splitlines
 _SEPARATORS = ["\t", "  ", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
 # ids the line loop reads differently from np.fromstring, or rejects
-_TOKENS = ["+1", "-2", "01", "\u0661", "1\u0661", "0", "x", "1" * 19, "9" * 20, "2.0"]
+_TOKENS = ["+1", "-2", "01", "\u0661", "1\u0661", "1_0", "0", "x", "1" * 19, "9" * 20,
+           "2.0"]
 
 
 @st.composite
@@ -183,7 +203,9 @@ def dimacs_texts(draw):
 
 @settings(max_examples=400)
 @given(text=dimacs_texts())
-@example(text="p edge 12 1\ne 1 1\u0662\n")  # int() reads 12; np.fromstring cannot
+@example(text="p edge 12 1\ne 1 1\u0662\n")  # a non-ASCII digit: both paths refuse it
+@example(text="p edge 20 1\ne 1_0 2\n")  # int() reads 10
+@example(text="p edge 3 1\ne \u0661 2\n")  # int() reads 1
 @example(text=f"p edge {2**63 - 1} 1\ne 1 {2**63}\n")  # np.fromstring saturates
 @example(text=f"p edge {10**20} 0\ne\t1 {2**63}\ne 1 2\nx\n")  # n past int32
 # one edge line after the first breaking each rule of the bulk path's check

@@ -42,17 +42,23 @@ def test_from_edges_rejects_non_integer_pairs(edges):
 def test_from_edges_takes_any_integer_dtype(dtype):
     g = Graph.from_edges(3, np.array([[0, 1], [2, 1]], dtype=dtype))
     assert g.edges() == [(0, 1), (1, 2)]
+    # a numpy integer is a vertex count too
+    assert Graph.from_edges(np.int64(3), g.edges()).edges() == g.edges()
 
 
-@pytest.mark.parametrize("n", [-1, 2**31, 2**63 - 1, 10**20])
+@pytest.mark.parametrize("n", [-1, 2**31, 2**63 - 1, 10**20, True, 2.5, 2.0])
 def test_vertex_count_outside_int32_is_rejected_up_front(n):
-    # at n = 2**31 the CSR build alone would allocate tens of GB
+    # at n = 2**31 the CSR build alone would allocate tens of GB; a bool or
+    # a float is no count at all, and is refused by type before numpy casts
+    # it
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="vertex count"):
             Graph.from_edges(n, [])
         with pytest.raises(ValueError, match="vertex count"):
             Graph(n, np.array([0]), np.array([], dtype=np.int32))
+        with pytest.raises(ValueError, match="vertex count"):
+            random_gnp(n, 0.5, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

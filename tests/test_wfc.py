@@ -16,7 +16,7 @@ from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
 from wfcolor.oracle import naive_propagate
 from wfcolor.wfc import (RESTART, TIE_BREAKS, DomainState, _dense_pass,
-                         _is_dense, solve)
+                         _heap_pass, _is_dense, solve)
 
 
 # -- solve ------------------------------------------------------------------
@@ -296,9 +296,9 @@ def test_dense_layout_takes_less_memory_than_the_heap():
     # more
     g = random_gnp(1000, 0.5, 1)
     assert _is_dense(g)
-    dense, dense_peak = _peak(_dense_run, g)
+    dense, dense_peak = _peak(_run, _dense_pass, g)
     heap, heap_peak = _peak(_step_pass, g)
-    assert dense == (heap.colors.tolist(), heap.sat)
+    assert dense == (heap.colors.tolist(), heap.sat, 0)
     assert dense_peak < heap_peak
     assert dense_peak < 80 * g.n
 
@@ -307,13 +307,13 @@ def test_dense_layout_takes_less_memory_than_the_heap():
                                random_gnp(1000, 0.5, 1)],
                          ids=["heap", "dense"])
 def test_solve_takes_no_more_memory_than_the_steps(g):
-    # the inlined pass holds no per-pass list or array (indptr.tolist()
-    # alone would add about 36 bytes a vertex).  A peak moves by tens of
-    # bytes with the int objects alive at its moment, and solve builds its
-    # result after the pass, a few bytes a vertex; on the dense graph it
-    # runs _dense_pass, whose state is smaller still
+    # the heap pass holds no list or array the steps' state lacks
+    # (indptr.tolist() alone would add about 36 bytes a vertex).  A peak
+    # moves by tens of bytes with the int objects alive at its moment, and
+    # solve builds its result after the pass, a few bytes a vertex; on the
+    # dense graph it runs _dense_pass, whose state is smaller still
     steps = _peak(_step_pass, g)[1]
-    assert _peak(_inlined_pass, g)[1] <= steps + 256
+    assert _peak(_run, _heap_pass, g)[1] <= steps + 256
     assert _peak(solve, g)[1] <= steps + 4 * g.n
 
 
@@ -711,15 +711,19 @@ def _left(st_):
             [st_.saturation(v) for v in range(st_.g.n)])
 
 
-def _inlined_pass(g, tie_break="degree", seed=0):
-    st_ = DomainState(g, seed=seed, tie_break=tie_break)
-    st_._pass(int(np.argmax(g.degrees)))
-    return st_
+def _run(pass_, g, tie_break="degree", seed=0):
+    """pass_ (_heap_pass or _dense_pass) from solve's seed vertex, on any
+    graph: (colors, sat, stale pops)."""
+    return pass_(g, int(np.argmax(g.degrees)), tie_break, seed)
 
 
-def _dense_run(g, tie_break="degree", seed=0):
-    """_dense_pass from solve's seed vertex, on any graph: (colors, sat)."""
-    return _dense_pass(g, int(np.argmax(g.degrees)), tie_break, seed)
+def _check_pass(pass_, g, tie_break, seed, steps):
+    """Check that pass_ gives the colors and saturations of steps, the
+    state _step_pass leaves, and the heap pass its stale pops too (the
+    dense pass has no heap)."""
+    colors, sat, stale_pops = _run(pass_, g, tie_break, seed)
+    assert (colors, sat) == (steps.colors.tolist(), steps.sat)
+    assert stale_pops == (steps.stale_pops if pass_ is _heap_pass else 0)
 
 
 @given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
@@ -727,47 +731,40 @@ def _dense_run(g, tie_break="degree", seed=0):
 def test_pass_leaves_the_state_the_steps_leave(g, tie_break, seed):
     # either pass runs any graph, so _dense_pass is forced onto every family
     steps = _step_pass(g, tie_break, seed)
-    assert _left(_inlined_pass(g, tie_break, seed)) == _left(steps)
-    assert _dense_run(g, tie_break, seed) == (steps.colors.tolist(),
-                                              steps.sat)
+    for pass_ in (_heap_pass, _dense_pass):
+        _check_pass(pass_, g, tie_break, seed, steps)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-# the ids name the two saturation layouts: the heap's pass is
-# DomainState._pass, the dense one's is _dense_pass
-@pytest.mark.parametrize("layout", ["heap", "dense"],
+# the ids name the two saturation layouts: the heap's pass is _heap_pass,
+# the dense one's is _dense_pass
+@pytest.mark.parametrize("pass_", [_heap_pass, _dense_pass],
                          ids=["_HeapState", "_DenseState"])
 @pytest.mark.parametrize("name", ["gnp500_0.7", "K200", "crown200"])
 def test_pass_leaves_the_state_the_steps_leave_above_the_rule(
-        name, layout, tie_break):
+        name, pass_, tie_break):
     # graphs the rule routes to _dense_pass: more than 64 colors on K200
     # and gnp500_0.7, so several color words, and many heap compactions
     g = _dense_graph(name)
+    _check_pass(pass_, g, tie_break, 5, _step_pass(g, tie_break, 5))
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("dense", [False, True], ids=["heap", "dense"])
+def test_solve_builds_no_domain_state(dense, tie_break, monkeypatch):
+    # the step API is for the traced driver and the tests; solve's passes
+    # are module functions and still give the steps' coloring
+    g = _dense_graph("crown200") if dense else random_gnp(400, 0.02, 3)
+    assert _is_dense(g) == dense
     steps = _step_pass(g, tie_break, 5)
-    if layout == "heap":
-        assert _left(_inlined_pass(g, tie_break, 5)) == _left(steps)
-    else:
-        assert _dense_run(g, tie_break, 5) == (steps.colors.tolist(),
-                                               steps.sat)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve built a DomainState")
 
-def test_pass_keeps_the_steps_checks():
-    g = path_graph(3)
-    for v in (-1, 3):
-        with pytest.raises(ValueError, match="outside 0..2"):
-            DomainState(g)._pass(v)
-    st_ = DomainState(g)
-    st_.set_color(1, 1)
-    with pytest.raises(ValueError, match="vertex 1 already colored"):
-        st_._pass(1)
-    assert st_.colored_count == 1
-    # one color: where observe would return RESTART, the next color
-    # breaks the budget; the state holds the one colored vertex
-    st_ = DomainState(g, 1)
-    with pytest.raises(ValueError, match=r"color 2 outside 1\.\.1"):
-        st_._pass(1)
-    assert (st_.colors.tolist(), st_.colored_count) == ([0, 1, 0], 1)
-    assert [st_.saturation(v) for v in range(3)] == [1, 0, 1]
+    monkeypatch.setattr("wfcolor.wfc.DomainState", refuse)
+    r = solve(g, tie_break=tie_break, seed=5)
+    assert r.coloring.assignment.tolist() == steps.colors.tolist()
+    assert r.stats["stale_pops"] == (0 if dense else steps.stale_pops)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
