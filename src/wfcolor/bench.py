@@ -75,22 +75,23 @@ class BenchRow:
 
 def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
     """"crown:<n>", "gnp:<n>,<p>", "star:<n>" (n leaves) or "ba:<n>,<k>"
-    (Barabasi-Albert) to a (name, graph) pair.  gnp and ba draw from seed."""
+    (Barabasi-Albert) to a (name, graph) pair.  gnp and ba draw from seed.
+    Sizes are read as the DIMACS readers read ids, by dimacs._int_token."""
     kind, _, args = spec.partition(":")
     try:
         if kind == "crown":
-            n = int(args)
+            n = _int_token(args)
             return f"crown_{n}", crown_graph(n)
         if kind == "star":
-            n = int(args)
+            n = _int_token(args)
             return f"star_{n}", star_graph(n)
         if kind == "gnp":
             n_s, p_s = args.split(",")
-            n, p = int(n_s), float(p_s)
+            n, p = _int_token(n_s), float(p_s)
             return f"gnp_{n}_{p:g}", random_gnp(n, p, seed)
         if kind == "ba":
             n_s, k_s = args.split(",")
-            n, k = int(n_s), int(k_s)
+            n, k = _int_token(n_s), _int_token(k_s)
             return f"ba_{n}_{k}", barabasi_albert(n, k, seed)
     except ValueError as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from exc

@@ -16,8 +16,9 @@ load_dimacs decodes a file, so they take the same paths and split into the
 same lines.
 
 write_dimacs, like coloring.format_coloring, writes its lines of integers
-with int_lines: every id becomes 4-byte cells gathered from one table, and
-the NUL bytes that pad them are stripped from the joined text.
+with int_lines: every 3-digit group of an id is a 4-byte cell, gathered from
+one table straight into its column of the output matrix, and the NUL bytes
+that pad the cells are stripped from the matrix's bytes.
 """
 from __future__ import annotations
 
@@ -174,7 +175,11 @@ def load_dimacs(path) -> Graph:
 def write_dimacs(g: Graph) -> str:
     """Emit canonical DIMACS text: problem line, then each edge once as
     ``e u v`` with u < v, 1-based.  parse_dimacs inverts this exactly."""
-    ends = np.column_stack(g.edge_arrays()) + 1
+    us, ws = g.edge_arrays()
+    ends = np.empty((g.m, 2), np.int64)
+    np.add(us, 1, out=ends[:, 0])
+    np.add(ws, 1, out=ends[:, 1])
+    del us, ws  # not live beside int_lines's buffers
     return f"p edge {g.n} {g.m}\n" + int_lines(ends, lead="e ")
 
 
@@ -194,22 +199,29 @@ _CELLS = np.concatenate([np.insert(_GROUPS, 3, sep, axis=1) for sep in b"\0 \n"]
 def int_lines(rows: np.ndarray, lead: str = "") -> str:
     """One line per row of a 2-D array of ints in 1..10**18 - 1: ``lead``
     (at most 4 ASCII characters), then the row's ints in decimal, separated
-    by single spaces, then ``\n``.  "" for no rows."""
+    by single spaces, then ``\n``.  "" for no rows.
+
+    Each id takes as many 3-digit groups as the largest one needs, and each
+    group's cells are gathered from _CELLS straight into its columns of one
+    uint32 matrix, whose bytes less the NULs are the text."""
     rows = np.asarray(rows, dtype=np.int64)
     m, k = rows.shape
-    # every id gets as many 3-digit groups as the largest one needs
     groups = (len(str(int(rows.max(initial=1)))) + 2) // 3
     width = 1 if lead else 0
     mat = np.empty((m, width + k * groups), "<u4")
     if lead:
         mat[:, 0] = np.frombuffer(lead.encode("ascii").ljust(4, b"\0"), "<u4")[0]
-    for j in range(groups):
+    for j in range(groups - 1):  # every group but the last
         t = rows // 1000 ** (groups - 1 - j)  # the id's first j + 1 groups
         if j:  # t < 1000 only while the id's groups before this one are all 0
             t = np.minimum(t, t % 1000 + 1000)
-        if j == groups - 1:  # a " " after each id, a "\n" after the row's last
-            t += np.array([2000] * (k - 1) + [4000])
-        mat[:, width + j::groups] = _CELLS[t]
+        np.take(_CELLS, t, out=mat[:, width + j::groups], mode="raise")
+    # the last group, with a " " after each id and a "\n" after the row's
+    # last; an id below 1000 is its one group's index as it is
+    t = np.minimum(rows, rows % 1000 + 1000) if groups > 1 else rows
+    np.take(_CELLS[2000:4000], t[:, :-1], out=mat[:, width + groups - 1:-1:groups],
+            mode="raise")
+    np.take(_CELLS[4000:6000], t[:, -1], out=mat[:, -1], mode="raise")
     return mat.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -116,11 +116,16 @@ class Graph:
         return cls(n=n, indptr=indptr, indices=indices)
 
 
+def _check_int(x: int, what: str) -> None:
+    # a bool is an int to Python, so it is rejected by type, as an endpoint
+    # is; numpy integers pass
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{what} {x!r} is not an integer")
+
+
 def _check_vertex_count(n: int) -> None:
-    # before any allocation: the CSR build allocates O(n) arrays.  A bool is
-    # an int to Python, so it is rejected by type, as an endpoint is
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"vertex count {n!r} is not an integer")
+    # before any allocation: the CSR build allocates O(n) arrays
+    _check_int(n, "vertex count")
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
@@ -162,6 +167,7 @@ def crown_graph(pairs: int) -> Graph:
 
     Every vertex has degree n-1; the graph is bipartite with n(n-1) edges.
     """
+    _check_int(pairs, "pair count")
     n = pairs
     if n < 2:
         raise ValueError("crown graph needs at least 2 vertex pairs")
@@ -186,6 +192,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """A hub joined to ``leaves`` vertices: vertex 0 to each of 1..leaves."""
+    _check_int(leaves, "leaf count")
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
     leaf = np.arange(1, leaves + 1)
@@ -198,6 +205,8 @@ def barabasi_albert(n: int, k: int, seed: int) -> Graph:
     generator: vertices k..n-1 arrive in turn, and each joins k distinct
     earlier vertices, picked with probability proportional to their degree.
     The first arrival joins vertices 0..k-1, which start with no edges."""
+    _check_vertex_count(n)
+    _check_int(k, "k")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
     rng = np.random.default_rng(seed)

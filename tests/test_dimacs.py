@@ -335,21 +335,42 @@ def test_write_matches_the_format_string_writer(n):
     assert write_dimacs(g) == _format_string_writer(g)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("lead", ["", "e "])
-def test_int_lines_matches_str_of_each_int(k, lead):
+# the largest id sets how many 3-digit groups every id gets: 1, 1, 2, 3, 6;
+# a 6-group case is named by its lead and k alone
+@pytest.mark.parametrize("lead, k, largest", [
+    pytest.param(lead, k, largest, id=f"{lead}-{k}" + (f"-{largest}" if largest < 10**17 else ""))
+    for largest in (9, 999, 1000, 10**6, 10**18 - 1) for k in (1, 2, 3)
+    for lead in ("", "e ", "abcd")])
+def test_int_lines_matches_str_of_each_int(lead, k, largest):
     rng = np.random.default_rng(k)
-    values = np.concatenate([_BOUNDARY_IDS, rng.integers(1, 2**31, 90), [10**18 - 1]])
+    values = np.concatenate([[i for i in _BOUNDARY_IDS if i < largest],
+                             rng.integers(1, largest, 90, endpoint=True), [largest]])
     rows = values[:values.size // k * k].reshape(-1, k)
     want = "".join(lead + " ".join(map(str, row)) + "\n" for row in rows.tolist())
     assert int_lines(rows, lead) == want
     assert int_lines(rows[:0], lead) == ""
 
 
-def test_parse_of_written_text_peaks_under_11_mb():
-    # the round trip of dimacs_pipeline's 122k-edge text: 10.2 MiB.  A regex
-    # check of the edge lines alone peaked at 25.9 MB on it, and a byte check
-    # with separator and length arrays at 11.6 MiB
+def test_write_peaks_under_7_mb():
+    # dimacs_pipeline's 122k-edge text: 6.1 MiB.  A gathered copy of the
+    # cells beside the output matrix reads 7.95 MiB, and the edge arrays
+    # kept live through int_lines would pass the bound too
+    g = random_gnp(700, 0.5, 408)
+    tracemalloc.start()
+    try:
+        text = write_dimacs(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == g.m + 1
+    assert peak < 7 * 2**20
+
+
+def test_parse_of_written_text_peaks_under_9_5_mb():
+    # the round trip of dimacs_pipeline's 122k-edge text: 8.7 MiB, and 10.2
+    # MiB with int_lines's cells gathered into a copy.  A regex check of the
+    # edge lines alone peaked at 25.9 MB on it, and a byte check with
+    # separator and length arrays at 11.6 MiB
     g = random_gnp(700, 0.5, 408)
     tracemalloc.start()
     try:
@@ -358,4 +379,4 @@ def test_parse_of_written_text_peaks_under_11_mb():
     finally:
         tracemalloc.stop()
     assert back.m == g.m
-    assert peak < 11 * 2**20
+    assert peak < 9.5 * 2**20

@@ -205,6 +205,20 @@ def test_star_shape():
         star_graph(0)
 
 
+@pytest.mark.parametrize("make, args", [
+    (crown_graph, (2.5,)), (crown_graph, (True,)), (star_graph, (True,)),
+    (star_graph, (3.0,)), (barabasi_albert, (5.5, 2, 0)),
+    (barabasi_albert, (True, 1, 0)), (barabasi_albert, (5, 2.0, 0))])
+def test_generators_reject_counts_that_are_not_integers(make, args):
+    # a bool or float count is refused by type, as _check_vertex_count does;
+    # numpy integers pass
+    with pytest.raises(ValueError, match="is not an integer"):
+        make(*args)
+    numpy_args = tuple(np.int64(3) if isinstance(a, (bool, float)) else a for a in args)
+    plain_args = tuple(int(a) for a in numpy_args)
+    assert make(*numpy_args).edges() == make(*plain_args).edges()
+
+
 @pytest.mark.parametrize("n, k, seed", [(2, 1, 0), (10, 1, 3), (40, 3, 1),
                                         (200, 5, 9)])
 def test_ba_joins_each_arrival_to_k_earlier_vertices(n, k, seed):
