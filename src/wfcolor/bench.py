@@ -76,7 +76,9 @@ class BenchRow:
 def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
     """"crown:<n>", "gnp:<n>,<p>", "star:<n>" (n leaves) or "ba:<n>,<k>"
     (Barabasi-Albert) to a (name, graph) pair.  gnp and ba draw from seed.
-    Sizes are read as the DIMACS readers read ids, by dimacs._int_token."""
+    Sizes are read as the DIMACS readers read ids, by dimacs._int_token, and
+    gnp's probability refuses the same two forms: an underscore and a
+    non-ASCII character."""
     kind, _, args = spec.partition(":")
     try:
         if kind == "crown":
@@ -87,6 +89,8 @@ def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
             return f"star_{n}", star_graph(n)
         if kind == "gnp":
             n_s, p_s = args.split(",")
+            if "_" in p_s or not p_s.isascii():
+                raise ValueError(f"not a decimal number: {p_s!r}")
             n, p = _int_token(n_s), float(p_s)
             return f"gnp_{n}_{p:g}", random_gnp(n, p, seed)
         if kind == "ba":

@@ -4,7 +4,9 @@ Vertices are 0-based ints.  All solvers in this package read the
 ``indptr``/``indices`` arrays directly, so graphs are canonicalized once at
 construction: deduplicated, symmetric, self-loop free, neighbors sorted.
 The generators and the DIMACS parser hand ``Graph.from_edges`` a (k, 2) int64
-endpoint array; the CSR is built and checked with whole-array numpy operations.
+endpoint array, and it builds the CSR with whole-array numpy operations.  That
+CSR is canonical by construction, so it is not checked again; a CSR handed to
+``Graph(n, indptr, indices)`` is checked in full.
 """
 from __future__ import annotations
 
@@ -32,6 +34,9 @@ class Graph:
 
     def __post_init__(self) -> None:
         _check_canonical(self.n, self.indptr, self.indices)
+        self._freeze()
+
+    def _freeze(self) -> None:
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
 
@@ -78,6 +83,10 @@ class Graph:
         Duplicate pairs and both orientations of an edge collapse to one
         undirected edge.  Self-loops are rejected, and so is an n outside
         0..MAX_VERTICES, before anything is allocated.
+
+        The CSR is canonical by construction, so the graph skips the check
+        that ``Graph(n, indptr, indices)`` runs; a test holds every output
+        to that check instead.
         """
         _check_vertex_count(n)
         items = edges if isinstance(edges, np.ndarray) else list(edges)
@@ -111,9 +120,16 @@ class Graph:
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         keys %= n
         indices = keys.astype(np.int32)
-        # free the keys before the canonical check allocates its own
-        del fresh, keys
-        return cls(n=n, indptr=indptr, indices=indices)
+        # sorted, deduplicated keys of both orientations give a sorted,
+        # symmetric, loop-free CSR, so the fields are set without
+        # __post_init__: its check runs on every public Graph(...), and on
+        # this path in test_from_edges_output_is_canonical
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "indptr", indptr)
+        object.__setattr__(g, "indices", indices)
+        g._freeze()
+        return g
 
 
 def _check_int(x: int, what: str) -> None:

@@ -44,7 +44,9 @@ def test_generator_specs():
     for bad in ("crown:x", "gnp:20", "ring:5", "gnp:20,2,3", "star:0",
                 "star:", "ba:50", "ba:5,5", "ba:5,0", "ba:5,1.5",
                 # int() reads these as 10 and 3; the DIMACS readers do not
-                "crown:1_0", "star:\u0663", "gnp:2_0,0.5", "ba:50,\u0662"):
+                "crown:1_0", "star:\u0663", "gnp:2_0,0.5", "ba:50,\u0662",
+                # and float() reads these as p = 0.25 and 0.5
+                "gnp:10,0.2_5", "gnp:10,\u0660.5"):
         with pytest.raises(ValueError):
             parse_generator_spec(bad, seed=0)
 

@@ -1,14 +1,17 @@
+import copy
 import hashlib
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from util import complete_graph
-from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
-                           star_graph)
+from wfcolor.dimacs import parse_dimacs
+from wfcolor.graph import (Graph, _check_canonical, barabasi_albert,
+                           crown_graph, random_gnp, star_graph)
 
 
 def test_from_edges_dedupes_and_symmetrizes():
@@ -71,10 +74,11 @@ def test_from_edges_empty_input_is_edgeless():
         assert g.n == 3 and g.m == 0
 
 
-def test_from_edges_builds_and_checks_in_little_memory():
-    # 122,608 edges: one int64 key array of both orientations is 1.9 MB, and
-    # the canonical check's int32 sources and two int64 key arrays 4.7 MB;
-    # a copy per step (concatenate, sort, dedupe, modulo) took 11 MB
+def test_from_edges_builds_in_little_memory():
+    # 122,608 edges: one int64 key array of both orientations is 1.9 MB and
+    # the int32 indices 1.0 MB.  Checking that CSR again would add int32
+    # sources and two int64 key arrays, 4.7 MB; a copy per step
+    # (concatenate, sort, dedupe, modulo) took 11 MB
     g = random_gnp(700, 0.5, 408)
     us, ws = g.edge_arrays()
     pairs = np.column_stack((us, ws)).astype(np.int64)
@@ -87,7 +91,7 @@ def test_from_edges_builds_and_checks_in_little_memory():
     assert h.m == 122_608
     assert h.indptr.tobytes() == g.indptr.tobytes()
     assert h.indices.tobytes() == g.indices.tobytes()
-    assert peak < 7 * 2**20
+    assert peak < 4 * 2**20
 
 
 def test_degrees_and_max_degree():
@@ -306,6 +310,21 @@ def test_from_edges_matches_edge_set_reference(case):
         assert np.array_equal(g.indices, indices)
 
 
+@given(case=_edge_lists(),
+       dtype=st.sampled_from([np.int8, np.uint8, np.int16, np.int32, np.uint32,
+                              np.int64, np.uint64]))
+@example(case=(0, []), dtype=np.int64)
+@example(case=(1, []), dtype=np.uint8)
+@example(case=(25, []), dtype=np.int8)
+def test_from_edges_output_is_canonical(case, dtype):
+    # from_edges skips the check that Graph(n, indptr, indices) runs, since
+    # its CSR is canonical by construction; this holds it to that check
+    n, pairs = case
+    for edges in (pairs, np.array(pairs, dtype=dtype).reshape(-1, 2)):
+        g = Graph.from_edges(n, edges)
+        _check_canonical(g.n, g.indptr, g.indices)
+
+
 def test_gnp_rejects_bad_probability():
     with pytest.raises(ValueError):
         random_gnp(5, -0.1, seed=0)
@@ -328,9 +347,19 @@ def test_generated_graphs_are_canonical(n, p, seed):
 
 
 def test_graph_arrays_are_frozen():
-    g = crown_graph(3)
-    with pytest.raises(ValueError):
-        g.indices[0] = 0
+    pairs = [(0, 1), (2, 1), (1, 0), (3, 0)]
+    built = [Graph.from_edges(4, pairs), Graph.from_edges(4, np.array(pairs)),
+             random_gnp(12, 0.5, 3), crown_graph(3), star_graph(4),
+             barabasi_albert(12, 2, 3),
+             parse_dimacs("p edge 4 3\ne 1 2\ne 2 3\ne 4 1\n")]
+    for g in built:
+        for a in (g.indptr, g.indices):
+            with pytest.raises(ValueError):
+                a[-1] = 0
+        for h in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            assert h.n == g.n
+            assert np.array_equal(h.indptr, g.indptr)
+            assert np.array_equal(h.indices, g.indices)
 
 
 _SHAPE = "indptr and indices must be 1-D signed integer arrays"
