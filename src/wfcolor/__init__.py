@@ -4,8 +4,8 @@ from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import Coloring, Verdict, validate
 from .dimacs import (DimacsParseError, DimacsWarning, load_dimacs,
                      parse_dimacs, save_dimacs, write_dimacs)
-from .exact import OracleLimitError, exact_chromatic
 from .graph import Graph, crown_graph, random_gnp
+from .oracle import OracleLimitError, exact_chromatic
 from .wfc import RESTART, DomainState, SolveResult, solve
 
 __all__ = [

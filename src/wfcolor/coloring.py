@@ -12,10 +12,10 @@ UNCOLORED = 0  # sentinel in assignment arrays; real colors start at 1
 MAX_COLOR = int(np.iinfo(np.int32).max)  # assignments are stored as int32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
     """Per-vertex color assignment.  Colors are positive ints starting at 1;
-    0 marks an unassigned vertex."""
+    0 marks an unassigned vertex.  Colorings compare and hash by identity."""
 
     assignment: np.ndarray = field(repr=False)
 
@@ -28,6 +28,10 @@ class Coloring:
         a = np.array(a, dtype=np.int32)  # a private copy: only it is frozen
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
+
+    def __reduce__(self):
+        # a copy or an unpickled coloring is rebuilt frozen
+        return type(self), (self.assignment,)
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ construction: deduplicated, symmetric, self-loop free, neighbors sorted.
 The generators and the DIMACS parser hand ``Graph.from_edges`` a (k, 2) int64
 endpoint array, and it builds the CSR with whole-array numpy operations.  That
 CSR is canonical by construction, so it is not checked again; a CSR handed to
-``Graph(n, indptr, indices)`` is checked in full.
+``Graph(n, indptr, indices)``, or unpickled, is checked in full and copied.
 """
 from __future__ import annotations
 
@@ -19,13 +19,14 @@ import numpy as np
 MAX_VERTICES = 2**31 - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """A simple undirected graph.
 
     indptr/indices form the usual CSR layout: the neighbors of vertex v are
     ``indices[indptr[v]:indptr[v + 1]]``, sorted ascending.  Arrays are
     read-only so a Graph can be shared freely across concurrent solver runs.
+    Graphs compare and hash by identity.
     """
 
     n: int
@@ -34,7 +35,15 @@ class Graph:
 
     def __post_init__(self) -> None:
         _check_canonical(self.n, self.indptr, self.indices)
+        # private copies: the caller's arrays, or the base of a view, stay
+        # writable and must not reach a checked graph
+        object.__setattr__(self, "indptr", self.indptr.copy())
+        object.__setattr__(self, "indices", self.indices.copy())
         self._freeze()
+
+    def __reduce__(self):
+        # a copy or an unpickled graph is outside input: check and freeze it
+        return type(self), (self.n, self.indptr, self.indices)
 
     def _freeze(self) -> None:
         self.indptr.setflags(write=False)

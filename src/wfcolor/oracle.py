@@ -1,51 +1,60 @@
-"""Brute-force cross-checks used by the test suite.  Correctness over speed:
-nothing here shares code with the solver paths it verifies."""
+"""Test oracles: the exact chromatic number by backtracking, and the
+paper's loop recomputed step by step.  Correctness over speed: nothing here
+shares code with the solver paths it verifies, and the exhaustive search
+refuses graphs above a vertex cap so runtimes stay harmless."""
 from __future__ import annotations
-
-from itertools import permutations
 
 import numpy as np
 
-from .coloring import UNCOLORED
-from .exact import OracleLimitError
+from .coloring import UNCOLORED, Coloring
 from .graph import Graph
 
+ORACLE_LIMIT = 12
 
-def best_greedy_ordering_k(g: Graph, limit: int = 8) -> int:
-    """Minimum color count of first-fit greedy over every vertex ordering.
 
-    Some ordering always achieves the chromatic number, so a complete
-    enumeration returns exactly that.  Uses its own inline greedy so it stays
-    independent of the library's colorers.  It visits up to n! orderings,
-    so a graph of more than limit vertices raises OracleLimitError.
+class OracleLimitError(ValueError):
+    """Graph too large for exhaustive search."""
+
+
+def exact_chromatic(g: Graph, limit: int = ORACLE_LIMIT) -> tuple[int, Coloring]:
+    """True chromatic number plus a witness coloring.
+
+    Iterative deepening on k with plain backtracking; vertices are tried
+    largest-degree first.  Returning k proves both that a proper k-coloring
+    exists (the witness) and that the k-1 search below it failed.
     """
-    n = g.n
-    if n > limit:
-        raise OracleLimitError(f"{n} vertices exceeds oracle limit {limit}")
-    if n == 0:
-        return 0
-    adj = [g.neighbors(v).tolist() for v in range(n)]
-    col = [0] * n
-    best = n + 1
-    for perm in permutations(range(n)):
-        hi = 0
-        for v in perm:
-            taken = 0
-            for w in adj[v]:
-                taken |= 1 << col[w]
-            c = 1
-            while taken >> c & 1:
-                c += 1
-            col[v] = c
-            if c > hi:
-                hi = c
-        if hi < best:
-            best = hi
-            if best == 1:
-                break
-        for v in perm:
-            col[v] = 0
-    return best
+    if g.n > limit:
+        raise OracleLimitError(f"{g.n} vertices exceeds oracle limit {limit}")
+    if g.n == 0:
+        return 0, Coloring(np.empty(0, dtype=np.int32))
+    degrees = g.degrees
+    order = sorted(range(g.n), key=lambda v: (-degrees[v], v))
+    adj = [g.neighbors(v).tolist() for v in range(g.n)]
+    colors = [0] * g.n
+
+    def place(pos: int, k: int, used: int) -> bool:
+        if pos == g.n:
+            return True
+        v = order[pos]
+        taken = 0
+        for w in adj[v]:
+            if colors[w]:
+                taken |= 1 << colors[w]
+        # allow at most one brand-new color: higher ones are symmetric
+        top = min(k, used + 1)
+        for c in range(1, top + 1):
+            if taken >> c & 1:
+                continue
+            colors[v] = c
+            if place(pos + 1, k, max(used, c)):
+                return True
+            colors[v] = 0
+        return False
+
+    for k in range(1, g.n + 1):
+        if place(0, k, 0):
+            return k, Coloring(np.array(colors, dtype=np.int32))
+    raise AssertionError("n colors always suffice")  # pragma: no cover
 
 
 def naive_propagate(g: Graph, colors: np.ndarray, m: int, v: int):

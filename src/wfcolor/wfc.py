@@ -54,7 +54,7 @@ DENSE_DEGREE = 150
 DENSE_PER_N = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     """A coloring with its color count k.  For the collapse solver,
     restarts is 0 or 1 and final_m = max(max_degree, 1) + restarts is the
@@ -62,7 +62,8 @@ class SolveResult:
     vertices its cascade colors.  stats holds the pass's work counters:
     selections (vertices picked), strikes (colors struck from neighbors,
     one key update each) and stale_pops (outdated heap keys discarded; 0 on
-    the dense pass, which has no heap)."""
+    the dense pass, which has no heap).  Results compare and hash by
+    identity."""
 
     coloring: Coloring
     k: int

@@ -9,9 +9,9 @@ from util import complete_graph, cycle_graph
 from wfcolor.baselines import (dsatur, iterated_greedy, resolve_order, rlf,
                                xorshift32)
 from wfcolor.coloring import validate
-from wfcolor.exact import exact_chromatic
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
+from wfcolor.oracle import exact_chromatic
 
 
 # -- iterated greedy ----------------------------------------------------------

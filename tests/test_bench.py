@@ -149,6 +149,11 @@ def test_markdown_groups_by_instance():
 def test_markdown_renders_na():
     rows = [_sample_row(k=None, time_mean_us=None, best_known=None)]
     assert "| N/A | N/A |" in render_markdown(rows)
+    # an (instance, algorithm) pair with no row: star_3 has no ig row
+    rows = [_sample_row(), _sample_row(algorithm="ig"),
+            _sample_row(instance="star_3", best_known=None)]
+    assert render_markdown(rows).splitlines()[3] == \
+        "| star_3 | 2 | 12.346 | N/A | N/A |"
 
 
 def test_speedup_summary_mentions_ratios():

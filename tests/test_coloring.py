@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -7,6 +10,7 @@ from util import complete_graph
 from wfcolor.coloring import (MAX_COLOR, UNCOLORED, Coloring, format_coloring,
                               parse_coloring, validate)
 from wfcolor.graph import crown_graph
+from wfcolor.wfc import solve
 
 
 def test_k_counts_distinct_colors_not_max():
@@ -28,6 +32,7 @@ def test_k_counts_as_a_set_does(colors):
 
 def test_partial_coloring():
     c = Coloring.from_list([1, None, 2])
+    assert c.n == 3
     assert not c.total
     assert c.color_of(1) is None
     assert c.k == 2
@@ -35,13 +40,14 @@ def test_partial_coloring():
 
 def test_validate_triangle_proper():
     g = complete_graph(3)
-    assert validate(g, Coloring.from_list([1, 2, 3])).ok
+    v = validate(g, Coloring.from_list([1, 2, 3]))
+    assert v.ok and v
 
 
 def test_validate_triangle_conflict():
     g = complete_graph(3)
     v = validate(g, Coloring.from_list([1, 2, 2]))
-    assert not v.ok
+    assert not v.ok and not v
     assert v.conflict == (1, 2)
     assert v.uncolored is None
 
@@ -76,6 +82,11 @@ def test_coloring_rejects_negative():
         Coloring(np.array([-1, 2], dtype=np.int32))
 
 
+def test_coloring_rejects_a_matrix():
+    with pytest.raises(ValueError, match="must be a flat per-vertex array"):
+        Coloring(np.zeros((2, 2), np.int32))
+
+
 @pytest.mark.parametrize("assignment", [
     np.array([2**40, 1]),  # an int32 cast would wrap it to [0, 1]
     np.array([2**31, 1], dtype=np.uint32),
@@ -100,6 +111,14 @@ def test_coloring_leaves_the_callers_array_writable():
     a[0] = 1  # raised "assignment destination is read-only" before
     assert c.assignment.tolist() == [0, 0, 0]
     assert not c.assignment.flags.writeable
+
+
+def test_coloring_copies_stay_frozen():
+    c = solve(crown_graph(3)).coloring
+    for d in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert d.assignment.tolist() == c.assignment.tolist()
+        with pytest.raises(ValueError):
+            d.assignment[0] = 0
 
 
 def test_coloring_takes_the_int32_range():
@@ -148,3 +167,5 @@ def test_parse_coloring_errors():
         with pytest.raises(ValueError, match="^line 1: expected two integers"):
             parse_coloring(text, 12)
     assert parse_coloring("+2 1\n", 3).assignment.tolist() == [0, 1, 0]
+    # blank and comment lines are skipped
+    assert parse_coloring("\n# a comment\n2 1\n", 3).assignment.tolist() == [0, 1, 0]

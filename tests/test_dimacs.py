@@ -77,6 +77,8 @@ def test_malformed_lines(text):
     ("p edge 3 1\ne \u0661 2\n", 2),  # an Arabic-Indic 1
     ("p edge 1_0 0\n", 1),
     ("p edge 3 \u0661\n", 1),
+    ("p edge -1 0\n", 1),  # negative counts
+    ("p edge 3 -1\n", 1),
 ])
 def test_ids_write_dimacs_never_writes_are_malformed(text, line_no):
     with pytest.raises(DimacsParseError) as exc:

@@ -2,10 +2,10 @@ from itertools import product
 
 import pytest
 
-from util import complete_graph, cycle_graph, path_graph
+from util import colorable, complete_graph, cycle_graph, path_graph
 from wfcolor.coloring import Coloring, validate
-from wfcolor.exact import OracleLimitError, exact_chromatic
-from wfcolor.graph import crown_graph, random_gnp
+from wfcolor.graph import Graph, crown_graph, random_gnp
+from wfcolor.oracle import OracleLimitError, exact_chromatic
 
 
 def test_clique_needs_clique_size():
@@ -29,6 +29,8 @@ def test_crown_is_two_chromatic():
 
 
 def test_small_shapes():
+    k, witness = exact_chromatic(Graph.from_edges(0, []))
+    assert k == 0 and witness.n == 0
     assert exact_chromatic(path_graph(1))[0] == 1
     assert exact_chromatic(path_graph(4))[0] == 2
     assert exact_chromatic(cycle_graph(6))[0] == 2
@@ -48,8 +50,4 @@ def test_witness_and_minimality_against_bruteforce():
         k, witness = exact_chromatic(g)
         assert validate(g, witness).ok
         assert witness.k == k
-        if k > 1:
-            feasible_below = any(
-                validate(g, Coloring.from_list(list(c))).ok
-                for c in product(range(1, k), repeat=g.n))
-            assert not feasible_below
+        assert not colorable(g, k - 1)

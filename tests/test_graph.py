@@ -356,10 +356,25 @@ def test_graph_arrays_are_frozen():
         for a in (g.indptr, g.indices):
             with pytest.raises(ValueError):
                 a[-1] = 0
-        for h in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        for h in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
             assert h.n == g.n
             assert np.array_equal(h.indptr, g.indptr)
             assert np.array_equal(h.indices, g.indices)
+            for a in (h.indptr, h.indices):
+                with pytest.raises(ValueError):
+                    a[-1] = 0
+
+
+def test_graph_keeps_its_own_arrays():
+    # a view's base stays writable, so the graph must not keep the view
+    base = np.array([0, 1, 2, 1, 0], np.int32)
+    g = Graph(2, base[:3], base[3:])
+    base[3] = 0
+    assert g.indices.tolist() == [1, 0]
+    # and the caller's own arrays are left writable
+    indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
+    Graph(2, indptr, indices)
+    assert indptr.flags.writeable and indices.flags.writeable
 
 
 _SHAPE = "indptr and indices must be 1-D signed integer arrays"

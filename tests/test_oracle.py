@@ -1,37 +1,10 @@
 import numpy as np
 import pytest
 
-from util import complete_graph, cycle_graph, path_graph
-from wfcolor.exact import OracleLimitError, exact_chromatic
-from wfcolor.graph import Graph, crown_graph, random_gnp
-from wfcolor.oracle import best_greedy_ordering_k, naive_propagate, paper_wfc
+from util import complete_graph, path_graph
+from wfcolor.graph import Graph, random_gnp
+from wfcolor.oracle import naive_propagate, paper_wfc
 from wfcolor.wfc import RESTART, DomainState
-
-
-def test_best_ordering_triangle():
-    assert best_greedy_ordering_k(complete_graph(3)) == 3
-
-
-def test_best_ordering_crown_matches_exact():
-    g = crown_graph(3)
-    assert best_greedy_ordering_k(g) == 2 == exact_chromatic(g)[0]
-
-
-def test_best_ordering_odd_cycle():
-    g = cycle_graph(5)
-    assert best_greedy_ordering_k(g) == 3 == exact_chromatic(g)[0]
-
-
-def test_best_ordering_budget():
-    g = random_gnp(9, 0.5, seed=0)
-    with pytest.raises(OracleLimitError):
-        best_greedy_ordering_k(g)
-    # a raised cap admits the same graph
-    assert best_greedy_ordering_k(g, limit=9) >= 1
-
-
-def test_best_ordering_edgeless():
-    assert best_greedy_ordering_k(Graph.from_edges(4, [])) == 1
 
 
 def test_naive_propagate_path_center():
@@ -62,6 +35,8 @@ def test_naive_propagate_requires_colored_vertex():
     g = path_graph(2)
     with pytest.raises(ValueError):
         naive_propagate(g, np.zeros(2, dtype=np.int32), 2, 0)
+    with pytest.raises(ValueError, match="need at least one color"):
+        naive_propagate(g, np.array([1, 0], dtype=np.int32), 0, 0)
 
 
 def test_naive_propagate_matches_forced_picks():

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 from util import complete_graph, cycle_graph, path_graph
 from wfcolor.baselines import dsatur
 from wfcolor.coloring import validate
-from wfcolor.exact import exact_chromatic
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
-from wfcolor.oracle import naive_propagate
+from wfcolor.oracle import exact_chromatic, naive_propagate
 from wfcolor.wfc import (RESTART, TIE_BREAKS, DomainState, _dense_pass,
                          _heap_pass, _is_dense, solve)
 
@@ -94,6 +93,18 @@ def test_config_validation():
             solve(g, tie_break=tie_break, seed=-1)
         with pytest.raises(ValueError, match="seed"):
             DomainState(g, seed=-1, tie_break=tie_break)
+    with pytest.raises(ValueError, match="need at least one color"):
+        DomainState(g, 0)
+
+
+def test_array_holding_values_compare_and_hash_by_identity():
+    # generated equality would compare the arrays, and raise
+    g = crown_graph(3)
+    r = solve(g)
+    for a, b in ((g, crown_graph(3)), (r.coloring, solve(g).coloring),
+                 (r, solve(g))):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
 
 
 def test_concurrent_solves_share_one_graph():
