@@ -104,6 +104,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, BenchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -96,8 +96,8 @@ def naive_propagate(g: Graph, colors: np.ndarray, m: int, v: int):
         colors[forced] = domains[forced].pop()
 
 
-def paper_wfc(g: Graph, tie_break: str = "degree",
-              seed: int = 0) -> tuple[np.ndarray, int, int, int]:
+def paper_wfc(g: Graph, tie_break: str = "degree", seed: int = 0
+              ) -> tuple[np.ndarray, int, int, int, list[int]]:
     """The paper's collapse loop, built on naive_propagate.  From budget
     m = max(max_degree, 1): seed the lowest-id maximum-degree vertex with
     color 1 and cascade, then give the uncolored vertex of minimum entropy
@@ -106,10 +106,9 @@ def paper_wfc(g: Graph, tie_break: str = "degree",
     with tie_break "degree" the rank orders by highest degree, then lowest
     id; with "random" it is the position in a permutation of the vertices
     drawn from numpy's default_rng(seed).  Returns (colors, restarts,
-    final_m, the number of vertices the cascades colored in the successful
-    run)."""
-    if g.n < 1:
-        raise ValueError("cannot color the empty graph")
+    final_m, the count of cascade-colored vertices in the successful run,
+    and each vertex's saturation when colored: m - |domain| if picked,
+    m - 1 if cascaded, 0 for the seed); (no colors, 0, 1, 0, []) if n = 0."""
     if tie_break == "random":
         ranked = np.random.default_rng(seed).permutation(g.n)
     elif tie_break == "degree":
@@ -117,6 +116,8 @@ def paper_wfc(g: Graph, tie_break: str = "degree",
     else:
         raise ValueError(f"unknown tie_break {tie_break!r}")
     rank = np.argsort(ranked).tolist()  # vertex -> its position in ranked
+    if g.n == 0:
+        return np.zeros(0, dtype=np.int32), 0, 1, 0, []
     degrees = g.degrees.tolist()
     seed_v = max(range(g.n), key=lambda u: (degrees[u], -u))
     m0 = max(g.max_degree, 1)
@@ -124,16 +125,19 @@ def paper_wfc(g: Graph, tie_break: str = "degree",
     while True:
         colors = np.zeros(g.n, dtype=np.int32)
         colors[seed_v] = 1
-        forced = 0
+        forced, sat = 0, np.zeros(g.n, dtype=np.int64)
         out = naive_propagate(g, colors, m, seed_v)
         while out is not None:
             after, domains = out
-            forced += int(np.count_nonzero(after) - np.count_nonzero(colors))
+            cascaded = after != colors
+            forced += int(np.count_nonzero(cascaded))
+            sat[cascaded] = m - 1
             colors = after
             open_ = [u for u in range(g.n) if domains[u] is not None]
             if not open_:
-                return colors, m - m0, m, forced
+                return colors, m - m0, m, forced, sat.tolist()
             v = min(open_, key=lambda u: (len(domains[u]), rank[u]))
+            sat[v] = m - len(domains[v])
             colors[v] = min(domains[v])
             out = naive_propagate(g, colors, m, v)
         m += 1

@@ -15,20 +15,21 @@ max(max_degree, 1) fails exactly when the pass needs more colors, and
 max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 
 DomainState is the paper's step API (set_color, observe, collapse,
-propagate) with an optional color budget, which a traced driver can time
-one by one, and the reference the tests hold solve to; solve does not use
-it.  It keeps a heap of (saturation, rank) keys with lazy deletion and a
-Python-int bitset of the colors around each vertex, so memory grows with
-the colors in use, not with n times the budget.  It keeps no domain sets
-(oracle.naive_propagate does), and under a budget its one dead-end signal
-is observe returning RESTART.
+propagate) for one attempt at a color budget m, ties ranked by degree,
+then id; the traced driver in wfbench times it step by step.  It keeps a
+heap of (saturation, rank) keys with lazy deletion and a Python-int bitset
+of the colors around each vertex, so memory grows with the colors in use,
+not with n times the budget, and no domain sets (oracle.naive_propagate
+does); its one dead-end signal is observe returning RESTART.  solve does
+not use it: the tests check solve against oracle.paper_wfc,
+baselines.dsatur and networkx's DSATUR.
 
 solve runs one of two passes, module functions with one signature and one
 result, picked from the graph alone by one rule on the mean degree
-(_is_dense); both give the steps' picks and colors.  Sparse graphs take
-_heap_pass, DomainState's heap layout with the steps inlined in one loop
-over local variables, since three method calls and fresh attribute loads a
-pick cost about a fifth of the time there.  Dense graphs take _dense_pass,
+(_is_dense); both make the same picks.  Sparse graphs take _heap_pass,
+DomainState's heap layout with the steps inlined in one loop over local
+variables, since three method calls and fresh attribute loads a pick cost
+about a fifth of the time there.  Dense graphs take _dense_pass,
 whose pick is the argmin of one key array and whose strike is a few
 whole-array numpy operations over uint64 color words instead of a Python
 loop over every arc.
@@ -87,41 +88,37 @@ def _rank_order(g: Graph, tie_break: str, seed: int) -> np.ndarray:
 
 
 class DomainState:
-    """The paper's step API for one run: a saturation engine with an
-    optional color budget m, spent when observe returns RESTART.
+    """The paper's step API for one attempt at color budget m, as the
+    traced driver in wfbench steps it: observe returns RESTART once spent.
 
     A vertex's saturation is the number of distinct colors among its
     colored neighbors; an uncolored vertex's domain is {1..m} minus those
-    colors.  Each uncolored vertex has a key ``rank - sat * n``, so the
-    least key is the vertex of highest saturation, then lowest rank, and
-    divmod(key, n) gives back both; a colored vertex's key is n.  The rank
-    is the (-degree, id) order, or a seeded random permutation of the
-    vertices when tie_break is "random".  The keys sit in a heap with lazy
-    deletion (a strike pushes a new key, and outdated keys are dropped when
-    they surface), and the colors around each vertex in a Python-int
-    bitset.  A state is owned by a single run and never shared.
+    colors.  Each uncolored vertex has a key ``rank - sat * n``, where the
+    rank is its place in the (-degree, id) order, so the least key is the
+    vertex of highest saturation, then lowest rank, and divmod(key, n)
+    gives back both; a colored vertex's key is n.  The keys sit in a heap
+    with lazy deletion (a strike pushes a new key, and outdated keys are
+    dropped when they surface), and the colors around each vertex in a
+    Python-int bitset.  A state is owned by a single run and never shared.
 
     Colors are bounded by n, or by m when it is smaller: no saturation
-    reaches n, so a larger budget changes no verdict of observe.  solve
-    builds no state: its passes are module functions.
+    reaches n, so a budget of n or more changes no verdict of observe.
     """
 
-    def __init__(self, g: Graph, m: int | None = None, seed: int = 0,
-                 tie_break: str = "degree"):
-        if m is not None and m < 1:
+    def __init__(self, g: Graph, m: int):
+        if m < 1:
             raise ValueError("need at least one color")
-        self._order, self._key, self._heap = _heap_start(g, tie_break, seed)
+        self._order, self._key, self._heap = _heap_start(g, "degree", 0)
         self.g = g
         self._n = n = g.n
         self.m = m
-        self._cap = n if m is None else min(m, n)
+        self._cap = min(m, n)
         self._colors = [0] * n
         # the saturation each vertex was colored at (0 while uncolored)
         self.sat = [0] * n
         # a key below this has saturation >= the budget
         self._floor = (1 - self._cap) * n
         self._colored = 0
-        self.stale_pops = 0
         self._ptr = g.indptr.tolist()
         # colors used around each vertex, bit c-1 for color c; -1 (every
         # bit) once the vertex is colored, so strikes skip it in one test
@@ -136,11 +133,9 @@ class DomainState:
     @property
     def forced_count(self) -> int:
         """Colored vertices picked at saturation m - 1, whose domain was one
-        color: the paper's cascade colors exactly these.  0 without a
-        budget, and with m = 1, where every domain starts at one color."""
-        if self.m is None or self.m < 2:
-            return 0
-        return self.sat.count(self.m - 1)
+        color: the paper's cascade colors exactly these.  0 with m = 1,
+        where every domain starts at one color."""
+        return self.sat.count(self.m - 1) if self.m >= 2 else 0
 
     def _refuse(self, v: int) -> None:
         """Raise a step's ValueError for v: an id outside the graph (a
@@ -197,7 +192,6 @@ class DomainState:
             if key[v] == k:
                 return RESTART if k < self._floor else v
             heappop(heap)
-            self.stale_pops += 1
 
     def collapse(self, v: int) -> int:
         """Assign v the smallest color absent from its neighbors and return
@@ -257,7 +251,7 @@ def _compact(heap: list[int], key: list[int], order: list[int],
 def _heap_pass(g: Graph, v: int, tie_break: str,
                seed: int) -> tuple[list[int], list[int], int]:
     """solve's pass on a sparse graph from vertex v, with tie_break and seed
-    as in DomainState: collapse and propagate v, then observe, collapse and
+    as in solve: collapse and propagate v, then observe, collapse and
     propagate until every vertex is colored, the steps inlined in one loop
     over DomainState's lists as local variables.  Returns each vertex's
     color, the saturation it was colored at and the stale heap pops."""
@@ -313,7 +307,7 @@ def _dense_pass(g: Graph, v: int, tie_break: str,
     saturation it was colored at and 0 stale pops.  It draws the rank order
     itself, so that the order is freed once the key array is built.
 
-    DomainState's keys sit in one int64 array, whose argmin is the pick (a
+    The keys sit in one int64 array, whose argmin is the pick (a
     colored vertex's key n exceeds every uncolored one's), and the colors
     around each vertex in uint64 words, 64 colors to a word and one
     length-n array per word, so a strike is a few whole-array numpy
@@ -371,15 +365,16 @@ def _is_dense(g: Graph) -> bool:
     crossovers of the graphs with the fewest strikes, which favor the heap
     most (crowns and random bipartite graphs: mean degree about 125-155 up
     to n = 16,000, 175 at n = 32,000); G(n,p) crosses lower."""
-    return g.n > 0 and 2 * g.m >= g.n * (DENSE_DEGREE + g.n / DENSE_PER_N)
+    return 2 * g.m >= g.n * (DENSE_DEGREE + g.n / DENSE_PER_N)
 
 
 def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     """Color g in one saturation pass: seed the lowest-id maximum-degree
     vertex with color 1, then observe/collapse/propagate until every vertex
     is colored.  The pass is _dense_pass when _is_dense(g), and otherwise
-    _heap_pass; both give the picks of DomainState's steps, and neither
-    builds a DomainState.
+    _heap_pass; neither builds a DomainState.  The tests check solve
+    against oracle.paper_wfc (colors and counters, both tie modes),
+    baselines.dsatur and networkx's DSATUR.  The empty graph gets k = 0.
 
     tie_break orders vertices of equal saturation: "degree" (highest degree,
     then lowest id) or "random" (a permutation of the vertices drawn from
@@ -391,11 +386,9 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     restarts, and the forced colorings are the vertices picked at
     saturation final_m - 1 (none when final_m is 1).
     """
-    if g.n < 1:
-        raise ValueError("cannot color the empty graph")
     # the first maximum is the lowest id; nothing is colored yet, so its
-    # smallest open color is 1
-    v = int(np.argmax(g.degrees))
+    # smallest open color is 1.  A pass over no vertex runs no step
+    v = int(np.argmax(g.degrees)) if g.n else 0
     run = _dense_pass if _is_dense(g) else _heap_pass
     colors, sat, stale_pops = run(g, v, tie_break, seed)
     coloring = Coloring(np.array(colors, dtype=np.int32))
@@ -404,7 +397,7 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     restarts = int(k > m0)
     final_m = m0 + restarts
     forced = sat.count(final_m - 1) if final_m >= 2 else 0
-    stats = {"selections": g.n - 1, "strikes": sum(sat),
+    stats = {"selections": max(g.n - 1, 0), "strikes": sum(sat),
              "stale_pops": stale_pops}
     return SolveResult(coloring=coloring, k=k, restarts=restarts,
                        final_m=final_m, forced_colorings=forced, stats=stats)

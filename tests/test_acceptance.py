@@ -94,7 +94,8 @@ def test_propagation_equivalence():
     crowns and stars, with degree and with seeded random ties: the
     reference recomputes every domain at each step, cascades forced colors
     and restarts with one more color after a dead end.  Same coloring,
-    restarts, final budget and forced-coloring count."""
+    restarts, final budget and forced-coloring count, and one strike for
+    each color a saturation counts at its vertex's pick."""
     rng = np.random.default_rng(99)
     graphs = [random_gnp(int(rng.integers(2, 13)), [0.2, 0.5, 0.8][i % 3],
                          seed=5000 + i) for i in range(500)]
@@ -104,9 +105,10 @@ def test_propagation_equivalence():
         restarts = forced = 0
         for i, g in enumerate(graphs):
             r = solve(g, tie_break=tie_break, seed=i)
-            ref = paper_wfc(g, tie_break=tie_break, seed=i)
+            colors, *ref, ref_sat = paper_wfc(g, tie_break=tie_break, seed=i)
             assert (r.coloring.assignment.tolist(), r.restarts, r.final_m,
-                    r.forced_colorings) == (ref[0].tolist(), *ref[1:]), \
+                    r.forced_colorings, r.stats["strikes"]) == \
+                (colors.tolist(), *ref, sum(ref_sat)), \
                 f"solve and the paper's loop differ on graph {i} ({tie_break})"
             restarts += r.restarts
             forced += r.forced_colorings

@@ -130,6 +130,43 @@ def test_color_rejects_a_vertex_count_past_int32(tmp_path, capsys):
     assert err.startswith("error: line 1:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("alg", SOLVERS)
+def test_color_the_empty_graph(alg, tmp_path, capsys):
+    # "p edge 0 0" is legal DIMACS: every solver colors it with no color
+    path = tmp_path / "empty.col"
+    path.write_text("p edge 0 0\n")
+    assert main(["color", "--alg", alg, "--input", str(path)]) == 0
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", "k = 0\n")
+
+
+def test_bench_the_empty_graph(tmp_path):
+    path = tmp_path / "empty.col"
+    path.write_text("p edge 0 0\n")
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "--alg", "ig,wfcc", "--input", str(path),
+                 "--reps", "2", "--out", str(out)]) == 0
+    assert [(r["algorithm"], r["k"], r["restarts"])
+            for r in read_csv(out.read_text())] == [("ig", "0", "NA"),
+                                                    ("wfcc", "0", "0")]
+
+
+@pytest.mark.parametrize("command", ["color", "validate"])
+def test_out_of_memory_is_a_clean_error(command, tmp_path, monkeypatch,
+                                        capsys):
+    # numpy raises a MemoryError subclass when an array cannot be allocated
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr("wfcolor.cli.load_dimacs", exhausted)
+    argv = {"color": ["--alg", "wfcc"],
+            "validate": ["--coloring", str(tmp_path / "c.txt")]}[command]
+    rc = main([command, "--input", str(tmp_path / "huge.col"), *argv])
+    assert rc == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: out of memory")
+
+
 def test_bench_refuses_an_invalid_coloring(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("wfcolor.bench.solve", one_color_solve)
     graph_path = tmp_path / "k2.col"

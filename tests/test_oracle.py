@@ -76,17 +76,22 @@ def test_naive_propagate_matches_forced_picks():
                     assert len(ref[1][u]) == m - state.saturation(u)
 
 
+def _listed(out):
+    colors, *counters = out
+    return (colors.tolist(), *counters)
+
+
 def test_paper_wfc_small_cases():
-    # path 0-1-2: seeding the center forces both ends
-    colors, restarts, final_m, forced = paper_wfc(path_graph(3))
-    assert (colors.tolist(), restarts, final_m, forced) == ([2, 1, 2], 0, 2, 2)
-    # a triangle empties a domain at budget 2 and succeeds at 3
-    colors, restarts, final_m, forced = paper_wfc(complete_graph(3))
-    assert (sorted(colors.tolist()), restarts, final_m) == ([1, 2, 3], 1, 3)
+    # path 0-1-2: seeding the center forces both ends, each at saturation
+    # m - 1 = 1
+    assert _listed(paper_wfc(path_graph(3))) == ([2, 1, 2], 0, 2, 2, [1, 0, 1])
+    # a triangle empties a domain at budget 2 and succeeds at 3: vertex 1
+    # is picked with domain {2, 3}, and vertex 2 is then forced
+    assert _listed(paper_wfc(complete_graph(3))) == \
+        ([1, 2, 3], 1, 3, 1, [0, 1, 2])
     # a single vertex: budget 1, nothing forced
-    colors, restarts, final_m, forced = paper_wfc(Graph.from_edges(1, []))
-    assert (colors.tolist(), restarts, final_m, forced) == ([1], 0, 1, 0)
-    with pytest.raises(ValueError):
-        paper_wfc(Graph.from_edges(0, []))
+    assert _listed(paper_wfc(Graph.from_edges(1, []))) == ([1], 0, 1, 0, [0])
+    # the empty graph: nothing to color, and the least budget
+    assert _listed(paper_wfc(Graph.from_edges(0, []))) == ([], 0, 1, 0, [])
     with pytest.raises(ValueError, match="tie_break"):
         paper_wfc(path_graph(3), tie_break="lowest-id")

@@ -13,7 +13,7 @@ from wfcolor.baselines import dsatur
 from wfcolor.coloring import validate
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
-from wfcolor.oracle import exact_chromatic, naive_propagate
+from wfcolor.oracle import exact_chromatic, naive_propagate, paper_wfc
 from wfcolor.wfc import (RESTART, TIE_BREAKS, DomainState, _dense_pass,
                          _heap_pass, _is_dense, solve)
 
@@ -61,9 +61,17 @@ def test_disconnected_graph_is_fine():
     assert r.k == 3
 
 
-def test_empty_graph_rejected():
+def test_empty_graph_colors():
+    # no vertex to seed or pick: no counter may count the seed's pick
+    g = Graph.from_edges(0, [])
+    for tie_break in TIE_BREAKS:
+        r = solve(g, tie_break=tie_break)
+        assert r.coloring.assignment.tolist() == [] and r.k == 0
+        assert (r.restarts, r.final_m, r.forced_colorings) == (0, 1, 0)
+        assert r.stats == {"selections": 0, "strikes": 0, "stale_pops": 0}
+    # and the arguments are checked all the same
     with pytest.raises(ValueError):
-        solve(Graph.from_edges(0, []))
+        solve(g, tie_break="alphabetical")
 
 
 def test_solve_is_deterministic():
@@ -91,10 +99,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match="seed must be a non-negative "
                                              "int, got -1"):
             solve(g, tie_break=tie_break, seed=-1)
-        with pytest.raises(ValueError, match="seed"):
-            DomainState(g, seed=-1, tie_break=tie_break)
-    with pytest.raises(ValueError, match="need at least one color"):
-        DomainState(g, 0)
 
 
 def test_array_holding_values_compare_and_hash_by_identity():
@@ -179,34 +183,33 @@ def test_solve_is_dsatur(g):
     assert r.final_m == max(g.max_degree, 1) + r.restarts
 
 
-def _solve_by_hand(g, tie_break, seed):
-    """The paper's loop, one DomainState call at a time: at budget
-    max(max_degree, 1), then one more color after a dead end, seed the
-    lowest-id maximum-degree vertex with color 1 and propagate, then
-    observe/collapse/propagate."""
-    m0 = max(g.max_degree, 1)
-    for m in (m0, m0 + 1):
-        state = DomainState(g, m, seed=seed, tie_break=tie_break)
-        v = max(range(g.n), key=lambda u: (g.degrees[u], -u))
-        state.set_color(v, 1)
-        ok = state.propagate(v)
-        while ok and state.colored_count < g.n:
-            v = state.observe()
-            ok = v != RESTART
-            if ok:
-                state.collapse(v)
-                ok = state.propagate(v)
-        if ok:
-            return state.colors.tolist(), m - m0, m, state.forced_count
-    raise AssertionError("max_degree + 1 colors cannot fail")
-
-
 @given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
        seed=st.integers(0, 1000))
-def test_solve_equals_domain_state_by_hand(g, tie_break, seed):
+def test_solve_equals_paper_wfc(g, tie_break, seed):
+    # the paper's loop with every domain recomputed at each step, cascades
+    # and restarts included: the same colors and counters, and one strike
+    # for each color a saturation counts
     r = solve(g, tie_break=tie_break, seed=seed)
+    colors, restarts, final_m, forced, sat = paper_wfc(g, tie_break, seed)
     assert (r.coloring.assignment.tolist(), r.restarts, r.final_m,
-            r.forced_colorings) == _solve_by_hand(g, tie_break, seed)
+            r.forced_colorings, r.stats["strikes"]) == \
+        (colors.tolist(), restarts, final_m, forced, sum(sat))
+
+
+@given(n=st.integers(1, 80), p=st.sampled_from([0.05, 0.2, 0.5, 0.9]),
+       seed=st.integers(0, 10_000))
+def test_solve_is_networkx_dsatur(n, p, seed):
+    # an oracle written outside this repo: networkx's DSATUR picks the
+    # highest saturation, then the highest degree, then the first node in
+    # insertion order, and numbers its colors from 0
+    nx = pytest.importorskip("networkx")
+    g = random_gnp(n, p, seed)
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    ref = nx.greedy_color(G, "saturation_largest_first")
+    assert solve(g).coloring.assignment.tolist() == \
+        [ref[v] + 1 for v in range(g.n)]
 
 
 # -- work counters -----------------------------------------------------------
@@ -218,6 +221,11 @@ def test_star_strikes_once_per_leaf(leaves):
     r = solve(star_graph(leaves))
     assert r.stats["strikes"] == leaves
     assert r.stats["selections"] == leaves
+    # counted by hand: after the hub's pick the heap holds n = leaves + 1
+    # ranks and one new key per leaf, more than twice the leaves left, so
+    # it is rebuilt from the leaves' keys alone.  Each leaf picked after
+    # the first finds the key of the leaf picked before it on top, outdated
+    assert r.stats["stale_pops"] == leaves - 1
 
 
 def test_strikes_are_bounded_by_degree_and_colors():
@@ -247,22 +255,31 @@ def test_large_star_solves_in_little_memory():
     assert peak < 64 * 2**20
 
 
+def _step_to_the_end(st_):
+    """Observe, collapse and propagate until every vertex is colored; what
+    the state then holds: the colors, the saturation each vertex was
+    colored at, and saturation(v)."""
+    while st_.colored_count < st_.g.n:
+        v = st_.observe()
+        st_.collapse(v)
+        st_.propagate(v)
+    return (st_.colors.tolist(), st_.sat,
+            [st_.saturation(v) for v in range(st_.g.n)])
+
+
 def test_a_copied_state_runs_on_alone():
     # copy.deepcopy and pickle rebuild the state, and the copy shares
-    # nothing with the original; run on, it ends where the step loop does
-    g = crown_graph(5)  # every degree is 4, so the step loop seeds 0 too
-    st_ = _state(g, None, [(0, 1)])
+    # nothing with the original; run on, it ends where a fresh state does
+    g = crown_graph(5)
+    st_ = _state(g, g.n, [(0, 1)])
+    fresh = _step_to_the_end(_state(g, g.n, [(0, 1)]))
     for twin in (copy.deepcopy(st_), pickle.loads(pickle.dumps(st_))):
         assert type(twin) is DomainState
         v = twin.observe()
         twin.collapse(v)
         twin.propagate(v)
         assert twin.colored_count == 2 and st_.colored_count == 1
-        while twin.colored_count < g.n:
-            v = twin.observe()
-            twin.collapse(v)
-            twin.propagate(v)
-        assert _left(twin) == _left(_step_pass(g))
+        assert _step_to_the_end(twin) == fresh
 
 
 def _clique_with_pendants(clique, pendants):
@@ -290,7 +307,7 @@ def _peak(fn, *args):
     ids=["star50k", "clique500+pendants100k"])
 def test_sparse_graphs_with_a_dense_core_stay_on_the_heap(make, k):
     # _dense_pass's argmin costs O(n) a pick, which mean degree 2 or 4
-    # cannot pay for; DomainState's heap grows with n and the colors
+    # cannot pay for; _heap_pass's heap grows with n and the colors
     g = make()
     assert not _is_dense(g)
     r, peak = _peak(solve, g)
@@ -308,24 +325,27 @@ def test_dense_layout_takes_less_memory_than_the_heap():
     g = random_gnp(1000, 0.5, 1)
     assert _is_dense(g)
     dense, dense_peak = _peak(_run, _dense_pass, g)
-    heap, heap_peak = _peak(_step_pass, g)
-    assert dense == (heap.colors.tolist(), heap.sat, 0)
+    heap, heap_peak = _peak(_run, _heap_pass, g)
+    assert dense == (*heap[:2], 0)
     assert dense_peak < heap_peak
     assert dense_peak < 80 * g.n
 
 
-@pytest.mark.parametrize("g", [random_gnp(1000, 0.006, 1),
-                               random_gnp(1000, 0.5, 1)],
+@pytest.mark.parametrize("g, per_vertex", [(random_gnp(1000, 0.006, 1), 200),
+                                           (random_gnp(1000, 0.5, 1), 270)],
                          ids=["heap", "dense"])
-def test_solve_takes_no_more_memory_than_the_steps(g):
-    # the heap pass holds no list or array the steps' state lacks
-    # (indptr.tolist() alone would add about 36 bytes a vertex).  A peak
-    # moves by tens of bytes with the int objects alive at its moment, and
-    # solve builds its result after the pass, a few bytes a vertex; on the
-    # dense graph it runs _dense_pass, whose state is smaller still
-    steps = _peak(_step_pass, g)[1]
-    assert _peak(_run, _heap_pass, g)[1] <= steps + 256
-    assert _peak(solve, g)[1] <= steps + 4 * g.n
+def test_solve_takes_no_more_memory_than_the_steps(g, per_vertex):
+    # the steps' state is seven lists of n slots (ranks, keys, the heap,
+    # colors, saturations, bitsets and indptr) with an int object behind
+    # each rank, key and indptr entry: 181 bytes a vertex on the sparse
+    # graph, 248 on the dense one, whose 116 colors widen the bitsets
+    # (CPython 3.11).  One more per-pass list, such as a second
+    # indptr.tolist(), would add about 36.  solve builds its result after
+    # the pass, a few bytes a vertex; on the dense graph it runs
+    # _dense_pass, whose state is smaller still
+    heap = _peak(_run, _heap_pass, g)[1]
+    assert heap <= per_vertex * g.n
+    assert _peak(solve, g)[1] <= heap + 4 * g.n
 
 
 def test_heap_stays_compact():
@@ -334,7 +354,7 @@ def test_heap_stays_compact():
     # live key
     for seed in range(3):
         g = random_gnp(150, [0.1, 0.5, 0.9][seed], seed)
-        state = DomainState(g)
+        state = DomainState(g, g.n)
         v = int(np.argmax(g.degrees))
         state.set_color(v, 1)
         while True:
@@ -354,9 +374,9 @@ def test_heap_stays_compact():
 # entropy = m - saturation: the minimum-entropy vertex is the one with the
 # most distinct colors around it
 
-def _state(g, m=None, colored=(), seed=0, tie_break="degree"):
+def _state(g, m, colored=()):
     """A state with the (vertex, color) pairs set, then propagated."""
-    st_ = DomainState(g, m, seed=seed, tie_break=tie_break)
+    st_ = DomainState(g, m)
     for v, c in colored:
         st_.set_color(v, c)
     for v, _ in colored:
@@ -414,21 +434,10 @@ def test_observe_requires_uncolored():
         st_.observe()
 
 
-def test_observe_random_mode_stays_on_minimum():
-    # 1 and 2 tie at the highest saturation; the seed picks between them
-    g = Graph.from_edges(6, [(1, 5), (2, 5)])
-    picks = set()
-    for seed in range(30):
-        st_ = _state(g, 3, [(5, 1)], seed=seed, tie_break="random")
-        picks.add(st_.observe())
-    assert picks == {1, 2}
-
-
 def test_observe_agrees_with_plain_scan():
     """observe() returns exactly what a plain scan over the uncolored
     vertices would: the highest saturation, then the highest degree, then
-    the lowest id, or RESTART once a saturation has reached the budget.  In
-    random mode every pick still has the highest saturation."""
+    the lowest id, or RESTART once a saturation has reached the budget."""
     rng = np.random.default_rng(0)
     for trial in range(60):
         n = int(rng.integers(5, 12))  # colors up to n need no budget
@@ -442,14 +451,11 @@ def test_observe_agrees_with_plain_scan():
         uncolored = [v for v in range(n) if not colors[v]]
         sat = {v: _scan_saturation(g, colors, v) for v in uncolored}
         expected = min(uncolored, key=lambda v: (-sat[v], -g.degrees[v], v))
-        st_ = _state(g, None, pairs)
+        st_ = _state(g, n, pairs)
         assert {v: st_.saturation(v) for v in uncolored} == sat
         assert st_.observe() == expected
         st_ = _state(g, m, pairs)
         assert st_.observe() == (expected if sat[expected] < m else RESTART)
-        for seed in range(5):
-            st_ = _state(g, None, pairs, seed=seed, tie_break="random")
-            assert sat[st_.observe()] == sat[expected]
 
 
 # -- collapse ---------------------------------------------------------------
@@ -551,6 +557,8 @@ def test_triangle_with_two_colors_restarts():
 
 def test_edge_with_one_color_restarts_on_empty_domain():
     g = path_graph(2)
+    with pytest.raises(ValueError, match="need at least one color"):
+        DomainState(g, 0)
     st_ = DomainState(g, 1)
     st_.set_color(0, 1)
     assert st_.propagate(0) is True
@@ -558,27 +566,27 @@ def test_edge_with_one_color_restarts_on_empty_domain():
     assert st_.observe() == RESTART
 
 
-@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+# the step API ranks ties by degree only; the ids keep naming the mode
+@pytest.mark.parametrize("tie_break", ["degree"])
 @pytest.mark.parametrize("g, m", [(complete_graph(3), 2), (path_graph(2), 1),
                                   (cycle_graph(5), 2)],
                          ids=["K3", "edge", "C5"])
 def test_propagate_returns_true_past_the_budget(g, m, tie_break):
     # a caller that loops on a falsy propagate (retrying with one more
     # color) would spin forever; the dead end shows only at observe
-    for seed in range(5):
-        st_ = DomainState(g, m, seed=seed, tie_break=tie_break)
-        v = int(np.argmax(g.degrees))
-        st_.set_color(v, 1)
-        while True:
-            assert st_.propagate(v) is True
-            assert st_.colored_count < g.n  # m colors cannot do
-            v = st_.observe()
-            if v == RESTART:
-                break
-            st_.collapse(v)
-        colors = st_.colors.tolist()
-        assert any(_scan_saturation(g, colors, u) >= m
-                   for u in range(g.n) if not colors[u])
+    st_ = DomainState(g, m)
+    v = int(np.argmax(g.degrees))
+    st_.set_color(v, 1)
+    while True:
+        assert st_.propagate(v) is True
+        assert st_.colored_count < g.n  # m colors cannot do
+        v = st_.observe()
+        if v == RESTART:
+            break
+        st_.collapse(v)
+    colors = st_.colors.tolist()
+    assert any(_scan_saturation(g, colors, u) >= m
+               for u in range(g.n) if not colors[u])
 
 
 def test_propagate_requires_colored_start():
@@ -592,7 +600,7 @@ def test_propagate_requires_colored_start():
 def test_steps_reject_vertex_ids_outside_the_graph(v):
     # a negative id would otherwise index the per-vertex lists from the end
     g = path_graph(3)
-    st_ = DomainState(g)
+    st_ = DomainState(g, g.n)
     st_.set_color(1, 1)
     for step, args in ((st_.set_color, (v, 1)), (st_.collapse, (v,)),
                        (st_.propagate, (v,)), (st_.saturation, (v,))):
@@ -682,7 +690,9 @@ def test_star_center_seed_forces_nothing_with_wide_budget():
 
 
 # -- the dense pass -----------------------------------------------------------
-# graphs the rule routes to _dense_pass, checked against DomainState's steps
+# graphs the rule routes to _dense_pass.  Too large for oracle.paper_wfc,
+# they are checked against dsatur with degree ties and against the other
+# pass in both tie modes
 
 _DENSE = {
     "gnp320_0.9": lambda: random_gnp(320, 0.9, 1),
@@ -701,49 +711,24 @@ def _dense_graph(name):
     return _BUILT[name]
 
 
-def _step_pass(g, tie_break="degree", seed=0):
-    """solve's pass one step at a time: the reference for both passes.
-    Returns the state it leaves."""
-    st_ = DomainState(g, seed=seed, tie_break=tie_break)
-    v = int(np.argmax(g.degrees))
-    st_.set_color(v, 1)
-    st_.propagate(v)
-    for _ in range(g.n - 1):
-        v = st_.observe()
-        st_.collapse(v)
-        st_.propagate(v)
-    return st_
-
-
-def _left(st_):
-    """What a pass leaves in a state: the colors, the saturation each vertex
-    was colored at, the stale pops and colored count, and saturation(v)."""
-    return (st_.colors.tolist(), st_.sat, st_.stale_pops, st_.colored_count,
-            [st_.saturation(v) for v in range(st_.g.n)])
-
-
 def _run(pass_, g, tie_break="degree", seed=0):
     """pass_ (_heap_pass or _dense_pass) from solve's seed vertex, on any
     graph: (colors, sat, stale pops)."""
     return pass_(g, int(np.argmax(g.degrees)), tie_break, seed)
 
 
-def _check_pass(pass_, g, tie_break, seed, steps):
-    """Check that pass_ gives the colors and saturations of steps, the
-    state _step_pass leaves, and the heap pass its stale pops too (the
-    dense pass has no heap)."""
-    colors, sat, stale_pops = _run(pass_, g, tie_break, seed)
-    assert (colors, sat) == (steps.colors.tolist(), steps.sat)
-    assert stale_pops == (steps.stale_pops if pass_ is _heap_pass else 0)
-
-
 @given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
        seed=st.integers(0, 1000))
 def test_pass_leaves_the_state_the_steps_leave(g, tie_break, seed):
-    # either pass runs any graph, so _dense_pass is forced onto every family
-    steps = _step_pass(g, tie_break, seed)
-    for pass_ in (_heap_pass, _dense_pass):
-        _check_pass(pass_, g, tie_break, seed, steps)
+    # the steps of the paper's loop, run by oracle.paper_wfc: either pass
+    # gives its colors and the saturation each vertex was colored at.
+    # Either pass runs any graph, so _dense_pass is forced onto every family
+    colors, _, _, _, sat = paper_wfc(g, tie_break, seed)
+    heap = _run(_heap_pass, g, tie_break, seed)
+    assert heap[:2] == (colors.tolist(), sat)
+    assert _run(_dense_pass, g, tie_break, seed) == (*heap[:2], 0)
+    # every popped key was pushed: n ranks plus one key per strike
+    assert heap[2] <= g.n + sum(sat)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -754,28 +739,36 @@ def test_pass_leaves_the_state_the_steps_leave(g, tie_break, seed):
 @pytest.mark.parametrize("name", ["gnp500_0.7", "K200", "crown200"])
 def test_pass_leaves_the_state_the_steps_leave_above_the_rule(
         name, pass_, tie_break):
-    # graphs the rule routes to _dense_pass: more than 64 colors on K200
-    # and gnp500_0.7, so several color words, and many heap compactions
+    # more than 64 colors on K200 and gnp500_0.7, so several color words,
+    # and many heap compactions
     g = _dense_graph(name)
-    _check_pass(pass_, g, tie_break, 5, _step_pass(g, tie_break, 5))
+    other = _dense_pass if pass_ is _heap_pass else _heap_pass
+    colors, sat, stale_pops = _run(pass_, g, tie_break, 5)
+    assert (colors, sat) == _run(other, g, tie_break, 5)[:2]
+    if tie_break == "degree":
+        assert colors == dsatur(g).coloring.assignment.tolist()
+    # every popped key was pushed: n ranks plus one key per strike
+    assert stale_pops <= (g.n + sum(sat) if pass_ is _heap_pass else 0)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("dense", [False, True], ids=["heap", "dense"])
 def test_solve_builds_no_domain_state(dense, tie_break, monkeypatch):
-    # the step API is for the traced driver and the tests; solve's passes
-    # are module functions and still give the steps' coloring
+    # the step API is for the traced driver; solve's passes are module
+    # functions, and solve gives the other layout's pass's coloring
     g = _dense_graph("crown200") if dense else random_gnp(400, 0.02, 3)
     assert _is_dense(g) == dense
-    steps = _step_pass(g, tie_break, 5)
+    colors, sat, _ = _run(_heap_pass if dense else _dense_pass, g,
+                          tie_break, 5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("solve built a DomainState")
 
     monkeypatch.setattr("wfcolor.wfc.DomainState", refuse)
     r = solve(g, tie_break=tie_break, seed=5)
-    assert r.coloring.assignment.tolist() == steps.colors.tolist()
-    assert r.stats["stale_pops"] == (0 if dense else steps.stale_pops)
+    assert r.coloring.assignment.tolist() == colors
+    assert r.stats["strikes"] == sum(sat)
+    assert r.stats["stale_pops"] <= (0 if dense else g.n + sum(sat))
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -784,12 +777,14 @@ def test_dense_layout_solves_as_the_heap_does(name, tie_break):
     g = _dense_graph(name)
     assert _is_dense(g)
     r = solve(g, tie_break=tie_break, seed=7)
-    heap = _step_pass(g, tie_break, 7)
-    assert r.coloring.assignment.tolist() == heap.colors.tolist()
-    # and the paper's counters are those of its loop run by hand
-    assert (r.coloring.assignment.tolist(), r.restarts, r.final_m,
-            r.forced_colorings) == _solve_by_hand(g, tie_break, 7)
-    assert r.stats == {"selections": g.n - 1, "strikes": sum(heap.sat),
+    colors, sat, _ = _run(_heap_pass, g, tie_break, 7)
+    assert r.coloring.assignment.tolist() == colors
+    # the paper's counters come from the saturations, as on the small
+    # graphs where test_solve_equals_paper_wfc checks them
+    m0 = max(g.max_degree, 1)
+    assert r.final_m == m0 + r.restarts and r.restarts == int(r.k > m0)
+    assert r.forced_colorings == sat.count(r.final_m - 1)
+    assert r.stats == {"selections": g.n - 1, "strikes": sum(sat),
                        "stale_pops": 0}
     if tie_break == "degree":
         assert r.coloring.assignment.tobytes() == \
