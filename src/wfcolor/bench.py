@@ -13,14 +13,14 @@ import csv
 import io
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import validate
-from .dimacs import _int_token, load_dimacs
+from .dimacs import _int_token, load_dimacs, read_text
 from .graph import Graph, barabasi_albert, crown_graph, random_gnp, star_graph
 from .wfc import SolveResult, solve
 
@@ -204,8 +204,7 @@ def load_best_known(path) -> dict[str, int]:
     """Read an instance -> k* map from lines of ``<instance-name> <k*>``.
     Blank lines and ``#`` comments are skipped; a repeated name or a k*
     below 1 raises ValueError naming the line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_best_known(fh.read())
+    return parse_best_known(read_text(path))
 
 
 def parse_best_known(text: str) -> dict[str, int]:
@@ -250,26 +249,16 @@ def render_csv(rows: list[BenchRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow([
-            r.instance, r.algorithm, _fmt(r.k), _fmt(r.best_known), r.reps,
-            _fmt(r.time_mean_us), _fmt(r.time_median_us),
-            _fmt(r.time_stddev_us), _fmt(r.restarts), r.seed,
-        ])
+    for r in rows:  # the fields are the CSV columns, in order
+        writer.writerow([_fmt(x) for x in astuple(r)])
     return buf.getvalue()
 
 
 def render_markdown(rows: list[BenchRow]) -> str:
     """One table row per instance with a (k, time) column pair per algorithm."""
-    algs: list[str] = []
-    for r in rows:
-        if r.algorithm not in algs:
-            algs.append(r.algorithm)
+    algs = list(dict.fromkeys(r.algorithm for r in rows))
     by_key = {(r.instance, r.algorithm): r for r in rows}
-    instances: list[str] = []
-    for r in rows:
-        if r.instance not in instances:
-            instances.append(r.instance)
+    instances = list(dict.fromkeys(r.instance for r in rows))
     header = ["Instance (k*)"]
     for a in algs:
         label = SOLVERS[a].label

@@ -8,7 +8,7 @@ from pathlib import Path
 from .bench import (GENERATORS, SOLVERS, BenchError, load_best_known,
                     render_csv, render_markdown, run_bench, speedup_summary)
 from .coloring import format_coloring, parse_coloring, validate
-from .dimacs import load_dimacs
+from .dimacs import load_dimacs, read_text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,8 +79,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_validate(args) -> int:
     g = load_dimacs(args.input)
-    with open(args.coloring, "r", encoding="utf-8") as fh:
-        coloring = parse_coloring(fh.read(), g.n)
+    coloring = parse_coloring(read_text(args.coloring), g.n)
     verdict = validate(g, coloring)
     if verdict.ok:
         print("VALID")

@@ -10,10 +10,8 @@ array speed: the ids past the head are read by one np.fromstring call, and
 the edge lines are taken as read only when they are in range, no edge is a
 self-loop, and int_lines writes them back as the exact text.  Anything else
 goes through a loop over the lines, the only source of DimacsParseError, so
-error kinds, line numbers and messages do not depend on the path taken.  A
-file object is read into one ``str`` first, and bytes are decoded as
-load_dimacs decodes a file, so they take the same paths and split into the
-same lines.
+error kinds, line numbers and messages do not depend on the path taken.
+parse_dimacs takes only a ``str``: load_dimacs reads a file with read_text.
 
 write_dimacs, like coloring.format_coloring, writes its lines of integers
 with int_lines: every 3-digit group of an id is a 4-byte cell, gathered from
@@ -23,7 +21,7 @@ that pad the cells are stripped from the matrix's bytes.
 from __future__ import annotations
 
 import warnings
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -44,28 +42,25 @@ class DimacsWarning(UserWarning):
     edge lines actually present."""
 
 
-def parse_dimacs(text: str | bytes | IO[str] | IO[bytes]) -> Graph:
+def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS .col text into a canonical Graph.
 
     Duplicate edge lines and both orientations of an edge collapse to one
     undirected edge.  The declared m is advisory: a mismatch with the actual
     edge count produces a DimacsWarning, not an error.
 
-    The text, or a file object's whole contents, is read at array speed
-    when its lines from the first ``e `` line on are canonical: what
-    write_dimacs writes for their ids, which must be in range and give no
-    self-loop.  Everything else goes through the line loop over
-    str.splitlines(), which gives the same graph and is the only source of
-    DimacsParseError.  A count or id that is not an ASCII decimal integer,
-    a sign allowed, makes its line malformed, and so does a problem line
-    declaring more than MAX_VERTICES vertices.  Bytes, and what a binary
-    file object reads, are decoded as UTF-8 with errors replaced, as
-    load_dimacs decodes a file.
+    The text is read at array speed when its head, the lines before the
+    first ``e `` line, holds only comment and problem lines, and the lines
+    from there on are what write_dimacs writes for their ids, which must
+    be in range and give no self-loop.  Everything else goes through the
+    line loop over str.splitlines(), which gives the same graph and is the
+    only source of DimacsParseError.  A count or id that is not an ASCII
+    decimal integer, a sign allowed, makes its line malformed, and so does
+    a problem line declaring more than MAX_VERTICES vertices.  Anything but
+    a str raises TypeError: read a file with load_dimacs.
     """
-    if not isinstance(text, (str, bytes)):
-        text = text.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
+    if not isinstance(text, str):
+        raise TypeError(f"expected str, not {type(text).__name__}: read files with load_dimacs")
     n, ends, declared_m = _parse_bulk(text) or _parse_lines(text.splitlines())
     ends -= 1  # in place: a 0-based copy would stay live through from_edges
     g = Graph.from_edges(n, ends.reshape(-1, 2))
@@ -81,9 +76,9 @@ def parse_dimacs(text: str | bytes | IO[str] | IO[bytes]) -> Graph:
 def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
     """The line loop's result for canonical text, as parse_dimacs's
     docstring defines it, or None for any other text.  The lines before the
-    first edge line go through the loop; the ids after them are read by one
-    np.fromstring call and kept only if int_lines writes them back as the
-    same text."""
+    first edge line go through the loop and must hold no edge line; the ids
+    after them are read by one np.fromstring call and kept only if
+    int_lines writes them back as the same text."""
     # the body starts at the first "e " line after the first line, if any
     cut = text.find("\ne ") + 1 or len(text)
     head, body = text[:cut], text[cut:]
@@ -91,6 +86,8 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
         n, head_ends, declared_m = _parse_lines(head.splitlines())
     except DimacsParseError:
         return None  # the loop over the whole text raises the right error
+    if head_ends.size:  # an edge line the cut missed, such as "e\t1 2"
+        return None
     if not body:  # no edge lines
         return n, head_ends, declared_m
     # An id np.fromstring cannot read raises a ValueError, or, on older
@@ -107,8 +104,7 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
             or np.any(ends[0::2] == ends[1::2])
             or int_lines(ends.reshape(-1, 2), lead="e ") != body):
         return None
-    # canonical text has no edge line in its head: no copy then
-    return n, np.concatenate([head_ends, ends]) if head_ends.size else ends, declared_m
+    return n, ends, declared_m
 
 
 def _parse_lines(lines: Iterable[str]) -> tuple[int, np.ndarray, int]:
@@ -167,9 +163,15 @@ def _int_token(token: str) -> int:
     return int(token)
 
 
-def load_dimacs(path) -> Graph:
+def read_text(path) -> str:
+    """A file's text, decoded as UTF-8 with bad bytes replaced: the one way
+    the package reads a DIMACS, coloring or best-known file."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_dimacs(fh.read())
+        return fh.read()
+
+
+def load_dimacs(path) -> Graph:
+    return parse_dimacs(read_text(path))
 
 
 def write_dimacs(g: Graph) -> str:

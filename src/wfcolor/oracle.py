@@ -16,15 +16,15 @@ class OracleLimitError(ValueError):
     """Graph too large for exhaustive search."""
 
 
-def exact_chromatic(g: Graph, limit: int = ORACLE_LIMIT) -> tuple[int, Coloring]:
+def exact_chromatic(g: Graph) -> tuple[int, Coloring]:
     """True chromatic number plus a witness coloring.
 
     Iterative deepening on k with plain backtracking; vertices are tried
     largest-degree first.  Returning k proves both that a proper k-coloring
     exists (the witness) and that the k-1 search below it failed.
     """
-    if g.n > limit:
-        raise OracleLimitError(f"{g.n} vertices exceeds oracle limit {limit}")
+    if g.n > ORACLE_LIMIT:
+        raise OracleLimitError(f"{g.n} vertices exceeds oracle limit {ORACLE_LIMIT}")
     if g.n == 0:
         return 0, Coloring(np.empty(0, dtype=np.int32))
     degrees = g.degrees

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfcolor import dimacs
+from wfcolor.bench import load_best_known, parse_best_known
+from wfcolor.cli import main
 from wfcolor.dimacs import (DimacsParseError, DimacsWarning, int_lines,
                             load_dimacs, parse_dimacs, write_dimacs)
 from wfcolor.graph import Graph, crown_graph, random_gnp
@@ -226,6 +228,7 @@ def dimacs_texts(draw):
 @example(text="p edge 3 2\ne 1 2\ne +1 3\n")  # a sign
 @example(text="p edge 4 3\ne 1 2\ne 1 3\ne 2 4")  # no final "\n" after several lines
 @example(text="p edge 3 1\ne -9000 1\n")  # an id int_lines cannot write
+@example(text="p edge 3 2\ne\t1 2\ne 2 3\n")  # an edge line in the head
 def test_bulk_path_agrees_with_the_line_loop(text):
     assert _outcome(text) == _loop_outcome(text)
 
@@ -281,11 +284,33 @@ def test_canonical_text_takes_the_bulk_path(g, header):
     assert np.array_equal(back.indices, g.indices)
 
 
-# line breaks to str.splitlines but not to a text file's line iterator
+@pytest.mark.parametrize("text", ["p edge 3 2\ne\t1 2\ne 2 3\n", "p edge 3 2\n e 1 2\ne 2 3\n"])
+def test_an_edge_line_in_the_head_goes_to_the_loop(text):
+    loop = dimacs._parse_lines
+    calls = []
+
+    def spy(lines):
+        calls.append(list(lines))
+        return loop(calls[-1])
+
+    with mock.patch.object(dimacs, "_parse_lines", spy):
+        got = _outcome(text)
+    assert calls[-1] == text.splitlines()  # the whole text, not the head
+    assert got == _loop_outcome(text)
+
+
+# line breaks to str.splitlines; a file read as text turns "\r" into "\n"
+# and keeps the others
 @pytest.mark.parametrize("sep", ["\r", "\x0b", "\x85", "\u2028"])
-def test_file_objects_parse_like_their_text(sep):
+def test_file_objects_parse_like_their_text(sep, tmp_path):
+    """parse_dimacs refuses a file object, naming load_dimacs, and
+    load_dimacs reads the file as parse_dimacs reads its text."""
     text = f"c made by hand{sep}p edge 3 2\ne 1 2{sep}e 2 3\n"
-    assert _outcome(io.StringIO(text)) == _outcome(text)
+    with pytest.raises(TypeError, match="load_dimacs"):
+        parse_dimacs(io.StringIO(text))
+    path = tmp_path / "g.col"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(path, load_dimacs) == _outcome(text)
     assert parse_dimacs(text).m == 2
 
 
@@ -296,12 +321,49 @@ def test_file_objects_parse_like_their_text(sep):
 ])
 @pytest.mark.parametrize("kind", ["bytes", "binary file"])
 def test_bytes_parse_like_load_dimacs(kind, text, tmp_path):
+    """parse_dimacs refuses bytes and a binary file, naming load_dimacs,
+    which reads the file as its bytes decode with bad bytes replaced."""
     raw = text.encode("utf-8", errors="surrogateescape")
     path = tmp_path / "g.col"
     path.write_bytes(raw)
-    with open(path, "rb") as fh:
-        got = _outcome(raw if kind == "bytes" else fh)
-    assert got == _outcome(path, load_dimacs)
+    with open(path, "rb") as fh, pytest.raises(TypeError, match="load_dimacs"):
+        parse_dimacs(raw if kind == "bytes" else fh)
+    assert _outcome(path, load_dimacs) == _outcome(raw.decode("utf-8", errors="replace"))
+
+
+@pytest.mark.parametrize("where", ["comment", "token"])
+def test_every_reader_decodes_a_file_as_its_bytes(where, tmp_path, capsys):
+    """DIMACS, best-known and coloring files with CRLF endings and a byte
+    that is not UTF-8 (0xff) in a comment line, or inside a token, read as
+    their bytes decode with bad bytes replaced: the comment is skipped, and
+    the token makes the reader's line-numbered error."""
+    comment, token = ("\udcff", "") if where == "comment" else ("", "\udcff")
+    paths = {}
+    for name, text in [("g.col", "c caf\u00e9 {c}\r\np edge 3 2\r\ne 1 2\r\ne 2 {t}3\r\n"),
+                       ("best.txt", "# caf\u00e9 {c}\r\ngnp 3\r\ncrown {t}2\r\n"),
+                       ("colors.txt", "# caf\u00e9 {c}\r\n1 1\r\n2 2\r\n3 {t}1\r\n")]:
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(text.format(c=comment, t=token).encode(
+            "utf-8", errors="surrogateescape"))
+    decoded = {name: path.read_bytes().decode("utf-8", errors="replace")
+               for name, path in paths.items()}
+    clean = tmp_path / "path.col"
+    clean.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    validate_argv = ["validate", "--input", str(clean), "--coloring", str(paths["colors.txt"])]
+    got = _outcome(paths["g.col"], load_dimacs)
+    assert got == _outcome(decoded["g.col"])
+    if where == "comment":
+        assert got[0] == 3 and not got[3]
+        assert load_best_known(paths["best.txt"]) == parse_best_known(decoded["best.txt"]) \
+            == {"gnp": 3, "crown": 2}
+        assert main(validate_argv) == 0
+        assert capsys.readouterr().out == "VALID\n"
+    else:
+        assert got[0] is DimacsParseError and got[2:] == ("malformed", 4)
+        with pytest.raises(ValueError, match="line 3: bad k\\* value"):
+            load_best_known(paths["best.txt"])
+        assert main(validate_argv) == 2
+        assert capsys.readouterr().err == "error: line 4: expected two integers\n"
 
 
 @pytest.mark.parametrize("n", [2**31, 2**63 - 1, 10**20])

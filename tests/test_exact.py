@@ -5,7 +5,7 @@ import pytest
 from util import colorable, complete_graph, cycle_graph, path_graph
 from wfcolor.coloring import Coloring, validate
 from wfcolor.graph import Graph, crown_graph, random_gnp
-from wfcolor.oracle import OracleLimitError, exact_chromatic
+from wfcolor.oracle import ORACLE_LIMIT, OracleLimitError, exact_chromatic
 
 
 def test_clique_needs_clique_size():
@@ -39,7 +39,8 @@ def test_small_shapes():
 def test_limit_enforced():
     with pytest.raises(OracleLimitError):
         exact_chromatic(random_gnp(13, 0.5, seed=0))
-    assert exact_chromatic(random_gnp(13, 0.3, seed=0), limit=13)[0] >= 1
+    assert ORACLE_LIMIT == 12
+    assert exact_chromatic(random_gnp(12, 0.3, seed=0))[0] >= 1
 
 
 def test_witness_and_minimality_against_bruteforce():
