@@ -3,12 +3,12 @@ greedy (DSatur), and recursive-largest-first (RLF).
 
 Each is one self-contained loop, independent of the collapse solver
 (wfc.py) that is checked and timed against them.  A set of colors is a
-Python-int bitset; RLF's random tie-breaks draw from a seeded xorshift32
-stream.
+Python-int bitset.  All three break ties one way: they scan a vertex order
+fixed once per call and keep the first maximum.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,17 +18,6 @@ from .wfc import SolveResult
 
 SATURATION_MODES = ("distinct", "count")
 RLF_TIE_BREAKS = ("random", "lowest-id")
-
-
-def xorshift32(seed: int) -> Iterator[int]:
-    """Endless xorshift32 stream (Marsaglia 2003) from an arbitrary int
-    seed; the state is mixed from the seed and never zero."""
-    x = (int(seed) * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF or 0x9E3779B9
-    while True:
-        x ^= (x << 13) & 0xFFFFFFFF
-        x ^= x >> 17
-        x ^= (x << 5) & 0xFFFFFFFF
-        yield x
 
 
 def resolve_order(g: Graph, order: str | Sequence[int]) -> np.ndarray:
@@ -71,8 +60,9 @@ def iterated_greedy(g: Graph, order: str | Sequence[int] = "degree") -> SolveRes
 
 def dsatur(g: Graph, saturation: str = "distinct") -> SolveResult:
     """Repeatedly color the uncolored vertex of maximum saturation with its
-    smallest feasible color; ties go to the highest degree then lowest id.
-    The textbook O(n^2) form: each step scans every vertex.
+    smallest feasible color.  The textbook O(n^2) form: each step scans every
+    vertex in resolve_order(g, "degree") and keeps the first maximum, so ties
+    go to the highest degree then the lowest id.
 
     saturation="distinct" counts distinct colors in the colored neighborhood
     (the established rule); "count" counts colored neighbors instead.
@@ -80,19 +70,16 @@ def dsatur(g: Graph, saturation: str = "distinct") -> SolveResult:
     if saturation not in SATURATION_MODES:
         raise ValueError(f"saturation must be one of {SATURATION_MODES}")
     count = saturation == "count"
-    n, indptr, indices, degrees = g.n, g.indptr, g.indices, g.degrees
+    n, indptr, indices = g.n, g.indptr, g.indices
+    order = resolve_order(g, "degree").tolist()
     colors = np.zeros(n, dtype=np.int32)
     sat = np.zeros(n, dtype=np.int32)
     used = [0] * n  # colors around each vertex, bit c-1 for color c
     for _ in range(n):
-        best = bs = bd = -1
-        for v in range(n):
-            if colors[v] != 0:
-                continue
-            s = sat[v]
-            d = degrees[v]
-            if s > bs or (s == bs and d > bd):
-                best, bs, bd = v, s, d
+        best = bs = -1
+        for v in order:
+            if colors[v] == 0 and sat[v] > bs:
+                best, bs = v, sat[v]
         u = used[best]
         c = (~u & (u + 1)).bit_length()
         colors[best] = c
@@ -110,13 +97,17 @@ def dsatur(g: Graph, saturation: str = "distinct") -> SolveResult:
 def rlf(g: Graph, seed: int = 0, tie_break: str = "random") -> SolveResult:
     """Build color classes one independent set at a time: seed each class
     with a highest-degree uncolored vertex, then grow it with the eligible
-    vertex having the most neighbors among the parked ones (W).  Ties are a
-    seeded-uniform pick by default; tie_break="lowest-id" makes runs
-    seed-independent."""
+    vertex having the most neighbors among the parked ones (W).  Each pick
+    scans one vertex order and keeps the first maximum: by default a
+    permutation drawn from np.random.default_rng(seed), or the ids in
+    ascending order with tie_break="lowest-id", which ignores the seed."""
     if tie_break not in RLF_TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {RLF_TIE_BREAKS}")
-    rng = xorshift32(seed) if tie_break == "random" else None
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed}")
     n = g.n
+    scan = (np.random.default_rng(seed).permutation(n).tolist()
+            if tie_break == "random" else range(n))
     ptr, nbrs = g.indptr.tolist(), g.indices.tolist()
     degrees = g.degrees.tolist()
     colors = [0] * n
@@ -129,17 +120,10 @@ def rlf(g: Graph, seed: int = 0, tie_break: str = "random") -> SolveResult:
         w_count = [0] * n
         key = degrees  # the class starts at a highest-degree vertex
         while True:
-            best, top, ties = -1, -1, 0
-            for u in range(n):
-                if not free[u]:
-                    continue
-                c = key[u]
-                if c > top:
-                    best, top, ties = u, c, 1
-                elif c == top and rng is not None:
-                    ties += 1
-                    if next(rng) % ties == 0:
-                        best = u
+            best = top = -1
+            for u in scan:
+                if free[u] and key[u] > top:
+                    best, top = u, key[u]
             if best < 0:
                 break
             colors[best] = k

@@ -1,13 +1,11 @@
 import hashlib
 import tracemalloc
-from itertools import islice
 
 import numpy as np
 import pytest
 
 from util import complete_graph, cycle_graph
-from wfcolor.baselines import (dsatur, iterated_greedy, resolve_order, rlf,
-                               xorshift32)
+from wfcolor.baselines import dsatur, iterated_greedy, resolve_order, rlf
 from wfcolor.coloring import validate
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
@@ -180,22 +178,26 @@ def test_rlf_lowest_id_mode_ignores_seed():
     assert np.array_equal(a.coloring.assignment, b.coloring.assignment)
     with pytest.raises(ValueError):
         rlf(g, tie_break="highest")
+    for tie_break in ("random", "lowest-id"):
+        with pytest.raises(ValueError,
+                           match="seed must be a non-negative int, got -1"):
+            rlf(g, seed=-1, tie_break=tie_break)
 
 
-def test_rng_stream_is_stable():
-    """The xorshift32 stream RLF's random tie-breaks draw from, pinned: a
-    changed stream changes every seeded RLF coloring."""
-    stream = list(islice(xorshift32(123), 5))
-    assert stream == [3761224023, 4155443317, 3264595845, 919473239, 534145365]
-    assert list(islice(xorshift32(123), 5)) == stream
-
-
-def test_seed_zero_is_usable():
-    stream = [1359758873, 3761132862, 2075758394, 25405621, 3862129951]
-    assert list(islice(xorshift32(0), 5)) == stream
-    # 2342946167 mixes to state 0, which would stay 0 forever; it falls back
-    # to the same nonzero state as seed 0
-    assert list(islice(xorshift32(2342946167), 5)) == stream
+def test_rlf_ties_follow_its_scan_order():
+    """On a perfect matching every eligible vertex ties at each pick, so the
+    first color goes to each edge's endpoint that RLF scans first: earlier
+    in default_rng(seed).permutation(n), or the lower id."""
+    edges = [(0, 11), (1, 5), (2, 8), (3, 9), (4, 10), (6, 7)]
+    g = Graph.from_edges(12, edges)
+    for seed in range(5):
+        rank = np.argsort(np.random.default_rng(seed).permutation(g.n))
+        colors = rlf(g, seed=seed).coloring.assignment
+        for u, v in edges:
+            first, second = (u, v) if rank[u] < rank[v] else (v, u)
+            assert colors[first] == 1 and colors[second] == 2
+    colors = rlf(g, seed=3, tie_break="lowest-id").coloring.assignment
+    assert all(colors[u] == 1 and colors[v] == 2 for u, v in edges)
 
 
 def test_rlf_classes_are_maximal_independent_sets():
@@ -230,7 +232,7 @@ def test_all_baselines_dominate_exact():
 
 
 # colorings of every mode on six small graphs, pinned by digest: any change
-# to an order, a tie-break or the RLF stream shows here
+# to an order, a tie-break or RLF's random scan order shows here
 _PINNED_GRAPHS = (
     lambda: random_gnp(60, 0.3, seed=1),
     lambda: random_gnp(40, 0.7, seed=2),
@@ -253,9 +255,9 @@ _PINNED_GRAPHS = (
     (lambda g: dsatur(g, "count"),
      "95361bd414cbbe56b8fe75a99e8eaa31d7ac960d4c14922cee3ed86f1085ee86"),
     (lambda g: rlf(g, seed=0),
-     "8e42137957d2d6343f7e2b9d8d6c703fab6943d6fcc1abf9030050158dd079ed"),
+     "c455167c282420c731b31189788d436cce9bcc3a7a8646fd48c326e312e90672"),
     (lambda g: rlf(g, seed=7),
-     "4643b82c0c8017fd3eac1a33b4acfaba09475a35987f701c2057b0ad88238513"),
+     "20d1bfaf05e7ae75c36a29d1fbf14b1de83c16f1194a82eef26b1498e8fa2c18"),
     (lambda g: rlf(g, tie_break="lowest-id"),
      "f1a622b92a1d75dc90b9dbcc9d97926f3afc9164b73af1c45db6baa766b90f9f"),
 ], ids=["ig-degree", "ig-natural", "ig-reversed", "dsatur-distinct",
