@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .coloring import Coloring
-from .graph import Graph
+from .graph import Graph, _check_seed
 from .wfc import SolveResult
 
 SATURATION_MODES = ("distinct", "count")
@@ -100,11 +100,10 @@ def rlf(g: Graph, seed: int = 0, tie_break: str = "random") -> SolveResult:
     vertex having the most neighbors among the parked ones (W).  Each pick
     scans one vertex order and keeps the first maximum: by default a
     permutation drawn from np.random.default_rng(seed), or the ids in
-    ascending order with tie_break="lowest-id", which ignores the seed."""
+    ascending order with tie_break="lowest-id", which ignores a valid seed."""
     if tie_break not in RLF_TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {RLF_TIE_BREAKS}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed}")
+    _check_seed(seed)
     n = g.n
     scan = (np.random.default_rng(seed).permutation(n).tolist()
             if tie_break == "random" else range(n))

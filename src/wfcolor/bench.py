@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple, Sequence
 from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import validate
 from .dimacs import _int_token, load_dimacs, read_text
-from .graph import Graph, barabasi_albert, crown_graph, random_gnp, star_graph
+from .graph import (Graph, _check_int, _check_seed, barabasi_albert,
+                    crown_graph, random_gnp, star_graph)
 from .wfc import SolveResult, solve
 
 
@@ -106,8 +107,6 @@ def _bench_pair(name: str, g: Graph, alg: str, reps: int, seed: int,
                 timeout_ms: float, best_known: int | None) -> BenchRow:
     run = SOLVERS[alg].run
     times_us: list[float] = []
-    result: SolveResult | None = None
-    timed_out = False
     # one untimed warm-up per pair so first-call costs never land in the
     # statistics; it still counts against the timeout
     for rep in range(reps + 1):
@@ -121,14 +120,8 @@ def _bench_pair(name: str, g: Graph, alg: str, reps: int, seed: int,
         if rep > 0:
             times_us.append(dt_us)
         if dt_us > timeout_ms * 1000.0:
-            timed_out = True
-            break
-    if timed_out:
-        return BenchRow(instance=name, algorithm=alg, k=None,
-                        best_known=best_known, reps=reps,
-                        time_mean_us=None, time_median_us=None,
-                        time_stddev_us=None, restarts=None, seed=seed)
-    assert result is not None
+            return BenchRow(name, alg, None, best_known, reps, None, None,
+                            None, None, seed)
     return BenchRow(
         instance=name,
         algorithm=alg,
@@ -182,12 +175,12 @@ def run_bench(algorithms: Sequence[str], instances: Sequence[str] = (),
     _check_unique("algorithm", algorithms)
     if not instances and not generators:
         raise ValueError("select at least one instance or generator")
+    _check_int(reps, "repetitions")
     if reps < 1:
         raise ValueError("repetitions must be >= 1")
     if not timeout_ms > 0:  # also rejects NaN, which no time exceeds
         raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed}")
+    _check_seed(seed)
     graphs = [(Path(p).stem, load_dimacs(p)) for p in instances]
     graphs += [parse_generator_spec(spec, seed) for spec in generators]
     _check_unique("instance", [name for name, _ in graphs])

@@ -9,6 +9,7 @@ from .bench import (GENERATORS, SOLVERS, BenchError, load_best_known,
                     render_csv, render_markdown, run_bench, speedup_summary)
 from .coloring import format_coloring, parse_coloring, validate
 from .dimacs import load_dimacs, read_text
+from .graph import _check_seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +65,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_color(args) -> int:
-    if args.seed < 0:  # as bench does: some solvers would ignore it
-        raise ValueError(f"seed must be a non-negative int, got {args.seed}")
+    _check_seed(args.seed)  # as bench does: some solvers would ignore it
     g = load_dimacs(args.input)
     result = SOLVERS[args.alg].run(g, args.seed)
     text = format_coloring(result.coloring)

@@ -7,6 +7,7 @@ The generators and the DIMACS parser hand ``Graph.from_edges`` a (k, 2) int64
 endpoint array, and it builds the CSR with whole-array numpy operations.  That
 CSR is canonical by construction, so it is not checked again; a CSR handed to
 ``Graph(n, indptr, indices)``, or unpickled, is checked in full and copied.
+Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed``.
 """
 from __future__ import annotations
 
@@ -148,6 +149,12 @@ def _check_int(x: int, what: str) -> None:
         raise ValueError(f"{what} {x!r} is not an integer")
 
 
+def _check_seed(seed: int) -> None:
+    _check_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative int, got {seed}")
+
+
 def _check_vertex_count(n: int) -> None:
     # before any allocation: the CSR build allocates O(n) arrays
     _check_int(n, "vertex count")
@@ -209,6 +216,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("need at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
     mask = rng.random(iu.shape[0]) < p
@@ -234,6 +242,7 @@ def barabasi_albert(n: int, k: int, seed: int) -> Graph:
     _check_int(k, "k")
     if not 1 <= k < n:
         raise ValueError("need 1 <= k < n")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     ends: list[int] = []  # both endpoints of every edge so far
     targets = list(range(k))

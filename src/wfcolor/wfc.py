@@ -42,7 +42,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from .coloring import Coloring
-from .graph import Graph
+from .graph import Graph, _check_seed
 
 # observe's dead-end result (never a vertex id)
 RESTART = -1
@@ -80,8 +80,7 @@ def _rank_order(g: Graph, tie_break: str, seed: int) -> np.ndarray:
     "random"."""
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative int, got {seed}")
+    _check_seed(seed)
     if tie_break == "random":
         return np.random.default_rng(seed).permutation(g.n)
     return np.argsort(-g.degrees, kind="stable")
@@ -378,8 +377,8 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
 
     tie_break orders vertices of equal saturation: "degree" (highest degree,
     then lowest id) or "random" (a permutation of the vertices drawn from
-    seed, so a fixed seed gives identical runs).  seed is a non-negative
-    int, unused with "degree".
+    seed, so a fixed seed gives identical runs).  Both modes refuse a seed
+    that is not a non-negative int, though "degree" does not use it.
 
     The paper's counters follow from the pass (see the module docstring):
     restarts = int(k > m0) with m0 = max(max_degree, 1), final_m = m0 +

@@ -179,9 +179,13 @@ def test_rlf_lowest_id_mode_ignores_seed():
     with pytest.raises(ValueError):
         rlf(g, tie_break="highest")
     for tie_break in ("random", "lowest-id"):
-        with pytest.raises(ValueError,
-                           match="seed must be a non-negative int, got -1"):
-            rlf(g, seed=-1, tie_break=tie_break)
+        for seed in (-1, np.int64(-1)):
+            with pytest.raises(ValueError,
+                               match="seed must be a non-negative int, got -1"):
+                rlf(g, seed=seed, tie_break=tie_break)
+        for seed in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="is not an integer"):
+                rlf(g, seed=seed, tie_break=tie_break)
 
 
 def test_rlf_ties_follow_its_scan_order():

@@ -212,14 +212,18 @@ def test_star_shape():
 @pytest.mark.parametrize("make, args", [
     (crown_graph, (2.5,)), (crown_graph, (True,)), (star_graph, (True,)),
     (star_graph, (3.0,)), (barabasi_albert, (5.5, 2, 0)),
-    (barabasi_albert, (True, 1, 0)), (barabasi_albert, (5, 2.0, 0))])
+    (barabasi_albert, (True, 1, 0)), (barabasi_albert, (5, 2.0, 0)),
+    (random_gnp, (5, 0.5, 2.5)), (random_gnp, (5, 0.5, True)),
+    (barabasi_albert, (5, 2, 2.5)), (barabasi_albert, (5, 2, True))])
 def test_generators_reject_counts_that_are_not_integers(make, args):
-    # a bool or float count is refused by type, as _check_vertex_count does;
-    # numpy integers pass
+    # a bool or float count or seed is refused by type, as
+    # _check_vertex_count does; numpy integers pass
     with pytest.raises(ValueError, match="is not an integer"):
         make(*args)
-    numpy_args = tuple(np.int64(3) if isinstance(a, (bool, float)) else a for a in args)
-    plain_args = tuple(int(a) for a in numpy_args)
+    # the bad argument is the last bool or float (gnp's p is a float)
+    bad = max(i for i, a in enumerate(args) if isinstance(a, (bool, float)))
+    numpy_args = args[:bad] + (np.int64(3),) + args[bad + 1:]
+    plain_args = args[:bad] + (3,) + args[bad + 1:]
     assert make(*numpy_args).edges() == make(*plain_args).edges()
 
 

@@ -94,11 +94,16 @@ def test_config_validation():
     g = random_gnp(5, 0.5, seed=0)
     with pytest.raises(ValueError):
         solve(g, tie_break="alphabetical")
-    # numpy's own error would not say which argument it means
+    # numpy's own error would not say which argument it means; degree mode
+    # uses no seed but refuses the same ones
     for tie_break in TIE_BREAKS:
-        with pytest.raises(ValueError, match="seed must be a non-negative "
-                                             "int, got -1"):
-            solve(g, tie_break=tie_break, seed=-1)
+        for seed in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match="seed must be a non-negative "
+                                                 "int, got -1"):
+                solve(g, tie_break=tie_break, seed=seed)
+        for seed in (2.5, True, "3"):
+            with pytest.raises(ValueError, match="is not an integer"):
+                solve(g, tie_break=tie_break, seed=seed)
 
 
 def test_array_holding_values_compare_and_hash_by_identity():
