@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .coloring import Coloring
-from .graph import Graph, _check_seed
+from .graph import Graph, _check_seed, _int_array
 from .wfc import SolveResult
 
 SATURATION_MODES = ("distinct", "count")
@@ -22,21 +22,14 @@ RLF_TIE_BREAKS = ("random", "lowest-id")
 
 def resolve_order(g: Graph, order: str | Sequence[int]) -> np.ndarray:
     """Vertex ordering as an int32 array: "degree" (highest first, lowest id
-    on ties) or an explicit permutation of integers."""
+    on ties) or an explicit permutation, read by graph._int_array."""
     if isinstance(order, str):
         if order == "degree":
             return np.argsort(-g.degrees, kind="stable").astype(np.int32)
         raise ValueError(f"unknown ordering {order!r}; use 'degree' or a "
                          "permutation")
-    items = list(order)
-    arr = np.asarray(items)
-    if arr.size == 0:
-        arr = arr.astype(np.int32)
-    # numpy reads a bool mixed with ints as 0 or 1: reject it by type
-    if (arr.ndim != 1 or arr.dtype.kind not in "iu"
-            or any(isinstance(x, (bool, np.bool_)) for x in items)):
-        raise ValueError("explicit ordering must be a 1-D sequence of integers")
-    if arr.shape[0] != g.n or not np.array_equal(np.sort(arr), np.arange(g.n)):
+    arr = _int_array(order, "explicit ordering must be a 1-D sequence of integers")
+    if arr.ndim != 1 or arr.shape[0] != g.n or not np.array_equal(np.sort(arr), np.arange(g.n)):
         raise ValueError("explicit ordering must be a permutation of 0..n-1")
     return arr.astype(np.int32)
 

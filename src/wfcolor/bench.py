@@ -18,6 +18,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import validate
 from .dimacs import _int_token, load_dimacs, read_text
@@ -77,9 +79,8 @@ class BenchRow:
 def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
     """"crown:<n>", "gnp:<n>,<p>", "star:<n>" (n leaves) or "ba:<n>,<k>"
     (Barabasi-Albert) to a (name, graph) pair.  gnp and ba draw from seed.
-    Sizes are read as the DIMACS readers read ids, by dimacs._int_token, and
-    gnp's probability refuses the same two forms: an underscore and a
-    non-ASCII character."""
+    Sizes, and gnp's p with float, are read as the DIMACS readers read ids,
+    by dimacs._int_token: an underscore or a non-ASCII character is refused."""
     kind, _, args = spec.partition(":")
     try:
         if kind == "crown":
@@ -90,9 +91,7 @@ def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
             return f"star_{n}", star_graph(n)
         if kind == "gnp":
             n_s, p_s = args.split(",")
-            if "_" in p_s or not p_s.isascii():
-                raise ValueError(f"not a decimal number: {p_s!r}")
-            n, p = _int_token(n_s), float(p_s)
+            n, p = _int_token(n_s), _int_token(p_s, float)
             return f"gnp_{n}_{p:g}", random_gnp(n, p, seed)
         if kind == "ba":
             n_s, k_s = args.split(",")
@@ -178,7 +177,7 @@ def run_bench(algorithms: Sequence[str], instances: Sequence[str] = (),
     _check_int(reps, "repetitions")
     if reps < 1:
         raise ValueError("repetitions must be >= 1")
-    if not timeout_ms > 0:  # also rejects NaN, which no time exceeds
+    if np.asarray(timeout_ms).dtype.kind == "b" or not timeout_ms > 0:  # NaN fails > 0
         raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
     _check_seed(seed)
     graphs = [(Path(p).stem, load_dimacs(p)) for p in instances]

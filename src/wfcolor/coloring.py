@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimacs import _int_token, int_lines
-from .graph import Graph
+from .graph import Graph, _int_array
 
 UNCOLORED = 0  # sentinel in assignment arrays; real colors start at 1
 MAX_COLOR = int(np.iinfo(np.int32).max)  # assignments are stored as int32
@@ -15,16 +15,18 @@ MAX_COLOR = int(np.iinfo(np.int32).max)  # assignments are stored as int32
 @dataclass(frozen=True, eq=False)
 class Coloring:
     """Per-vertex color assignment.  Colors are positive ints starting at 1;
-    0 marks an unassigned vertex.  Colorings compare and hash by identity."""
+    0 marks an unassigned vertex.  Colorings compare and hash by identity.
+    The assignment is read by graph._int_array, so a bool is refused."""
 
     assignment: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.assignment)
+        message = f"colors must be integers in 0..{MAX_COLOR} (0 = unassigned)"
+        a = _int_array(self.assignment, message)
         if a.ndim != 1:
             raise ValueError("assignment must be a flat per-vertex array")
-        if a.size and (a.dtype.kind not in "iu" or a.min() < 0 or a.max() > MAX_COLOR):
-            raise ValueError(f"colors must be integers in 0..{MAX_COLOR} (0 = unassigned)")
+        if a.size and (a.min() < 0 or a.max() > MAX_COLOR):
+            raise ValueError(message)
         a = np.array(a, dtype=np.int32)  # a private copy: only it is frozen
         a.setflags(write=False)
         object.__setattr__(self, "assignment", a)
@@ -55,10 +57,7 @@ class Coloring:
 
     @classmethod
     def from_list(cls, colors: list[int | None]) -> "Coloring":
-        # numpy reads a bool mixed with ints as 0 or 1: reject it by type
-        if any(isinstance(c, (bool, np.bool_)) for c in colors):
-            raise ValueError("colors must be integers or None, not bools")
-        return cls(np.array([UNCOLORED if c is None else c for c in colors]))
+        return cls([UNCOLORED if c is None else c for c in colors])
 
 
 @dataclass(frozen=True)

@@ -154,13 +154,13 @@ def _parse_lines(lines: Iterable[str]) -> tuple[int, np.ndarray, int]:
     return n, np.array(ends, dtype=np.int64), declared_m
 
 
-def _int_token(token: str) -> int:
-    """The int a token of outside text spells, or a ValueError: what int()
-    reads, less the two forms int_lines never writes and int() accepts, an
-    underscore ("1_0" is 10) and a non-ASCII digit.  A sign stays."""
+def _int_token(token: str, read=int):
+    """The number a token of outside text spells, or a ValueError: what
+    ``read`` (int, or float for gnp's p) reads, less the two forms int_lines
+    never writes, an underscore ("1_0" is 10) and a non-ASCII digit."""
     if "_" in token or not token.isascii():
-        raise ValueError(f"not a decimal integer: {token!r}")
-    return int(token)
+        raise ValueError(f"not a decimal number: {token!r}")
+    return read(token)
 
 
 def read_text(path) -> str:

@@ -87,8 +87,8 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
         """Build a canonical graph from 0-based edge pairs: a (k, 2) integer
-        array, or any iterable of integer (u, w) pairs.  Empty input builds
-        an edgeless graph.
+        array, or any iterable of integer (u, w) pairs, read by _int_array,
+        which refuses a bool.  Empty input builds an edgeless graph.
 
         Duplicate pairs and both orientations of an edge collapse to one
         undirected edge.  Self-loops are rejected, and so is an n outside
@@ -99,18 +99,13 @@ class Graph:
         to that check instead.
         """
         _check_vertex_count(n)
-        items = edges if isinstance(edges, np.ndarray) else list(edges)
-        pairs = np.asarray(items)
-        if pairs.size == 0:
-            pairs = np.empty((0, 2), np.int64)
-        # numpy reads a bool mixed with ints as 0 or 1: reject it by type
-        if (pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu"
-                or not isinstance(items, np.ndarray) and any(
-                    isinstance(x, (bool, np.bool_)) for pair in items for x in pair)):
-            raise ValueError("edges must be (u, w) pairs of integers")
+        message = "edges must be (u, w) pairs of integers"
+        pairs = _int_array(edges, message)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError(message)
         if np.any(pairs < 0) or np.any(pairs >= n):
             raise ValueError("edge endpoint out of range")
-        u, w = pairs.astype(np.int64, copy=False).T
+        u, w = pairs.reshape(-1, 2).astype(np.int64, copy=False).T  # any empty shape
         if np.any(u == w):
             raise ValueError("self-loops are not allowed")
         # one key per arc, both orientations, written and sorted in place in
@@ -147,6 +142,20 @@ def _check_int(x: int, what: str) -> None:
     # is; numpy integers pass
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"{what} {x!r} is not an integer")
+
+
+def _int_array(items, message: str) -> np.ndarray:
+    """``items`` as an integer array, or ValueError(message).  An ndarray or a
+    scalar is judged by its dtype, unless empty.  Any other iterable is listed
+    once, and its values, in pairs too, are checked by type: no bool passes."""
+    if not isinstance(items, np.ndarray) and isinstance(items, Iterable):
+        items = list(items)
+        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(items, dtype=object).flat)):
+            raise ValueError(message)
+    arr = np.asarray(items)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(message)
+    return arr
 
 
 def _check_seed(seed: int) -> None:
@@ -214,8 +223,8 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     _check_vertex_count(n)
     if n < 1:
         raise ValueError("need at least one vertex")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("edge probability must lie in [0, 1]")
+    if np.asarray(p).dtype.kind == "b" or not 0.0 <= p <= 1.0:  # numpy's bool too
+        raise ValueError(f"edge probability must be a number in [0, 1], got {p!r}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     iu, ju = np.triu_indices(n, k=1)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from util import one_color_solve, read_csv
@@ -22,6 +23,8 @@ def test_config_validation(monkeypatch):
                 {"algorithms": ("magic",), **crown},
                 {"algorithms": ("wfcc",), "reps": 0, **crown},
                 {"algorithms": ("wfcc",), "timeout_ms": 0.0, **crown},
+                {"algorithms": ("wfcc",), "timeout_ms": True, **crown},
+                {"algorithms": ("wfcc",), "timeout_ms": np.True_, **crown},
                 {"algorithms": ("wfcc",), "seed": -1, **crown},
                 {"algorithms": ("wfcc",), "seed": 2.5, **crown},
                 {"algorithms": ("wfcc",), "seed": True, **crown},

@@ -92,6 +92,10 @@ def test_coloring_rejects_a_matrix():
     np.array([2**31, 1], dtype=np.uint32),
     np.array([1.7, 2.2]),  # and truncate this to [1, 2]
     np.array([True, True]),
+    # numpy would read a bool among ints as 0 or 1: [1, 2], [2, 0, 0], [1, 1]
+    [True, 2],
+    [2, np.False_, 0],
+    (1, True),
 ])
 def test_coloring_rejects_non_int32_colors(assignment):
     with pytest.raises(ValueError, match="colors must"):

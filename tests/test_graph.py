@@ -35,6 +35,8 @@ def test_from_edges_rejects_self_loop_and_range():
     [(0, 1, 2), (1, 2, 3)],  # and these into three edges
     [(True, False)],  # a cast would read bools as (1, 0)
     [(True, 2)],  # and a bool among ints as the edge (1, 2)
+    iter([(0, True)]),  # from an iterator too
+    3,  # not an iterable of pairs at all
 ])
 def test_from_edges_rejects_non_integer_pairs(edges):
     with pytest.raises(ValueError, match="pairs of integers"):
@@ -336,6 +338,10 @@ def test_gnp_rejects_bad_probability():
         random_gnp(5, 1.5, seed=0)
     with pytest.raises(ValueError):
         random_gnp(0, 0.5, seed=0)
+    with pytest.raises(ValueError):
+        random_gnp(5, True, seed=0)  # would build K5, as p = 1
+    with pytest.raises(ValueError):
+        random_gnp(5, np.True_, seed=0)
 
 
 @given(n=st.integers(1, 40), p=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
