@@ -147,12 +147,16 @@ def _check_int(x: int, what: str) -> None:
 def _int_array(items, message: str) -> np.ndarray:
     """``items`` as an integer array, or ValueError(message).  An ndarray or a
     scalar is judged by its dtype, unless empty.  Any other iterable is listed
-    once, and its values, in pairs too, are checked by type: no bool passes."""
-    if not isinstance(items, np.ndarray) and isinstance(items, Iterable):
-        items = list(items)
-        if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(items, dtype=object).flat)):
-            raise ValueError(message)
-    arr = np.asarray(items)
+    once, and its values, in pairs too, are checked by type: no bool passes.
+    Ragged input, which numpy cannot make an array of, gets the message too."""
+    try:
+        if not isinstance(items, np.ndarray) and isinstance(items, Iterable):
+            items = list(items)
+            if not {bool, np.bool_}.isdisjoint(map(type, np.asarray(items, dtype=object).flat)):
+                raise ValueError(message)
+        arr = np.asarray(items)
+    except ValueError:
+        raise ValueError(message) from None
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(message)
     return arr

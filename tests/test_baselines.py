@@ -70,6 +70,9 @@ def test_resolve_order_rejects_non_integer_orders():
         resolve_order(g, np.arange(4, dtype=np.float64))
     with pytest.raises(ValueError):
         resolve_order(g, ["0", "1", "2", "3"])
+    # ragged: numpy's own message would name no ordering
+    with pytest.raises(ValueError, match="sequence of integers"):
+        resolve_order(g, [[0], [1, 2, 3]])
 
 
 def test_resolve_order_accepts_integer_orders():

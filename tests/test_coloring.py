@@ -96,6 +96,7 @@ def test_coloring_rejects_a_matrix():
     [True, 2],
     [2, np.False_, 0],
     (1, True),
+    [[1], [2, 3]],  # ragged: numpy cannot make an array of it
 ])
 def test_coloring_rejects_non_int32_colors(assignment):
     with pytest.raises(ValueError, match="colors must"):

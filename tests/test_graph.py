@@ -37,6 +37,7 @@ def test_from_edges_rejects_self_loop_and_range():
     [(True, 2)],  # and a bool among ints as the edge (1, 2)
     iter([(0, True)]),  # from an iterator too
     3,  # not an iterable of pairs at all
+    [(0, 1, 2), (1, 2)],  # ragged: numpy cannot make an array of it
 ])
 def test_from_edges_rejects_non_integer_pairs(edges):
     with pytest.raises(ValueError, match="pairs of integers"):

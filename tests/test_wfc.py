@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +16,7 @@ from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
 from wfcolor.oracle import exact_chromatic, naive_propagate, paper_wfc
 from wfcolor.wfc import (RESTART, TIE_BREAKS, DomainState, _dense_pass,
-                         _heap_pass, _is_dense, solve)
+                         _heap_pass, _is_dense, _words_fit, solve)
 
 
 # -- solve ------------------------------------------------------------------
@@ -68,7 +69,8 @@ def test_empty_graph_colors():
         r = solve(g, tie_break=tie_break)
         assert r.coloring.assignment.tolist() == [] and r.k == 0
         assert (r.restarts, r.final_m, r.forced_colorings) == (0, 1, 0)
-        assert r.stats == {"selections": 0, "strikes": 0, "stale_pops": 0}
+        assert r.stats == {"selections": 0, "strikes": 0, "stale_pops": 0,
+                           "layout": "dense"}
     # and the arguments are checked all the same
     with pytest.raises(ValueError):
         solve(g, tie_break="alphabetical")
@@ -331,7 +333,7 @@ def test_dense_layout_takes_less_memory_than_the_heap():
     assert _is_dense(g)
     dense, dense_peak = _peak(_run, _dense_pass, g)
     heap, heap_peak = _peak(_run, _heap_pass, g)
-    assert dense == (*heap[:2], 0)
+    assert dense == (*heap[:2], 0, "dense")
     assert dense_peak < heap_peak
     assert dense_peak < 80 * g.n
 
@@ -718,7 +720,8 @@ def _dense_graph(name):
 
 def _run(pass_, g, tie_break="degree", seed=0):
     """pass_ (_heap_pass or _dense_pass) from solve's seed vertex, on any
-    graph: (colors, sat, stale pops)."""
+    graph, as one whole pass on its own layout (no probe): (colors, sat,
+    stale pops, layout)."""
     return pass_(g, int(np.argmax(g.degrees)), tie_break, seed)
 
 
@@ -731,7 +734,8 @@ def test_pass_leaves_the_state_the_steps_leave(g, tie_break, seed):
     colors, _, _, _, sat = paper_wfc(g, tie_break, seed)
     heap = _run(_heap_pass, g, tie_break, seed)
     assert heap[:2] == (colors.tolist(), sat)
-    assert _run(_dense_pass, g, tie_break, seed) == (*heap[:2], 0)
+    assert heap[3] == "heap"
+    assert _run(_dense_pass, g, tie_break, seed) == (*heap[:2], 0, "dense")
     # every popped key was pushed: n ranks plus one key per strike
     assert heap[2] <= g.n + sum(sat)
 
@@ -748,7 +752,7 @@ def test_pass_leaves_the_state_the_steps_leave_above_the_rule(
     # and many heap compactions
     g = _dense_graph(name)
     other = _dense_pass if pass_ is _heap_pass else _heap_pass
-    colors, sat, stale_pops = _run(pass_, g, tie_break, 5)
+    colors, sat, stale_pops, _ = _run(pass_, g, tie_break, 5)
     assert (colors, sat) == _run(other, g, tie_break, 5)[:2]
     if tie_break == "degree":
         assert colors == dsatur(g).coloring.assignment.tolist()
@@ -763,8 +767,8 @@ def test_solve_builds_no_domain_state(dense, tie_break, monkeypatch):
     # functions, and solve gives the other layout's pass's coloring
     g = _dense_graph("crown200") if dense else random_gnp(400, 0.02, 3)
     assert _is_dense(g) == dense
-    colors, sat, _ = _run(_heap_pass if dense else _dense_pass, g,
-                          tie_break, 5)
+    colors, sat, _, _ = _run(_heap_pass if dense else _dense_pass, g,
+                             tie_break, 5)
 
     def refuse(*args, **kwargs):
         raise AssertionError("solve built a DomainState")
@@ -782,7 +786,7 @@ def test_dense_layout_solves_as_the_heap_does(name, tie_break):
     g = _dense_graph(name)
     assert _is_dense(g)
     r = solve(g, tie_break=tie_break, seed=7)
-    colors, sat, _ = _run(_heap_pass, g, tie_break, 7)
+    colors, sat, _, _ = _run(_heap_pass, g, tie_break, 7)
     assert r.coloring.assignment.tolist() == colors
     # the paper's counters come from the saturations, as on the small
     # graphs where test_solve_equals_paper_wfc checks them
@@ -790,7 +794,144 @@ def test_dense_layout_solves_as_the_heap_does(name, tie_break):
     assert r.final_m == m0 + r.restarts and r.restarts == int(r.k > m0)
     assert r.forced_colorings == sat.count(r.final_m - 1)
     assert r.stats == {"selections": g.n - 1, "strikes": sum(sat),
-                       "stale_pops": 0}
+                       "stale_pops": 0, "layout": "dense"}
     if tie_break == "degree":
         assert r.coloring.assignment.tobytes() == \
             dsatur(g).coloring.assignment.tobytes()
+
+
+# -- the switch ---------------------------------------------------------------
+# graphs below the dense rule whose heap pass probes n // 16 picks, then
+# finishes in the dense loop, with the sha256 of oracle.paper_wfc's int32
+# colors in each tie mode (random ties drawn from seed 7).  paper_wfc
+# recomputes every domain at each step, 1-22 s a run on these, so the
+# digests were recorded from it once and it reruns live on the smallest
+# graph only.  The planted clique has 68 colors at its probe in both modes,
+# so each bitset becomes two color words
+
+def _planted_clique(n, p, size, seed):
+    """random_gnp(n, p, seed) with vertices 0..size-1 made a clique."""
+    us, ws = np.triu_indices(size, 1)
+    edges = set(random_gnp(n, p, seed).edges()) | set(zip(us.tolist(),
+                                                          ws.tolist()))
+    return Graph.from_edges(n, sorted(edges))
+
+
+def _random_bipartite(half, p, seed):
+    """Parts 0..half-1 and half..2*half-1, each pair across them an edge
+    with probability p."""
+    us, ws = np.nonzero(np.random.default_rng(seed).random((half, half)) < p)
+    return Graph.from_edges(2 * half, np.stack([us, ws + half], axis=1))
+
+
+_SWITCHED = {
+    "gnp250_0.5": (lambda: random_gnp(250, 0.5, 401), {
+        "degree": "f92f76c378f871467e171aea23dee4ffa987805e657ab6ace3d10c864ea4799c",
+        "random": "2cf7362a877440bf783b3736ff7bf1f90e181e46e1642869e7bee628e161b909"}),
+    "gnp500_0.2": (lambda: random_gnp(500, 0.2, 1), {
+        "degree": "13ac4df1209dfcc7e2eb281ad650fffbd4b01dd76aace86c31d2cf4a15ee67ed",
+        "random": "1fd0a3585cb1bca07b8ada1f44ec97a1f054f86de8ba1e1770f2cbea950209e9"}),
+    "gnp1000_0.1": (lambda: random_gnp(1000, 0.1, 3), {
+        "degree": "8b854dcce622a34db1146f0d2be67c70257147ed7089095862f24b9d9ff09064",
+        "random": "5c4aff17df4ef9e3bce17e231ccd3b9800999b3d0bf89bf83f78320225c848c7"}),
+    "clique80_in_gnp1100": (lambda: _planted_clique(1100, 0.07, 80, 1), {
+        "degree": "b3eb98fa2bb7a9feb5a6b361cc86be51e6502f6715b5bef913566c909797477d",
+        "random": "c7375bc52206ad7639c35783af110eede0c605e818109d0bddbc5308810ced9e"}),
+}
+
+
+def _sha(colors):
+    return hashlib.sha256(np.asarray(colors, dtype=np.int32).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("name", sorted(_SWITCHED))
+def test_switched_pass_colors_as_the_whole_passes(name, tie_break):
+    make, digests = _SWITCHED[name]
+    g = make()
+    assert not _is_dense(g)
+    r = solve(g, tie_break=tie_break, seed=7)
+    assert r.stats["layout"] == "switched"
+    heap = _run(_heap_pass, g, tie_break, 7)
+    dense = _run(_dense_pass, g, tie_break, 7)
+    assert r.coloring.assignment.tolist() == heap[0] == dense[0]
+    assert _sha(heap[0]) == digests[tie_break]
+    assert heap[1] == dense[1] and r.stats["strikes"] == sum(heap[1])
+    assert r.forced_colorings == heap[1].count(r.final_m - 1)
+    # only the heap part pops keys, and it is the whole pass's first part
+    assert r.stats["stale_pops"] <= heap[2]
+    if tie_break == "degree":
+        assert r.coloring.assignment.tobytes() == \
+            dsatur(g).coloring.assignment.tobytes()
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_switched_digests_are_the_paper_loops(tie_break):
+    make, digests = _SWITCHED["gnp250_0.5"]
+    assert _sha(paper_wfc(make(), tie_break, 7)[0]) == digests[tie_break]
+
+
+@pytest.mark.parametrize("make, layout", [
+    (lambda: crown_graph(150), "heap"),
+    (lambda: _random_bipartite(500, 0.2, 1), "heap"),
+    (lambda: random_gnp(1000, 0.006, 3), "heap"),
+    (lambda: star_graph(800), "heap"),
+    *[(make, "switched") for make, _ in _SWITCHED.values()],
+    (lambda: random_gnp(1000, 0.5, 1), "dense"),
+    (lambda: random_gnp(700, 0.5, 2), "dense"),
+], ids=["crown150", "bipartite1000_0.2", "gnp1000_0.006", "star800",
+        *_SWITCHED, "gnp1000_0.5", "gnp700_0.5"])
+def test_layout_follows_the_strikes(make, layout):
+    # crowns and random bipartite graphs strike about 0.1 colors an arc by
+    # the probe, G(n,p) 0.6-0.7; gnp1000_0.006 and star800 are below the
+    # floor and run no probe, and the last two are above the dense rule
+    g = make()
+    r = solve(g)
+    assert r.stats["layout"] == layout
+    assert r.coloring.assignment.tolist() == _run(_heap_pass, g)[0]
+
+
+def test_switch_needs_the_color_words_to_fit(monkeypatch):
+    # G(2999, 0.025) and a vertex joined to all of it: max_degree + 1 =
+    # 3000 colors would take 47 words a vertex, 141,000 words against
+    # about 115,000 edges, so the graph keeps the heap although its strikes
+    # favor the dense loop
+    n = 3000
+    hub = np.stack([np.arange(n - 1), np.full(n - 1, n - 1)], axis=1)
+    g = Graph.from_edges(n, np.concatenate(
+        [np.array(random_gnp(n - 1, 0.025, 1).edges()), hub]))
+    assert not _is_dense(g) and not _words_fit(g)
+    r = solve(g)
+    assert r.stats["layout"] == "heap"
+    monkeypatch.setattr("wfcolor.wfc._words_fit", lambda g: True)
+    switched = solve(g)
+    assert switched.stats["layout"] == "switched"
+    assert switched.coloring.assignment.tobytes() == \
+        r.coloring.assignment.tobytes()
+
+
+@given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
+       seed=st.integers(0, 1000), data=st.data())
+def test_a_probe_at_any_pick_ends_as_the_whole_pass(g, tie_break, seed,
+                                                    data):
+    # _heap_pass probes wherever it is told to; whichever layout the
+    # strikes then pick, the pass ends where the whole heap pass does
+    probe = data.draw(st.integers(0, g.n))
+    whole = _run(_heap_pass, g, tie_break, seed)
+    colors, sat, stale_pops, layout = _heap_pass(
+        g, int(np.argmax(g.degrees)), tie_break, seed, probe)
+    assert (colors, sat) == whole[:2]
+    assert stale_pops <= whole[2]
+    if not 0 < probe < g.n:
+        assert layout == "heap"
+
+
+@pytest.mark.parametrize("n, probe", [(10, 3), (70, 66)],
+                         ids=["one_word", "two_words"])
+def test_a_probed_clique_switches(n, probe):
+    # every pick strikes a color from every uncolored vertex; K70 has 66
+    # colors at its probe, so each bitset becomes two color words
+    g = complete_graph(n)
+    colors, sat, _, layout = _heap_pass(g, 0, "degree", 0, probe)
+    assert layout == "switched"
+    assert colors == list(range(1, n + 1)) and sat == list(range(n))
