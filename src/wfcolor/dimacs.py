@@ -6,17 +6,22 @@ Internally everything is 0-based; the translation happens only here.
 
 parse_dimacs has two paths that give the same graph.  Canonical text, what
 write_dimacs writes for its ids (a ``c`` comment header allowed), is read at
-array speed: the ids past the head are read by one np.fromstring call, and
-the edge lines are taken as read only when they are in range, no edge is a
-self-loop, and int_lines writes them back as the exact text.  Anything else
-goes through a loop over the lines, the only source of DimacsParseError, so
-error kinds, line numbers and messages do not depend on the path taken.
-parse_dimacs takes only a ``str``: load_dimacs reads a file with read_text.
+array speed, in blocks of about _BLOCK_ROWS lines cut at line ends: each
+block's ids are read by one np.fromstring call and taken as read only when
+they are in range, no edge is a self-loop, and int_lines writes them back as
+the block's exact text.  The ids of all blocks go into one int32 array.
+Anything else goes through a loop over the lines, the only source of
+DimacsParseError, so error kinds, line numbers and messages do not depend
+on the path taken.  parse_dimacs takes only a ``str``: load_dimacs reads a
+file with read_text.
 
 write_dimacs, like coloring.format_coloring, writes its lines of integers
 with int_lines: every 3-digit group of an id is a 4-byte cell, gathered from
 one table straight into its column of the output matrix, and the NUL bytes
-that pad the cells are stripped from the matrix's bytes.
+that pad the cells are stripped from the matrix's bytes.  write_dimacs calls
+it on one block of _BLOCK_ROWS edges at a time and joins the blocks once, so
+neither direction holds more than one block's buffers beside the text, the
+int32 endpoints and the CSR.
 """
 from __future__ import annotations
 
@@ -26,6 +31,10 @@ from typing import Iterable
 import numpy as np
 
 from .graph import MAX_VERTICES, Graph
+
+# The edges write_dimacs hands int_lines at a time, and about the lines
+# _parse_bulk reads at a time.
+_BLOCK_ROWS = 32_768
 
 
 class DimacsParseError(ValueError):
@@ -76,33 +85,52 @@ def parse_dimacs(text: str) -> Graph:
 def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
     """The line loop's result for canonical text, as parse_dimacs's
     docstring defines it, or None for any other text.  The lines before the
-    first edge line go through the loop and must hold no edge line; the ids
-    after them are read by one np.fromstring call and kept only if
-    int_lines writes them back as the same text."""
+    first edge line go through the loop and must hold no edge line.  The
+    lines after them are read in blocks of about _BLOCK_ROWS lines, each cut
+    at a line end and read by one np.fromstring call; a block's ids are kept
+    only if they are in range, give no self-loop and int_lines writes them
+    back as the block's text.  The ids go into one int32 array, sized from
+    the count of line ends, which the blocks must fill exactly."""
     # the body starts at the first "e " line after the first line, if any
     cut = text.find("\ne ") + 1 or len(text)
-    head, body = text[:cut], text[cut:]
     try:
-        n, head_ends, declared_m = _parse_lines(head.splitlines())
+        n, head_ends, declared_m = _parse_lines(text[:cut].splitlines())
     except DimacsParseError:
         return None  # the loop over the whole text raises the right error
     if head_ends.size:  # an edge line the cut missed, such as "e\t1 2"
         return None
-    if not body:  # no edge lines
+    if cut == len(text):  # no edge lines
         return n, head_ends, declared_m
+    if not text.endswith("\n"):  # int_lines ends every line with one
+        return None
+    lines = text.count("\n", cut)
+    ends = np.empty(2 * lines, np.int32)  # n <= MAX_VERTICES: ids fit int32
+    step = max(1, (len(text) - cut) * _BLOCK_ROWS // lines)  # chars a block
+    start = cut
+    filled = 0
     # An id np.fromstring cannot read raises a ValueError, or, on older
     # numpy releases, warns and ends the array early: the loop decides then.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ends = np.fromstring(body.replace("e", " "), dtype=np.int64, sep=" ")
-    except (ValueError, DeprecationWarning):
-        return None
-    # the line loop's checks, the range first, as int_lines takes only ids
-    # of 1 or more; then the body must be what write_dimacs writes for them
-    if (ends.size == 0 or ends.size % 2 or ends.min() < 1 or ends.max() > n
-            or np.any(ends[0::2] == ends[1::2])
-            or int_lines(ends.reshape(-1, 2), lead="e ") != body):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        while start < len(text):
+            # the block ends at the first line end from start + step on
+            end = text.find("\n", min(start + step, len(text)) - 1) + 1
+            block = text[start:end]
+            try:
+                ids = np.fromstring(block.replace("e", " "), dtype=np.int64, sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+            # the line loop's checks, the range first, as int_lines takes
+            # only ids of 1 or more; then the block must be what
+            # write_dimacs writes for them
+            if (ids.size == 0 or ids.size % 2 or ids.min() < 1 or ids.max() > n
+                    or np.any(ids[0::2] == ids[1::2])
+                    or int_lines(ids.reshape(-1, 2), lead="e ") != block):
+                return None
+            ends[filled:filled + ids.size] = ids  # one pair per line of the block
+            filled += ids.size
+            start = end
+    if filled != ends.size:
         return None
     return n, ends, declared_m
 
@@ -176,13 +204,19 @@ def load_dimacs(path) -> Graph:
 
 def write_dimacs(g: Graph) -> str:
     """Emit canonical DIMACS text: problem line, then each edge once as
-    ``e u v`` with u < v, 1-based.  parse_dimacs inverts this exactly."""
+    ``e u v`` with u < v, 1-based.  parse_dimacs inverts this exactly.
+
+    int_lines writes the edge lines in blocks of _BLOCK_ROWS rows of
+    edge_arrays's int32 endpoints, and the problem line and the blocks are
+    joined once: no step holds an int64 copy of every endpoint."""
     us, ws = g.edge_arrays()
-    ends = np.empty((g.m, 2), np.int64)
-    np.add(us, 1, out=ends[:, 0])
-    np.add(ws, 1, out=ends[:, 1])
-    del us, ws  # not live beside int_lines's buffers
-    return f"p edge {g.n} {g.m}\n" + int_lines(ends, lead="e ")
+    blocks = [f"p edge {g.n} {g.m}\n"]
+    for start in range(0, g.m, _BLOCK_ROWS):
+        rows = np.column_stack((us[start:start + _BLOCK_ROWS], ws[start:start + _BLOCK_ROWS]))
+        rows += 1
+        blocks.append(int_lines(rows, lead="e "))
+    del us, ws  # not live beside the joined text
+    return "".join(blocks)
 
 
 # The text of one 3-digit group of an id, as 4-byte cells that a

@@ -3,10 +3,11 @@
 Vertices are 0-based ints.  All solvers in this package read the
 ``indptr``/``indices`` arrays directly, so graphs are canonicalized once at
 construction: deduplicated, symmetric, self-loop free, neighbors sorted.
-The generators and the DIMACS parser hand ``Graph.from_edges`` a (k, 2) int64
-endpoint array, and it builds the CSR with whole-array numpy operations.  That
-CSR is canonical by construction, so it is not checked again; a CSR handed to
-``Graph(n, indptr, indices)``, or unpickled, is checked in full and copied.
+The generators hand ``Graph.from_edges`` a (k, 2) int64 endpoint array, and
+the DIMACS parser an int32 one; it builds the CSR with whole-array numpy
+operations.  That CSR is canonical by construction, so it is not checked
+again; a CSR handed to ``Graph(n, indptr, indices)``, or unpickled, is
+checked in full and copied.
 Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed``.
 """
 from __future__ import annotations
@@ -69,8 +70,9 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints (us, ws) of every edge with u < w, in canonical (u, w)
-        order: the CSR arcs restricted to u < w hold each edge once."""
-        src = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        order: the CSR arcs restricted to u < w hold each edge once.  Both
+        are int32, the CSR's own dtype."""
+        src = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
         upper = src < self.indices
         return src[upper], self.indices[upper]
 
@@ -105,16 +107,21 @@ class Graph:
             raise ValueError(message)
         if np.any(pairs < 0) or np.any(pairs >= n):
             raise ValueError("edge endpoint out of range")
-        u, w = pairs.reshape(-1, 2).astype(np.int64, copy=False).T  # any empty shape
+        # signed ids of any width are read into the int64 keys as they are;
+        # unsigned ones (uint64 and int64 make float64), and an empty float
+        # or bool array, are cast first
+        if pairs.dtype.kind != "i":
+            pairs = pairs.astype(np.int64)
+        u, w = pairs.reshape(-1, 2).T  # any empty shape
         if np.any(u == w):
             raise ValueError("self-loops are not allowed")
         # one key per arc, both orientations, written and sorted in place in
         # one array; sorted keys are in (src, dst) order
         k = u.shape[0]
         keys = np.empty(2 * k, np.int64)
-        np.multiply(u, n, out=keys[:k])
+        np.multiply(u, n, out=keys[:k], dtype=np.int64)
         keys[:k] += w
-        np.multiply(w, n, out=keys[k:])
+        np.multiply(w, n, out=keys[k:], dtype=np.int64)
         keys[k:] += u
         keys.sort()
         fresh = np.empty(2 * k, bool)
@@ -122,6 +129,7 @@ class Graph:
         np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
         if not fresh.all():  # a repeated edge
             keys = keys[fresh]
+        del fresh  # not live beside the indices
         indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         keys %= n
         indices = keys.astype(np.int32)

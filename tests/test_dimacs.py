@@ -397,6 +397,8 @@ def test_write_matches_the_format_string_writer(n):
     pairs = np.array([(u, v) for u in ids for v in ids if u < v]).reshape(-1, 2)
     g = Graph.from_edges(n, pairs - 1)
     assert write_dimacs(g) == _format_string_writer(g)
+    with mock.patch.object(dimacs, "_BLOCK_ROWS", 3):  # blocks of unequal widths
+        assert write_dimacs(g) == _format_string_writer(g)
 
 
 # the largest id sets how many 3-digit groups every id gets: 1, 1, 2, 3, 6;
@@ -415,10 +417,10 @@ def test_int_lines_matches_str_of_each_int(lead, k, largest):
     assert int_lines(rows[:0], lead) == ""
 
 
-def test_write_peaks_under_7_mb():
-    # dimacs_pipeline's 122k-edge text: 6.1 MiB.  A gathered copy of the
-    # cells beside the output matrix reads 7.95 MiB, and the edge arrays
-    # kept live through int_lines would pass the bound too
+def test_write_peaks_under_4_mb():
+    # dimacs_pipeline's 122k-edge text: 3.4 MiB, while the last block is
+    # written beside the edge arrays and the blocks before it.  Written as
+    # one block, with an int64 copy of every endpoint, it read 7.95 MiB
     g = random_gnp(700, 0.5, 408)
     tracemalloc.start()
     try:
@@ -427,14 +429,14 @@ def test_write_peaks_under_7_mb():
     finally:
         tracemalloc.stop()
     assert text.count("\n") == g.m + 1
-    assert peak < 7 * 2**20
+    assert peak < 4 * 2**20
 
 
-def test_parse_of_written_text_peaks_under_9_5_mb():
-    # the round trip of dimacs_pipeline's 122k-edge text: 8.7 MiB, and 10.2
-    # MiB with int_lines's cells gathered into a copy.  A regex check of the
-    # edge lines alone peaked at 25.9 MB on it, and a byte check with
-    # separator and length arrays at 11.6 MiB
+def test_parse_of_written_text_peaks_under_6_mb():
+    # the round trip of dimacs_pipeline's 122k-edge text: 4.9 MiB, in
+    # Graph.from_edges.  Read as one block it read 9.3 MiB, and with an
+    # int64 copy of the int32 ids in from_edges 6.8 MiB.  A regex check of
+    # the edge lines alone peaked at 25.9 MB on it
     g = random_gnp(700, 0.5, 408)
     tracemalloc.start()
     try:
@@ -443,4 +445,98 @@ def test_parse_of_written_text_peaks_under_9_5_mb():
     finally:
         tracemalloc.stop()
     assert back.m == g.m
-    assert peak < 9.5 * 2**20
+    assert peak < 6 * 2**20
+
+
+def test_million_edge_round_trip_peaks_one_block_above_its_arrays():
+    # gnp(2000, 0.5), C2000.5's size: 999,736 edges, a 10.4 MiB text and
+    # 7.6 MiB of CSR indices.  write holds the blocks and their join, two
+    # texts: 20.9 MiB.  parse holds the text, its int32 ids (one CSR's
+    # bytes), from_edges's int64 keys (two) and the indices made from them:
+    # 40.9 MiB.  A block's own buffers are under 3 MiB.  Written and read
+    # as one block, the two read 103 and 116 MiB; with the edge arrays live
+    # through the join, write read 28.5 MiB, and with int64 ids parse 48.5
+    g = random_gnp(2000, 0.5, 1)
+    block = 3 * 2**20
+    tracemalloc.start()
+    try:
+        text = write_dimacs(g)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = parse_dimacs(text)
+        parse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.indices.tobytes() == g.indices.tobytes()
+    assert write_peak < 2 * len(text) + block
+    assert parse_peak < len(text) + 4 * g.indices.nbytes + block
+
+
+# -- blocks: _BLOCK_ROWS cut down to a few rows ---------------------------------
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(dimacs, "_BLOCK_ROWS", 3)
+
+
+def test_blocks_of_different_widths_write_and_read_as_one(small_blocks):
+    # K6 on ids 1..6, then a path on ids 1000..1003: of six blocks of 3
+    # rows, only the last holds ids of two 3-digit groups
+    small = [(u, w) for u in range(6) for w in range(u + 1, 6)]
+    g = Graph.from_edges(1003, small + [(999, 1000), (1000, 1001), (1001, 1002)])
+    with mock.patch.object(dimacs, "int_lines", wraps=int_lines) as spy:
+        text = write_dimacs(g)
+    assert spy.call_count == 6
+    assert text == _format_string_writer(g)
+    assert text.endswith("e 1000 1001\ne 1001 1002\ne 1002 1003\n")
+    with mock.patch.object(dimacs, "int_lines", wraps=int_lines) as spy:
+        back = parse_dimacs(text)
+    assert spy.call_count > 1  # read in blocks, on the bulk path
+    assert back.indptr.tobytes() == g.indptr.tobytes()
+    assert back.indices.tobytes() == g.indices.tobytes()
+
+
+# each defect changes only the last line: (old, new, the loop's outcome), where
+# the outcome is the graph (None) or the DimacsParseError's kind
+_LAST_LINE_DEFECTS = {
+    "leading zero": ("e 11 12\n", "e 011 12\n", None),
+    "double space": ("e 11 12\n", "e 11  12\n", None),
+    "id n + 1": ("e 11 12\n", "e 11 13\n", "vertex-range"),
+    "self-loop": ("e 11 12\n", "e 11 11\n", "self-loop"),
+    "no final newline": ("e 11 12\n", "e 11 12", None),
+    "CRLF": ("e 11 12\n", "e 11 12\r\n", None),
+    "unreadable id": ("e 11 12\n", "e 11 x\n", "malformed"),
+}
+
+
+@pytest.mark.parametrize("fromstring", [_fromstring, _warning_fromstring],
+                         ids=["numpy", "warning"])
+@pytest.mark.parametrize("defect", _LAST_LINE_DEFECTS)
+def test_a_defect_in_the_last_block_goes_to_the_loop(defect, fromstring, small_blocks):
+    """Blocks before the last are read and kept; a defect in the last one
+    still gives the line loop's graph, or its error, kind and line."""
+    old, new, kind = _LAST_LINE_DEFECTS[defect]
+    g = Graph.from_edges(12, [(u, u + 1) for u in range(11)])  # a path
+    text = write_dimacs(g)
+    assert text.endswith(old)
+    text = text[:-len(old)] + new
+    with mock.patch.object(np, "fromstring", fromstring):
+        with mock.patch.object(dimacs, "int_lines", wraps=int_lines) as spy:
+            assert dimacs._parse_bulk(text) is None
+        got = _outcome(text)
+    # the two blocks before the last, of four lines each, passed the
+    # write-back; a text not ending in a line end is refused before any
+    # block is read
+    assert spy.call_count >= 2 or defect == "no final newline"
+    assert got == _loop_outcome(text)
+    if kind is None:
+        assert got[1:3] == (g.indptr.tobytes(), g.indices.tobytes())
+    else:
+        assert got[0] is DimacsParseError and got[2:] == (kind, 12)
+
+
+@settings(max_examples=200)
+@given(text=dimacs_texts(), rows=st.integers(1, 4))
+def test_bulk_path_in_small_blocks_agrees_with_the_line_loop(text, rows):
+    with mock.patch.object(dimacs, "_BLOCK_ROWS", rows):
+        assert _outcome(text) == _loop_outcome(text)

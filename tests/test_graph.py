@@ -72,29 +72,52 @@ def test_vertex_count_outside_int32_is_rejected_up_front(n):
 
 
 def test_from_edges_empty_input_is_edgeless():
-    for edges in ([], (), np.array([]), np.empty((0, 2), dtype=np.uint8)):
+    for edges in ([], (), np.array([]), np.empty((0, 2)), np.empty((0, 2), dtype=np.uint8),
+                  np.empty((0, 2), dtype=np.uint64), np.empty((0, 2), dtype=np.int32)):
         g = Graph.from_edges(3, edges)
         assert g.n == 3 and g.m == 0
+        assert g.indptr.tobytes() == np.zeros(4, np.int32).tobytes()
+        assert g.indices.dtype == np.int32 and g.indices.size == 0
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.uint8, np.uint16,
+                                   np.uint32, np.uint64])
+def test_from_edges_reads_every_integer_width(dtype):
+    # the pairs in reverse, so every key is written, sorted and deduplicated
+    g = random_gnp(100, 0.3, 2)
+    pairs = np.column_stack(g.edge_arrays())[::-1]
+    h = Graph.from_edges(g.n, pairs.astype(dtype))
+    assert h.indptr.tobytes() == g.indptr.tobytes()
+    assert h.indices.tobytes() == g.indices.tobytes()
+
+
+def test_from_edges_keys_do_not_overflow_narrow_ids():
+    # u * n + w passes 2**31 here: the keys are int64 whatever the ids' width
+    for dtype in (np.int32, np.uint32, np.uint64):
+        g = Graph.from_edges(70_000, np.array([[69_999, 69_998], [0, 69_999]], dtype))
+        assert g.edges() == [(0, 69_999), (69_998, 69_999)]
 
 
 def test_from_edges_builds_in_little_memory():
     # 122,608 edges: one int64 key array of both orientations is 1.9 MB and
-    # the int32 indices 1.0 MB.  Checking that CSR again would add int32
-    # sources and two int64 key arrays, 4.7 MB; a copy per step
-    # (concatenate, sort, dedupe, modulo) took 11 MB
+    # the int32 indices 1.0 MB, 2.8 MiB in all, for int64 and int32 pairs
+    # alike.  An int64 copy of the int32 pairs adds 1.9 MB, 4.7 MiB; checking
+    # that CSR again would add int32 sources and two int64 key arrays,
+    # 4.7 MB; a copy per step (concatenate, sort, dedupe, modulo) took 11 MB
     g = random_gnp(700, 0.5, 408)
     us, ws = g.edge_arrays()
-    pairs = np.column_stack((us, ws)).astype(np.int64)
-    tracemalloc.start()
-    try:
-        h = Graph.from_edges(g.n, pairs)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert h.m == 122_608
-    assert h.indptr.tobytes() == g.indptr.tobytes()
-    assert h.indices.tobytes() == g.indices.tobytes()
-    assert peak < 4 * 2**20
+    for dtype in (np.int64, np.int32):
+        pairs = np.column_stack((us, ws)).astype(dtype)
+        tracemalloc.start()
+        try:
+            h = Graph.from_edges(g.n, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.m == 122_608
+        assert h.indptr.tobytes() == g.indptr.tobytes()
+        assert h.indices.tobytes() == g.indices.tobytes()
+        assert peak < 3.5 * 2**20
 
 
 def test_degrees_and_max_degree():
@@ -126,6 +149,7 @@ def test_edges_match_neighbor_loop(kind, n, p, seed):
     assert edges == _edges_by_neighbor_loop(g)
     assert all(type(u) is int and type(w) is int for u, w in edges)
     us, ws = g.edge_arrays()
+    assert us.dtype == ws.dtype == np.int32  # the CSR's own dtype
     assert list(zip(us.tolist(), ws.tolist())) == edges
 
 
