@@ -17,11 +17,13 @@ max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 DomainState is the paper's step API (set_color, observe, collapse,
 propagate) for one attempt at a color budget m, ties ranked by degree,
 then id; the traced driver in wfbench times it step by step.  It keeps a
-heap of (saturation, rank) keys with lazy deletion and a Python-int bitset
-of the colors around each vertex, so memory grows with the colors in use,
-not with n times the budget, and no domain sets (oracle.naive_propagate
-does); its one dead-end signal is observe returning RESTART.  solve does
-not use it: the tests check solve against oracle.paper_wfc,
+heap of keys with lazy deletion, each key ordered by saturation, then
+rank, and carrying its vertex, and a Python-int bitset of the colors
+around each vertex, so memory grows with the colors in use, not with n
+times the budget, and no domain sets (oracle.naive_propagate does); it
+reads the CSR in place through memoryviews and keeps no rank order or
+offset list.  Its one dead-end signal is observe returning RESTART.  solve
+does not use it: the tests check solve against oracle.paper_wfc,
 baselines.dsatur and networkx's DSATUR.
 
 solve runs one of two passes, module functions with one signature and one
@@ -107,13 +109,14 @@ class DomainState:
 
     A vertex's saturation is the number of distinct colors among its
     colored neighbors; an uncolored vertex's domain is {1..m} minus those
-    colors.  Each uncolored vertex has a key ``rank - sat * n``, where the
-    rank is its place in the (-degree, id) order, so the least key is the
-    vertex of highest saturation, then lowest rank, and divmod(key, n)
-    gives back both; a colored vertex's key is n.  The keys sit in a heap
-    with lazy deletion (a strike pushes a new key, and outdated keys are
-    dropped when they surface), and the colors around each vertex in a
-    Python-int bitset.  A state is owned by a single run and never shared.
+    colors.  Each uncolored vertex v has a key ``(rank - sat * n) * n + v``,
+    where the rank is its place in the (-degree, id) order, so the least
+    key is the vertex of highest saturation, then lowest rank; key % n is
+    the vertex, -(key // (n * n)) its saturation, and a colored vertex's key
+    is n * n.  The keys sit in a heap with lazy deletion (a strike pushes a
+    new key, and outdated keys are dropped when they surface), and the
+    colors around each vertex in a Python-int bitset.  A state is owned by
+    a single run and never shared.
 
     Colors are bounded by n, or by m when it is smaller: no saturation
     reaches n, so a budget of n or more changes no verdict of observe.
@@ -122,21 +125,38 @@ class DomainState:
     def __init__(self, g: Graph, m: int):
         if m < 1:
             raise ValueError("need at least one color")
-        self._order, self._key, self._heap = _heap_start(g, "degree", 0)
+        self._key, self._heap = _heap_start(g, "degree", 0)
         self.g = g
         self._n = n = g.n
+        # a colored vertex's key, and one more color's step down the keys
+        self._nn = n * n
         self.m = m
         self._cap = min(m, n)
         self._colors = [0] * n
         # the saturation each vertex was colored at (0 while uncolored)
         self.sat = [0] * n
         # a key below this has saturation >= the budget
-        self._floor = (1 - self._cap) * n
+        self._floor = (1 - self._cap) * self._nn
         self._colored = 0
-        self._ptr = g.indptr.tolist()
+        self._views()
         # colors used around each vertex, bit c-1 for color c; -1 (every
         # bit) once the vertex is colored, so strikes skip it in one test
         self._used = [0] * n
+
+    def _views(self) -> None:
+        """Read the CSR in place: memoryview items are Python ints."""
+        self._ptr = memoryview(self.g.indptr)
+        self._indices = memoryview(self.g.indices)
+
+    # memoryviews cannot be pickled or copied: a copy makes its own
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_ptr"], state["_indices"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._views()
 
     # -- counters ---------------------------------------------------------
 
@@ -164,11 +184,10 @@ class DomainState:
     def saturation(self, v: int) -> int:
         """Distinct colors among v's colored neighbors; fixed once v is
         colored."""
-        n = self._n
-        if not 0 <= v < n:
+        if not 0 <= v < self._n:
             self._refuse(v)
-        k = self._key[v]
-        return self.sat[v] if k == n else -(k // n)
+        k, nn = self._key[v], self._nn
+        return self.sat[v] if k == nn else -(k // nn)
 
     @property
     def colors(self) -> np.ndarray:
@@ -180,16 +199,16 @@ class DomainState:
     def set_color(self, v: int, color: int) -> None:
         """Assign v a color directly (the seeding step; collapse goes
         through it too).  No propagation."""
-        n = self._n
-        if not 0 <= v < n:
+        if not 0 <= v < self._n:
             self._refuse(v)
         if self._colors[v]:
             raise ValueError(f"vertex {v} already colored")
         if not 1 <= color <= self._cap:
             raise ValueError(f"color {color} outside 1..{self._cap}")
         self._colors[v] = color
-        self.sat[v] = -(self._key[v] // n)
-        self._key[v] = n
+        nn = self._nn
+        self.sat[v] = -(self._key[v] // nn)
+        self._key[v] = nn
         self._used[v] = -1
         self._colored += 1
 
@@ -199,10 +218,10 @@ class DomainState:
         the budget.  Leaves the vertex in the heap, so repeated calls agree."""
         if self._colored >= self._n:
             raise ValueError("observe() called with no uncolored vertices")
-        heap, n, order, key = self._heap, self._n, self._order, self._key
+        heap, n, key = self._heap, self._n, self._key
         while True:
             k = heap[0]
-            v = order[k % n]
+            v = k % n
             if key[v] == k:
                 return RESTART if k < self._floor else v
             heappop(heap)
@@ -228,36 +247,40 @@ class DomainState:
         if not c:
             self._refuse(v)
         bit = 1 << (c - 1)
-        used, key, heap = self._used, self._key, self._heap
-        for w in self.g.indices[self._ptr[v]:self._ptr[v + 1]].tolist():
+        used, key, heap, nn = self._used, self._key, self._heap, self._nn
+        ptr = self._ptr
+        for w in self._indices[ptr[v]:ptr[v + 1]]:
             u = used[w]
             if u & bit:
                 continue
             used[w] = u | bit
-            k = key[w] - n  # one more color around w
+            k = key[w] - nn  # one more color around w
             key[w] = k
             heappush(heap, k)
         if len(heap) > 2 * (n - self._colored):
-            self._heap = _compact(heap, key, self._order, n)
+            self._heap = _compact(heap, key, n)
         return True
 
 
 def _heap_start(g: Graph, tie_break: str,
-                seed: int) -> tuple[list[int], list[int], list[int]]:
-    """The heap layout's first lists: the vertices in rank order, each
-    vertex's key, at first its rank (n, never a key, once it is colored),
-    and the heap of keys, which in rank order is already a heap."""
+                seed: int) -> tuple[list[int], list[int]]:
+    """The heap layout's two lists: each vertex v's key, at first rank * n
+    + v (n * n, never a key, once v is colored), and the heap of keys.  The
+    keys are built in int64, where rank * n + v < n * n < 2**62; in rank
+    order they are already a heap, which shares the key list's int
+    objects.  The rank order itself is not kept."""
+    n = g.n
     order = _rank_order(g, tie_break, seed)
-    return order.tolist(), np.argsort(order).tolist(), list(range(g.n))
+    key = (np.argsort(order) * n + np.arange(n)).tolist()
+    return key, [key[v] for v in order.tolist()]
 
 
-def _compact(heap: list[int], key: list[int], order: list[int],
-             n: int) -> list[int]:
+def _compact(heap: list[int], key: list[int], n: int) -> list[int]:
     """heap's live keys, one per uncolored vertex, as a new heap: the heap
     layout calls this once its heap holds more than twice the uncolored
     count, so each rebuild drops at least half the heap and costs O(1) a
     push."""
-    heap = [k for k in heap if key[order[k % n]] == k]
+    heap = [k for k in heap if key[k % n] == k]
     heapify(heap)
     return heap
 
@@ -267,18 +290,21 @@ def _heap_pass(g: Graph, v: int, tie_break: str, seed: int,
     """solve's pass on a sparse graph from vertex v, with tie_break and seed
     as in solve: collapse and propagate v, then observe, collapse and
     propagate until every vertex is colored, the steps inlined in one loop
-    over DomainState's lists as local variables.  Returns each vertex's
-    color, the saturation it was colored at, the stale heap pops and the
-    layout, "heap".
+    over DomainState's lists as local variables: the keys, the heap, the
+    colors, saturations and bitsets, with the CSR read through memoryviews,
+    so a pick makes no numpy slice.  Returns each vertex's color, the
+    saturation it was colored at, the stale heap pops and the layout,
+    "heap".
 
     With 0 < probe < n the loop stops after probe picks, and if the strikes
     so far favor the dense layout (_dense_state), the pass finishes in
     _dense_pass's loop and its layout is "switched"; else the heap runs on.
     The stop is the loop's bound, so the picks pay for no test."""
     n = g.n
-    order, key, heap = _heap_start(g, tie_break, seed)
+    nn = n * n
+    key, heap = _heap_start(g, tie_break, seed)
     colors, sat, used = [0] * n, [0] * n, [0] * n
-    ptr, indices = g.indptr.tolist(), g.indices
+    ptr, indices = memoryview(g.indptr), memoryview(g.indices)
     stale = colored = 0
     stop = probe if 0 < probe < n else n
     while True:
@@ -287,26 +313,26 @@ def _heap_pass(g: Graph, v: int, tie_break: str, seed: int,
             u = used[v]
             c = (~u & (u + 1)).bit_length()
             colors[v] = c
-            sat[v] = -(key[v] // n)
-            key[v] = n
+            sat[v] = -(key[v] // nn)
+            key[v] = nn
             used[v] = -1
             # propagate
             bit = 1 << (c - 1)
-            for w in indices[ptr[v]:ptr[v + 1]].tolist():
+            for w in indices[ptr[v]:ptr[v + 1]]:
                 u = used[w]
                 if u & bit:
                     continue
                 used[w] = u | bit
-                k = key[w] - n
+                k = key[w] - nn
                 key[w] = k
                 heappush(heap, k)
             if len(heap) > 2 * (n - colored):
-                heap = _compact(heap, key, order, n)
+                heap = _compact(heap, key, n)
             if colored < n:
                 # observe
                 while True:
                     k = heap[0]
-                    v = order[k % n]
+                    v = k % n
                     if key[v] == k:
                         break
                     heappop(heap)
@@ -316,7 +342,7 @@ def _heap_pass(g: Graph, v: int, tie_break: str, seed: int,
         dense = _dense_state(g, key, sat, colors, used)
         if dense is not None:
             # the heap layout's lists are spent: free them before the loop
-            del order, key, heap, used, ptr
+            del key, heap, used, ptr, indices
             _dense_loop(g, v, stop, *dense, colors, sat)
             return colors, sat, stale, "switched"
         stop = n
@@ -414,7 +440,10 @@ def _dense_state(g: Graph, key: list[int], sat: list[int],
     vertices) or the words could outgrow the CSR (_words_fit).  A graph
     that strikes few colors per arc, such as a crown, keeps the heap."""
     n = g.n
-    keys = np.array(key, dtype=np.int64)
+    # the dense layout's keys rank - sat * n are the heap keys floored by n,
+    # taken on Python ints: heap keys reach about n**3, past int64 once n >
+    # 2 * 10**6
+    keys = np.fromiter((k // n for k in key), np.int64, n)
     done = keys == n
     arcs = int(g.degrees[done].sum())
     # a colored vertex's saturation is in sat, an uncolored one's in its key

@@ -308,19 +308,23 @@ def _peak(fn, *args):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("make, k", [
-    (lambda: star_graph(50_000), 2),
-    (lambda: _clique_with_pendants(500, 100_000), 500)],
+@pytest.mark.parametrize("make, k, per_vertex", [
+    (lambda: star_graph(50_000), 2, 140),
+    (lambda: _clique_with_pendants(500, 100_000), 500, 190)],
     ids=["star50k", "clique500+pendants100k"])
-def test_sparse_graphs_with_a_dense_core_stay_on_the_heap(make, k):
+def test_sparse_graphs_with_a_dense_core_stay_on_the_heap(make, k,
+                                                         per_vertex):
     # _dense_pass's argmin costs O(n) a pick, which mean degree 2 or 4
-    # cannot pay for; _heap_pass's heap grows with n and the colors
+    # cannot pay for; _heap_pass's heap grows with n and the colors.  The
+    # pendants' bitsets hold colors up to 500, about 90 bytes each: 120
+    # bytes a vertex on the star, 164 on the clique (CPython 3.11)
     g = make()
     assert not _is_dense(g)
     r, peak = _peak(solve, g)
     assert r.k == k and validate(g, r.coloring).ok
     assert r.stats["stale_pops"] > 0  # the heap ran
     assert peak < 64 * 2**20
+    assert peak <= per_vertex * g.n
 
 
 def test_dense_layout_takes_less_memory_than_the_heap():
@@ -338,18 +342,19 @@ def test_dense_layout_takes_less_memory_than_the_heap():
     assert dense_peak < 80 * g.n
 
 
-@pytest.mark.parametrize("g, per_vertex", [(random_gnp(1000, 0.006, 1), 200),
-                                           (random_gnp(1000, 0.5, 1), 270)],
+@pytest.mark.parametrize("g, per_vertex", [(random_gnp(1000, 0.006, 1), 130),
+                                           (random_gnp(1000, 0.5, 1), 200)],
                          ids=["heap", "dense"])
 def test_solve_takes_no_more_memory_than_the_steps(g, per_vertex):
-    # the steps' state is seven lists of n slots (ranks, keys, the heap,
-    # colors, saturations, bitsets and indptr) with an int object behind
-    # each rank, key and indptr entry: 181 bytes a vertex on the sparse
-    # graph, 248 on the dense one, whose 116 colors widen the bitsets
-    # (CPython 3.11).  One more per-pass list, such as a second
-    # indptr.tolist(), would add about 36.  solve builds its result after
-    # the pass, a few bytes a vertex; on the dense graph it runs
-    # _dense_pass, whose state is smaller still
+    # the steps' state is five lists of n slots (keys, the heap, colors,
+    # saturations and bitsets) with one int object behind each key, which
+    # the heap's first entries share; the CSR is read in place through
+    # memoryviews.  That is 109 bytes a vertex on the sparse graph, 170 on
+    # the dense one, whose 116 colors widen the bitsets (CPython 3.11).
+    # A per-pass list of ranks or CSR offsets, such as indptr.tolist(),
+    # would add about 36.  solve builds its result after the pass, a few
+    # bytes a vertex; on the dense graph it runs _dense_pass, whose state
+    # is smaller still
     heap = _peak(_run, _heap_pass, g)[1]
     assert heap <= per_vertex * g.n
     assert _peak(solve, g)[1] <= heap + 4 * g.n
@@ -375,6 +380,33 @@ def test_heap_stays_compact():
                 break
             v = state.observe()
             state.collapse(v)
+
+
+# solve's stats on fixed graphs as (strikes, stale_pops) in each tie mode,
+# random ties drawn from seed 7.  The heap pops its keys in (saturation,
+# rank) order whatever else a key carries, so these counts, stale pops
+# included, are fixed
+_HEAP_DISCIPLINE = {
+    "gnp1000_0.006": (lambda: random_gnp(1000, 0.006, 1), "heap",
+                      {"degree": (2276, 1116), "random": (2280, 1050)}),
+    "star800": (lambda: star_graph(800), "heap",
+                {"degree": (800, 799), "random": (800, 799)}),
+    "crown150": (lambda: crown_graph(150), "heap",
+                 {"degree": (299, 296), "random": (299, 296)}),
+    "gnp250_0.5": (lambda: random_gnp(250, 0.5, 401), "switched",
+                   {"degree": (6478, 3), "random": (6580, 2)}),
+}
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("name", sorted(_HEAP_DISCIPLINE))
+def test_heap_pops_keep_their_recorded_order(name, tie_break):
+    make, layout, recorded = _HEAP_DISCIPLINE[name]
+    g = make()
+    strikes, stale_pops = recorded[tie_break]
+    assert solve(g, tie_break=tie_break, seed=7).stats == {
+        "selections": g.n - 1, "strikes": strikes, "stale_pops": stale_pops,
+        "layout": layout}
 
 
 # -- observe ----------------------------------------------------------------
