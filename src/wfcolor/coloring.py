@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dimacs
 from .dimacs import _int_token, int_lines
 from .graph import Graph, _int_array
 
@@ -111,16 +112,20 @@ def parse_coloring(text: str, n: int) -> Coloring:
 
 
 def validate(g: Graph, coloring: Coloring) -> Verdict:
-    """Check that coloring is total and no edge joins two same-colored vertices."""
+    """Check that coloring is total and no edge joins two same-colored
+    vertices.  The edges are read from Graph.edge_blocks, one block of
+    about dimacs._BLOCK_ROWS edges at a time, in canonical (u, w) order, so
+    the first conflict found is the lowest, and no step holds a whole-graph
+    copy of the CSR."""
     a = coloring.assignment
     if a.shape[0] != g.n:
         raise ValueError(f"coloring covers {a.shape[0]} vertices, graph has {g.n}")
     missing = np.nonzero(a == UNCOLORED)[0]
     if missing.size:
         return Verdict(ok=False, uncolored=int(missing[0]))
-    us, ws = g.edge_arrays()  # each edge once, in canonical (u, w) order
-    bad = np.nonzero(a[us] == a[ws])[0]
-    if bad.size:
-        i = int(bad[0])
-        return Verdict(ok=False, conflict=(int(us[i]), int(ws[i])))
+    for us, ws in g.edge_blocks(dimacs._BLOCK_ROWS):
+        bad = np.flatnonzero(a[us] == a[ws])
+        if bad.size:
+            i = int(bad[0])
+            return Verdict(ok=False, conflict=(int(us[i]), int(ws[i])))
     return VALID

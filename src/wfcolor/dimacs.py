@@ -5,23 +5,26 @@ is accepted too), and edge lines ``e <u> <v>`` with 1-based vertex ids.
 Internally everything is 0-based; the translation happens only here.
 
 parse_dimacs has two paths that give the same graph.  Canonical text, what
-write_dimacs writes for its ids (a ``c`` comment header allowed), is read at
-array speed, in blocks of about _BLOCK_ROWS lines cut at line ends: each
-block's ids are read by one np.fromstring call and taken as read only when
-they are in range, no edge is a self-loop, and int_lines writes them back as
-the block's exact text.  The ids of all blocks go into one int32 array.
-Anything else goes through a loop over the lines, the only source of
-DimacsParseError, so error kinds, line numbers and messages do not depend
-on the path taken.  parse_dimacs takes only a ``str``: load_dimacs reads a
-file with read_text.
+write_dimacs writes for its ids (a ``c`` comment header allowed), with
+``\n`` or CRLF line ends, is read at array speed, in blocks of about
+_BLOCK_ROWS lines cut at line ends: each block's CRLFs become ``\n``, its
+ids are read by one np.fromstring call and taken as read only when they
+are in range, no edge is a self-loop, and int_lines writes them back as the
+block's exact text.  The ids of all blocks go into one int32 array, and
+Graph.from_edges builds the CSR from them on 32-bit keys up to 65,535
+vertices.  Anything else goes through a loop over the lines of the
+original text, the only source of DimacsParseError, so error kinds, line
+numbers and messages do not depend on the path taken.  parse_dimacs takes
+only a ``str``: load_dimacs reads a file with read_text.
 
 write_dimacs, like coloring.format_coloring, writes its lines of integers
-with int_lines: every 3-digit group of an id is a 4-byte cell, gathered from
-one table straight into its column of the output matrix, and the NUL bytes
-that pad the cells are stripped from the matrix's bytes.  write_dimacs calls
-it on one block of _BLOCK_ROWS edges at a time and joins the blocks once, so
-neither direction holds more than one block's buffers beside the text, the
-int32 endpoints and the CSR.
+with int_lines, which reads int32 ids as they are: every 3-digit group of
+an id is a 4-byte cell, gathered from one table straight into its column of
+the output matrix, and the NUL bytes that pad the cells are stripped from
+the matrix's bytes.  write_dimacs calls it on one Graph.edge_blocks block of
+about _BLOCK_ROWS edges at a time, and joins the blocks once, so neither
+direction holds more than one block's buffers beside the text, the parsed
+ids and the CSR.
 """
 from __future__ import annotations
 
@@ -32,9 +35,10 @@ import numpy as np
 
 from .graph import MAX_VERTICES, Graph
 
-# The edges write_dimacs hands int_lines at a time, and about the lines
-# _parse_bulk reads at a time.
-_BLOCK_ROWS = 32_768
+# About the edges one Graph.edge_blocks block holds, which write_dimacs hands
+# int_lines and validate checks at a time, and about the lines _parse_bulk
+# reads at a time.
+_BLOCK_ROWS = 8_192
 
 
 class DimacsParseError(ValueError):
@@ -60,13 +64,14 @@ def parse_dimacs(text: str) -> Graph:
 
     The text is read at array speed when its head, the lines before the
     first ``e `` line, holds only comment and problem lines, and the lines
-    from there on are what write_dimacs writes for their ids, which must
-    be in range and give no self-loop.  Everything else goes through the
-    line loop over str.splitlines(), which gives the same graph and is the
-    only source of DimacsParseError.  A count or id that is not an ASCII
-    decimal integer, a sign allowed, makes its line malformed, and so does
-    a problem line declaring more than MAX_VERTICES vertices.  Anything but
-    a str raises TypeError: read a file with load_dimacs.
+    from there on are what write_dimacs writes for their ids, with ``\n`` or
+    CRLF line ends; the ids must be in range and give no self-loop.
+    Everything else goes through the line loop over str.splitlines(), which
+    gives the same graph and is the only source of DimacsParseError.  A
+    count or id that is not an ASCII decimal integer, a sign allowed, makes
+    its line malformed, and so does a problem line declaring more than
+    MAX_VERTICES vertices.  Anything but a str raises TypeError: read a file
+    with load_dimacs.
     """
     if not isinstance(text, str):
         raise TypeError(f"expected str, not {type(text).__name__}: read files with load_dimacs")
@@ -87,10 +92,11 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
     docstring defines it, or None for any other text.  The lines before the
     first edge line go through the loop and must hold no edge line.  The
     lines after them are read in blocks of about _BLOCK_ROWS lines, each cut
-    at a line end and read by one np.fromstring call; a block's ids are kept
-    only if they are in range, give no self-loop and int_lines writes them
-    back as the block's text.  The ids go into one int32 array, sized from
-    the count of line ends, which the blocks must fill exactly."""
+    at a line end, its CRLFs turned into "\n", and read by one np.fromstring
+    call; a block's ids are kept only if they are in range, give no
+    self-loop and int_lines writes them back as the block's text.  The ids
+    go into one int32 array, sized from the count of line ends, which the
+    blocks must fill exactly."""
     # the body starts at the first "e " line after the first line, if any
     cut = text.find("\ne ") + 1 or len(text)
     try:
@@ -115,7 +121,8 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
         while start < len(text):
             # the block ends at the first line end from start + step on
             end = text.find("\n", min(start + step, len(text)) - 1) + 1
-            block = text[start:end]
+            # CRLF line ends read as "\n"; a stray "\r" fails the write-back
+            block = text[start:end].replace("\r\n", "\n")
             try:
                 ids = np.fromstring(block.replace("e", " "), dtype=np.int64, sep=" ")
             except (ValueError, DeprecationWarning):
@@ -206,16 +213,15 @@ def write_dimacs(g: Graph) -> str:
     """Emit canonical DIMACS text: problem line, then each edge once as
     ``e u v`` with u < v, 1-based.  parse_dimacs inverts this exactly.
 
-    int_lines writes the edge lines in blocks of _BLOCK_ROWS rows of
-    edge_arrays's int32 endpoints, and the problem line and the blocks are
-    joined once: no step holds an int64 copy of every endpoint."""
-    us, ws = g.edge_arrays()
+    int_lines writes the edge lines of one Graph.edge_blocks block of about
+    _BLOCK_ROWS int32 edges at a time, and the problem line and the blocks
+    are joined once: beside the CSR and the text, no step holds more than
+    one block's endpoints."""
     blocks = [f"p edge {g.n} {g.m}\n"]
-    for start in range(0, g.m, _BLOCK_ROWS):
-        rows = np.column_stack((us[start:start + _BLOCK_ROWS], ws[start:start + _BLOCK_ROWS]))
+    for us, ws in g.edge_blocks(_BLOCK_ROWS):
+        rows = np.column_stack((us, ws))
         rows += 1
         blocks.append(int_lines(rows, lead="e "))
-    del us, ws  # not live beside the joined text
     return "".join(blocks)
 
 
@@ -240,7 +246,9 @@ def int_lines(rows: np.ndarray, lead: str = "") -> str:
     Each id takes as many 3-digit groups as the largest one needs, and each
     group's cells are gathered from _CELLS straight into its columns of one
     uint32 matrix, whose bytes less the NULs are the text."""
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
+    if rows.dtype != np.int32:  # int32 ids, all below 10**10, are read as they are
+        rows = rows.astype(np.int64, copy=False)
     m, k = rows.shape
     groups = (len(str(int(rows.max(initial=1)))) + 2) // 3
     width = 1 if lead else 0

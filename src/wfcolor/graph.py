@@ -5,15 +5,19 @@ Vertices are 0-based ints.  All solvers in this package read the
 construction: deduplicated, symmetric, self-loop free, neighbors sorted.
 The generators hand ``Graph.from_edges`` a (k, 2) int64 endpoint array, and
 the DIMACS parser an int32 one; it builds the CSR with whole-array numpy
-operations.  That CSR is canonical by construction, so it is not checked
-again; a CSR handed to ``Graph(n, indptr, indices)``, or unpickled, is
-checked in full and copied.
+operations, on keys u * n + w that are uint32 while n * n fits (n up to
+65,535), with the indices a view of them, and int64 above that.  That CSR
+is canonical by construction, so it is not checked again; a CSR handed to
+``Graph(n, indptr, indices)``, or unpickled, is checked in full and copied.
+``Graph.edge_blocks`` yields the u < w edges of one vertex range of about
+a given number of edges at a time: write_dimacs and validate read the CSR
+through it, one block beside the CSR, and ``edge_arrays`` is its one block.
 Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -70,11 +74,26 @@ class Graph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints (us, ws) of every edge with u < w, in canonical (u, w)
-        order: the CSR arcs restricted to u < w hold each edge once.  Both
-        are int32, the CSR's own dtype."""
-        src = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.indptr))
-        upper = src < self.indices
-        return src[upper], self.indices[upper]
+        order: edge_blocks's one block.  Both are int32, the CSR's own
+        dtype."""
+        return next(self.edge_blocks(max(self.m, 1)))
+
+    def edge_blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield (us, ws), the int32 endpoints of the edges with u < w, for
+        consecutive vertex ranges of about 2 * rows arcs, so about ``rows``
+        edges, in canonical (u, w) order.  A range starts at the vertex that
+        holds every (2 * rows)-th arc, so it takes one row more than 2 * rows
+        arcs at most.  Each block is the range's arcs, with their sources
+        made by np.repeat over its indptr, restricted to u < w: they hold
+        each edge once.  rows >= m gives one block, also when n is 0."""
+        indptr = self.indptr
+        holders = np.searchsorted(indptr, np.arange(0, indptr[-1], 2 * rows), side="right") - 1
+        bounds = [0, *np.unique(holders)[1:].tolist(), self.n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            ws = self.indices[indptr[lo]:indptr[hi]]
+            us = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo:hi + 1]))
+            upper = us < ws
+            yield us[upper], ws[upper]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) pairs with u < v, in canonical order."""
@@ -107,22 +126,23 @@ class Graph:
             raise ValueError(message)
         if np.any(pairs < 0) or np.any(pairs >= n):
             raise ValueError("edge endpoint out of range")
-        # signed ids of any width are read into the int64 keys as they are;
-        # unsigned ones (uint64 and int64 make float64), and an empty float
-        # or bool array, are cast first
-        if pairs.dtype.kind != "i":
-            pairs = pairs.astype(np.int64)
         u, w = pairs.reshape(-1, 2).T  # any empty shape
         if np.any(u == w):
             raise ValueError("self-loops are not allowed")
-        # one key per arc, both orientations, written and sorted in place in
-        # one array; sorted keys are in (src, dst) order
+        # one key u * n + w per arc, both orientations, written and sorted in
+        # place in one array; sorted keys are in (src, dst) order.  Keys are
+        # uint32 while n * n fits, so to n = 65,535, and int64 above that.
+        # The ids are in 0..n-1, which every integer dtype holds, so they
+        # are read into the keys by an unsafe cast that changes no value;
+        # nn is a numpy scalar, so numpy's older value-based promotion
+        # cannot widen the uint32 arithmetic
+        key = np.uint32 if n * n <= np.iinfo(np.uint32).max else np.int64
+        nn = key(n)
         k = u.shape[0]
-        keys = np.empty(2 * k, np.int64)
-        np.multiply(u, n, out=keys[:k], dtype=np.int64)
-        keys[:k] += w
-        np.multiply(w, n, out=keys[k:], dtype=np.int64)
-        keys[k:] += u
+        keys = np.empty(2 * k, key)
+        for src, dst, out in ((u, w, keys[:k]), (w, u, keys[k:])):
+            np.multiply(src, nn, out=out, dtype=key, casting="unsafe")
+            np.add(out, dst, out=out, dtype=key, casting="unsafe")
         keys.sort()
         fresh = np.empty(2 * k, bool)
         fresh[:1] = True
@@ -130,9 +150,15 @@ class Graph:
         if not fresh.all():  # a repeated edge
             keys = keys[fresh]
         del fresh  # not live beside the indices
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        keys %= n
-        indices = keys.astype(np.int32)
+        # row v starts at the first key of v * n or more; the last bound,
+        # n * n, fits the key dtype
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=key) * nn).astype(np.int32)
+        np.remainder(keys, nn, out=keys)
+        # uint32 keys now hold ids below 2**16, so the int32 indices are a
+        # view of them, frozen with their base; int64 keys are narrowed by a
+        # copy
+        keys.setflags(write=False)
+        indices = keys.view(np.int32) if key is np.uint32 else keys.astype(np.int32)
         # sorted, deduplicated keys of both orientations give a sorted,
         # symmetric, loop-free CSR, so the fields are set without
         # __post_init__: its check runs on every public Graph(...), and on

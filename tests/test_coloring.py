@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from util import complete_graph
 from wfcolor.coloring import (MAX_COLOR, UNCOLORED, Coloring, format_coloring,
                               parse_coloring, validate)
-from wfcolor.graph import crown_graph
+from wfcolor.graph import crown_graph, random_gnp
 from wfcolor.wfc import solve
 
 
@@ -63,6 +64,23 @@ def test_validate_crown_two_coloring():
     g = crown_graph(4)
     c = Coloring.from_list([1, 1, 1, 1, 2, 2, 2, 2])
     assert validate(g, c).ok
+
+
+def test_validate_peaks_one_block_above_the_graph():
+    # gnp(2000, 0.5), C2000.5's size: 999,736 edges, 7.6 MiB of CSR indices.
+    # validate reads one block of about 8,192 edges at a time: 0.4 MiB.
+    # Through edge_arrays, int32 sources and a mask for all 2m arcs, it read
+    # 17.2 MiB
+    g = random_gnp(2000, 0.5, 1)
+    coloring = solve(g).coloring
+    tracemalloc.start()
+    try:
+        verdict = validate(g, coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok
+    assert peak < 1.4 * 2**20
 
 
 def test_validate_checks_length():

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wfcolor import dimacs
+from wfcolor import dimacs, solve
 from wfcolor.bench import load_best_known, parse_best_known
 from wfcolor.cli import main
+from wfcolor.coloring import Coloring, Verdict, validate
 from wfcolor.dimacs import (DimacsParseError, DimacsWarning, int_lines,
                             load_dimacs, parse_dimacs, write_dimacs)
 from wfcolor.graph import Graph, crown_graph, random_gnp
@@ -418,9 +419,11 @@ def test_int_lines_matches_str_of_each_int(lead, k, largest):
 
 
 def test_write_peaks_under_4_mb():
-    # dimacs_pipeline's 122k-edge text: 3.4 MiB, while the last block is
-    # written beside the edge arrays and the blocks before it.  Written as
-    # one block, with an int64 copy of every endpoint, it read 7.95 MiB
+    # dimacs_pipeline's 122k-edge text, 1.13 MiB: 2.28 MiB, the blocks and
+    # their join, while one block is read from the CSR at a time.  With the
+    # whole edge_arrays pair live beside 32,768-edge blocks it read
+    # 3.4 MiB, and written as one block, with an int64 copy of every
+    # endpoint, 7.95 MiB
     g = random_gnp(700, 0.5, 408)
     tracemalloc.start()
     try:
@@ -429,14 +432,15 @@ def test_write_peaks_under_4_mb():
     finally:
         tracemalloc.stop()
     assert text.count("\n") == g.m + 1
-    assert peak < 4 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 def test_parse_of_written_text_peaks_under_6_mb():
-    # the round trip of dimacs_pipeline's 122k-edge text: 4.9 MiB, in
-    # Graph.from_edges.  Read as one block it read 9.3 MiB, and with an
-    # int64 copy of the int32 ids in from_edges 6.8 MiB.  A regex check of
-    # the edge lines alone peaked at 25.9 MB on it
+    # the round trip of dimacs_pipeline's 122k-edge text: 3.2 MiB, in
+    # Graph.from_edges, whose uint32 keys are one CSR's bytes.  With int64
+    # keys it read 4.9 MiB, read as one block 9.3 MiB, and with an int64
+    # copy of the int32 ids in from_edges 6.8 MiB.  A regex check of the
+    # edge lines alone peaked at 25.9 MB on it
     g = random_gnp(700, 0.5, 408)
     tracemalloc.start()
     try:
@@ -445,17 +449,19 @@ def test_parse_of_written_text_peaks_under_6_mb():
     finally:
         tracemalloc.stop()
     assert back.m == g.m
-    assert peak < 6 * 2**20
+    assert peak < 3.5 * 2**20
 
 
 def test_million_edge_round_trip_peaks_one_block_above_its_arrays():
     # gnp(2000, 0.5), C2000.5's size: 999,736 edges, a 10.4 MiB text and
     # 7.6 MiB of CSR indices.  write holds the blocks and their join, two
-    # texts: 20.9 MiB.  parse holds the text, its int32 ids (one CSR's
-    # bytes), from_edges's int64 keys (two) and the indices made from them:
-    # 40.9 MiB.  A block's own buffers are under 3 MiB.  Written and read
-    # as one block, the two read 103 and 116 MiB; with the edge arrays live
-    # through the join, write read 28.5 MiB, and with int64 ids parse 48.5
+    # texts: 20.8 MiB.  parse holds the text, its int32 ids (one CSR's
+    # bytes), from_edges's uint32 keys (one), of which the indices are a
+    # view, and their dedupe mask (a quarter): 27.6 MiB.  A block's own
+    # buffers are under 3 MiB.  With int64 keys and int32 indices made from
+    # them, parse read 40.9 MiB; written and read as one block, the two read
+    # 103 and 116 MiB; with the edge arrays live through the join, write
+    # read 28.5 MiB, and with int64 ids parse 48.5
     g = random_gnp(2000, 0.5, 1)
     block = 3 * 2**20
     tracemalloc.start()
@@ -469,7 +475,7 @@ def test_million_edge_round_trip_peaks_one_block_above_its_arrays():
         tracemalloc.stop()
     assert back.indices.tobytes() == g.indices.tobytes()
     assert write_peak < 2 * len(text) + block
-    assert parse_peak < len(text) + 4 * g.indices.nbytes + block
+    assert parse_peak < len(text) + 3 * g.indices.nbytes + block
 
 
 # -- blocks: _BLOCK_ROWS cut down to a few rows ---------------------------------
@@ -480,13 +486,16 @@ def small_blocks(monkeypatch):
 
 
 def test_blocks_of_different_widths_write_and_read_as_one(small_blocks):
-    # K6 on ids 1..6, then a path on ids 1000..1003: of six blocks of 3
-    # rows, only the last holds ids of two 3-digit groups
+    # K6 on ids 1..6, then a path on ids 1000..1003: 36 arcs, cut into
+    # vertex ranges at the holders of arcs 0, 6, ..., 30.  Those are
+    # vertices 0-4 and 999, so the six blocks are the ranges 0, 1, 2, 3,
+    # 4..998 (the edge (4, 5) alone) and 999..1002, and only the last holds
+    # ids of two 3-digit groups
     small = [(u, w) for u in range(6) for w in range(u + 1, 6)]
     g = Graph.from_edges(1003, small + [(999, 1000), (1000, 1001), (1001, 1002)])
     with mock.patch.object(dimacs, "int_lines", wraps=int_lines) as spy:
         text = write_dimacs(g)
-    assert spy.call_count == 6
+    assert [len(call.args[0]) for call in spy.call_args_list] == [5, 4, 3, 2, 1, 3]
     assert text == _format_string_writer(g)
     assert text.endswith("e 1000 1001\ne 1001 1002\ne 1002 1003\n")
     with mock.patch.object(dimacs, "int_lines", wraps=int_lines) as spy:
@@ -504,7 +513,6 @@ _LAST_LINE_DEFECTS = {
     "id n + 1": ("e 11 12\n", "e 11 13\n", "vertex-range"),
     "self-loop": ("e 11 12\n", "e 11 11\n", "self-loop"),
     "no final newline": ("e 11 12\n", "e 11 12", None),
-    "CRLF": ("e 11 12\n", "e 11 12\r\n", None),
     "unreadable id": ("e 11 12\n", "e 11 x\n", "malformed"),
 }
 
@@ -533,6 +541,40 @@ def test_a_defect_in_the_last_block_goes_to_the_loop(defect, fromstring, small_b
         assert got[1:3] == (g.indptr.tobytes(), g.indices.tobytes())
     else:
         assert got[0] is DimacsParseError and got[2:] == (kind, 12)
+
+
+@pytest.mark.parametrize("fromstring", [_fromstring, _warning_fromstring],
+                         ids=["numpy", "warning"])
+def test_crlf_text_takes_the_bulk_path(fromstring, small_blocks):
+    """CRLF line ends, on the last line or on every line, are read in
+    blocks, and give the line loop's graph."""
+    g = Graph.from_edges(12, [(u, u + 1) for u in range(11)])  # a path
+    text = write_dimacs(g)
+    for crlf in (text[:-1] + "\r\n", text.replace("\n", "\r\n")):
+        with mock.patch.object(np, "fromstring", fromstring):
+            assert dimacs._parse_bulk(crlf) is not None
+            got = _outcome(crlf)
+        assert got == _loop_outcome(crlf)
+        assert got[1:] == (g.indptr.tobytes(), g.indices.tobytes(), [])
+
+
+def test_validate_in_blocks_finds_the_lowest_conflict(small_blocks):
+    """validate reads the edges in blocks of a few rows, and reports the
+    conflict that comes first in canonical (u, w) order, as one block does:
+    a proper coloring with up to three edges made to conflict, anywhere."""
+    for seed in range(30):
+        g = random_gnp(30, 0.3, seed)
+        colors = solve(g).coloring.assignment.copy()
+        edges = g.edges()
+        picks = np.random.default_rng(seed).choice(len(edges), seed % 4, replace=False)
+        for u, w in (edges[i] for i in picks):
+            colors[w] = colors[u]
+        lowest = min(((u, w) for u, w in edges if colors[u] == colors[w]), default=None)
+        coloring = Coloring(colors)
+        verdict = validate(g, coloring)
+        with mock.patch.object(dimacs, "_BLOCK_ROWS", g.m):  # one block
+            assert validate(g, coloring) == verdict
+        assert verdict == Verdict(ok=lowest is None, conflict=lowest)
 
 
 @settings(max_examples=200)

@@ -98,12 +98,29 @@ def test_from_edges_keys_do_not_overflow_narrow_ids():
         assert g.edges() == [(0, 69_999), (69_998, 69_999)]
 
 
+@pytest.mark.parametrize("n", [65_535, 65_536])
+def test_from_edges_key_width_boundary(n):
+    # keys are uint32 while n * n fits, so to n = 65,535, and the indices a
+    # view of them; at 65,536 they are int64, narrowed by a copy.  The
+    # edges reach the largest key, (n - 1) * n + n - 2
+    pairs = [(n - 1, n - 2), (0, n - 1), (n - 2, n - 3), (n - 1, 0), (1, n - 2)]
+    indptr, indices = _csr_by_edge_set(n, pairs)
+    for dtype in (np.int32, np.uint32, np.int64, np.uint64):
+        g = Graph.from_edges(n, np.array(pairs, dtype))
+        assert g.indptr.tobytes() == indptr.tobytes()
+        assert g.indices.tobytes() == indices.tobytes()
+        base = g.indices.base
+        assert base.dtype == np.uint32 if n == 65_535 else base is None
+
+
 def test_from_edges_builds_in_little_memory():
-    # 122,608 edges: one int64 key array of both orientations is 1.9 MB and
-    # the int32 indices 1.0 MB, 2.8 MiB in all, for int64 and int32 pairs
-    # alike.  An int64 copy of the int32 pairs adds 1.9 MB, 4.7 MiB; checking
-    # that CSR again would add int32 sources and two int64 key arrays,
-    # 4.7 MB; a copy per step (concatenate, sort, dedupe, modulo) took 11 MB
+    # 122,608 edges: one uint32 key array of both orientations is 1.0 MB,
+    # the indices are a view of it, and the dedupe mask adds 0.25 MB: 1.2 MiB
+    # for int64 and int32 pairs alike.  int64 keys and int32 indices made
+    # from them took 2.8 MiB, and an int64 copy of the int32 pairs 1.9 MB
+    # more; checking that CSR again would add int32 sources and two int64
+    # key arrays, 4.7 MB; a copy per step (concatenate, sort, dedupe,
+    # modulo) took 11 MB
     g = random_gnp(700, 0.5, 408)
     us, ws = g.edge_arrays()
     for dtype in (np.int64, np.int32):
@@ -117,7 +134,7 @@ def test_from_edges_builds_in_little_memory():
         assert h.m == 122_608
         assert h.indptr.tobytes() == g.indptr.tobytes()
         assert h.indices.tobytes() == g.indices.tobytes()
-        assert peak < 3.5 * 2**20
+        assert peak < 1.5 * 2**20
 
 
 def test_degrees_and_max_degree():
@@ -151,6 +168,12 @@ def test_edges_match_neighbor_loop(kind, n, p, seed):
     us, ws = g.edge_arrays()
     assert us.dtype == ws.dtype == np.int32  # the CSR's own dtype
     assert list(zip(us.tolist(), ws.tolist())) == edges
+    # blocks of vertex ranges of about 2 * rows arcs, in order, hold the
+    # same edges; one block per holder of every (2 * rows)-th arc at most
+    for rows in (1, 2, 3, max(g.m, 1)):
+        blocks = list(g.edge_blocks(rows))
+        assert 1 <= len(blocks) <= max(1, -(-g.m // rows))  # ceil(m / rows)
+        assert [(u, w) for us, ws in blocks for u, w in zip(us.tolist(), ws.tolist())] == edges
 
 
 def test_crown_4_shape():
@@ -347,6 +370,8 @@ def test_from_edges_matches_edge_set_reference(case):
 @example(case=(0, []), dtype=np.int64)
 @example(case=(1, []), dtype=np.uint8)
 @example(case=(25, []), dtype=np.int8)
+@example(case=(65_535, [(65_534, 65_533), (0, 65_534), (65_534, 0)]), dtype=np.uint32)
+@example(case=(65_536, [(65_535, 65_534), (0, 65_535), (65_535, 0)]), dtype=np.int32)
 def test_from_edges_output_is_canonical(case, dtype):
     # from_edges skips the check that Graph(n, indptr, indices) runs, since
     # its CSR is canonical by construction; this holds it to that check
