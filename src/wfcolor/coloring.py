@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dimacs
 from .dimacs import _int_token, int_lines
 from .graph import Graph, _int_array
 
@@ -114,7 +113,7 @@ def parse_coloring(text: str, n: int) -> Coloring:
 def validate(g: Graph, coloring: Coloring) -> Verdict:
     """Check that coloring is total and no edge joins two same-colored
     vertices.  The edges are read from Graph.edge_blocks, one block of
-    about dimacs._BLOCK_ROWS edges at a time, in canonical (u, w) order, so
+    about graph.BLOCK_ROWS edges at a time, in canonical (u, w) order, so
     the first conflict found is the lowest, and no step holds a whole-graph
     copy of the CSR."""
     a = coloring.assignment
@@ -123,7 +122,7 @@ def validate(g: Graph, coloring: Coloring) -> Verdict:
     missing = np.nonzero(a == UNCOLORED)[0]
     if missing.size:
         return Verdict(ok=False, uncolored=int(missing[0]))
-    for us, ws in g.edge_blocks(dimacs._BLOCK_ROWS):
+    for us, ws in g.edge_blocks():
         bad = np.flatnonzero(a[us] == a[ws])
         if bad.size:
             i = int(bad[0])

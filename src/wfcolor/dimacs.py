@@ -7,24 +7,23 @@ Internally everything is 0-based; the translation happens only here.
 parse_dimacs has two paths that give the same graph.  Canonical text, what
 write_dimacs writes for its ids (a ``c`` comment header allowed), with
 ``\n`` or CRLF line ends, is read at array speed, in blocks of about
-_BLOCK_ROWS lines cut at line ends: each block's CRLFs become ``\n``, its
-ids are read by one np.fromstring call and taken as read only when they
-are in range, no edge is a self-loop, and int_lines writes them back as the
-block's exact text.  The ids of all blocks go into one int32 array, and
-Graph.from_edges builds the CSR from them on 32-bit keys up to 65,535
-vertices.  Anything else goes through a loop over the lines of the
+graph.BLOCK_ROWS lines cut at line ends: each block's CRLFs become
+``\n``, its ids are read by one np.fromstring call and taken as read only
+when they are in range, no edge is a self-loop, and int_lines writes them
+back as the block's exact text.  The ids of all blocks go into one int32
+array, and Graph.from_edges builds the CSR from them on 32-bit keys up to
+65,535 vertices.  Anything else goes through a loop over the lines of the
 original text, the only source of DimacsParseError, so error kinds, line
 numbers and messages do not depend on the path taken.  parse_dimacs takes
 only a ``str``: load_dimacs reads a file with read_text.
 
 write_dimacs, like coloring.format_coloring, writes its lines of integers
-with int_lines, which reads int32 ids as they are: every 3-digit group of
-an id is a 4-byte cell, gathered from one table straight into its column of
-the output matrix, and the NUL bytes that pad the cells are stripped from
-the matrix's bytes.  write_dimacs calls it on one Graph.edge_blocks block of
-about _BLOCK_ROWS edges at a time, and joins the blocks once, so neither
-direction holds more than one block's buffers beside the text, the parsed
-ids and the CSR.
+with int_lines: every 3-digit group of an id is a 4-byte cell, gathered from
+one table straight into its column of the output matrix, and the NUL bytes
+that pad the cells are stripped from the matrix's bytes.  write_dimacs calls
+it on one Graph.edge_blocks block of about graph.BLOCK_ROWS edges at a time,
+and joins the blocks once, so neither direction holds more than one block's
+buffers beside the text, the parsed ids and the CSR.
 """
 from __future__ import annotations
 
@@ -33,12 +32,8 @@ from typing import Iterable
 
 import numpy as np
 
+from . import graph
 from .graph import MAX_VERTICES, Graph
-
-# About the edges one Graph.edge_blocks block holds, which write_dimacs hands
-# int_lines and validate checks at a time, and about the lines _parse_bulk
-# reads at a time.
-_BLOCK_ROWS = 8_192
 
 
 class DimacsParseError(ValueError):
@@ -91,12 +86,12 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
     """The line loop's result for canonical text, as parse_dimacs's
     docstring defines it, or None for any other text.  The lines before the
     first edge line go through the loop and must hold no edge line.  The
-    lines after them are read in blocks of about _BLOCK_ROWS lines, each cut
-    at a line end, its CRLFs turned into "\n", and read by one np.fromstring
-    call; a block's ids are kept only if they are in range, give no
-    self-loop and int_lines writes them back as the block's text.  The ids
-    go into one int32 array, sized from the count of line ends, which the
-    blocks must fill exactly."""
+    lines after them are read in blocks of about graph.BLOCK_ROWS lines,
+    each cut at a line end, its CRLFs turned into "\n", and read by one
+    np.fromstring call; a block's ids are kept only if they are in range,
+    give no self-loop and int_lines writes them back as the block's text.
+    The ids go into one int32 array, sized from the count of line ends,
+    which the blocks must fill exactly."""
     # the body starts at the first "e " line after the first line, if any
     cut = text.find("\ne ") + 1 or len(text)
     try:
@@ -111,7 +106,7 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
         return None
     lines = text.count("\n", cut)
     ends = np.empty(2 * lines, np.int32)  # n <= MAX_VERTICES: ids fit int32
-    step = max(1, (len(text) - cut) * _BLOCK_ROWS // lines)  # chars a block
+    step = max(1, (len(text) - cut) * graph.BLOCK_ROWS // lines)  # chars a block
     start = cut
     filled = 0
     # An id np.fromstring cannot read raises a ValueError, or, on older
@@ -214,11 +209,11 @@ def write_dimacs(g: Graph) -> str:
     ``e u v`` with u < v, 1-based.  parse_dimacs inverts this exactly.
 
     int_lines writes the edge lines of one Graph.edge_blocks block of about
-    _BLOCK_ROWS int32 edges at a time, and the problem line and the blocks
-    are joined once: beside the CSR and the text, no step holds more than
-    one block's endpoints."""
+    graph.BLOCK_ROWS int32 edges at a time, and the problem line and the
+    blocks are joined once: beside the CSR and the text, no step holds more
+    than one block's endpoints."""
     blocks = [f"p edge {g.n} {g.m}\n"]
-    for us, ws in g.edge_blocks(_BLOCK_ROWS):
+    for us, ws in g.edge_blocks():
         rows = np.column_stack((us, ws))
         rows += 1
         blocks.append(int_lines(rows, lead="e "))
@@ -246,9 +241,7 @@ def int_lines(rows: np.ndarray, lead: str = "") -> str:
     Each id takes as many 3-digit groups as the largest one needs, and each
     group's cells are gathered from _CELLS straight into its columns of one
     uint32 matrix, whose bytes less the NULs are the text."""
-    rows = np.asarray(rows)
-    if rows.dtype != np.int32:  # int32 ids, all below 10**10, are read as they are
-        rows = rows.astype(np.int64, copy=False)
+    rows = np.asarray(rows, dtype=np.int64)
     m, k = rows.shape
     groups = (len(str(int(rows.max(initial=1)))) + 2) // 3
     width = 1 if lead else 0

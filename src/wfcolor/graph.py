@@ -10,7 +10,7 @@ operations, on keys u * n + w that are uint32 while n * n fits (n up to
 is canonical by construction, so it is not checked again; a CSR handed to
 ``Graph(n, indptr, indices)``, or unpickled, is checked in full and copied.
 ``Graph.edge_blocks`` yields the u < w edges of one vertex range of about
-a given number of edges at a time: write_dimacs and validate read the CSR
+BLOCK_ROWS edges at a time: write_dimacs and validate read the CSR
 through it, one block beside the CSR, and ``edge_arrays`` is its one block.
 Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed``.
 """
@@ -23,6 +23,11 @@ import numpy as np
 
 # the CSR arrays are int32, so vertex ids and n must fit in it
 MAX_VERTICES = 2**31 - 1
+
+# About the edges one edge_blocks block holds, which write_dimacs writes and
+# validate checks at a time, and about the lines the DIMACS bulk parse reads
+# at a time
+BLOCK_ROWS = 8_192
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,6 +46,8 @@ class Graph:
 
     def __post_init__(self) -> None:
         _check_canonical(self.n, self.indptr, self.indices)
+        # a Python int, as from_edges stores: n * n must not wrap in 32 bits
+        object.__setattr__(self, "n", int(self.n))
         # private copies: the caller's arrays, or the base of a view, stay
         # writable and must not reach a checked graph
         object.__setattr__(self, "indptr", self.indptr.copy())
@@ -78,14 +85,16 @@ class Graph:
         dtype."""
         return next(self.edge_blocks(max(self.m, 1)))
 
-    def edge_blocks(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def edge_blocks(self, rows: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (us, ws), the int32 endpoints of the edges with u < w, for
         consecutive vertex ranges of about 2 * rows arcs, so about ``rows``
-        edges, in canonical (u, w) order.  A range starts at the vertex that
-        holds every (2 * rows)-th arc, so it takes one row more than 2 * rows
-        arcs at most.  Each block is the range's arcs, with their sources
-        made by np.repeat over its indptr, restricted to u < w: they hold
-        each edge once.  rows >= m gives one block, also when n is 0."""
+        edges, in canonical (u, w) order; rows defaults to BLOCK_ROWS, read
+        at each call.  A range starts at the vertex that holds every
+        (2 * rows)-th arc, so it takes one row more than 2 * rows arcs at
+        most.  Each block is the range's arcs, with their sources made by
+        np.repeat over its indptr, restricted to u < w: they hold each edge
+        once.  rows >= m gives one block, also when n is 0."""
+        rows = BLOCK_ROWS if rows is None else rows
         indptr = self.indptr
         holders = np.searchsorted(indptr, np.arange(0, indptr[-1], 2 * rows), side="right") - 1
         bounds = [0, *np.unique(holders)[1:].tolist(), self.n]
@@ -120,6 +129,9 @@ class Graph:
         to that check instead.
         """
         _check_vertex_count(n)
+        # a Python int from here on: a 32-bit numpy n would wrap n * n and
+        # pick keys too narrow for it
+        n = int(n)
         message = "edges must be (u, w) pairs of integers"
         pairs = _int_array(edges, message)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):

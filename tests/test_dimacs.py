@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wfcolor import dimacs, solve
+from wfcolor import dimacs, graph, solve
 from wfcolor.bench import load_best_known, parse_best_known
 from wfcolor.cli import main
 from wfcolor.coloring import Coloring, Verdict, validate
@@ -398,7 +398,7 @@ def test_write_matches_the_format_string_writer(n):
     pairs = np.array([(u, v) for u in ids for v in ids if u < v]).reshape(-1, 2)
     g = Graph.from_edges(n, pairs - 1)
     assert write_dimacs(g) == _format_string_writer(g)
-    with mock.patch.object(dimacs, "_BLOCK_ROWS", 3):  # blocks of unequal widths
+    with mock.patch.object(graph, "BLOCK_ROWS", 3):  # blocks of unequal widths
         assert write_dimacs(g) == _format_string_writer(g)
 
 
@@ -478,11 +478,11 @@ def test_million_edge_round_trip_peaks_one_block_above_its_arrays():
     assert parse_peak < len(text) + 3 * g.indices.nbytes + block
 
 
-# -- blocks: _BLOCK_ROWS cut down to a few rows ---------------------------------
+# -- blocks: BLOCK_ROWS cut down to a few rows ----------------------------------
 
 @pytest.fixture
 def small_blocks(monkeypatch):
-    monkeypatch.setattr(dimacs, "_BLOCK_ROWS", 3)
+    monkeypatch.setattr(graph, "BLOCK_ROWS", 3)
 
 
 def test_blocks_of_different_widths_write_and_read_as_one(small_blocks):
@@ -572,7 +572,7 @@ def test_validate_in_blocks_finds_the_lowest_conflict(small_blocks):
         lowest = min(((u, w) for u, w in edges if colors[u] == colors[w]), default=None)
         coloring = Coloring(colors)
         verdict = validate(g, coloring)
-        with mock.patch.object(dimacs, "_BLOCK_ROWS", g.m):  # one block
+        with mock.patch.object(graph, "BLOCK_ROWS", g.m):  # one block
             assert validate(g, coloring) == verdict
         assert verdict == Verdict(ok=lowest is None, conflict=lowest)
 
@@ -580,5 +580,5 @@ def test_validate_in_blocks_finds_the_lowest_conflict(small_blocks):
 @settings(max_examples=200)
 @given(text=dimacs_texts(), rows=st.integers(1, 4))
 def test_bulk_path_in_small_blocks_agrees_with_the_line_loop(text, rows):
-    with mock.patch.object(dimacs, "_BLOCK_ROWS", rows):
+    with mock.patch.object(graph, "BLOCK_ROWS", rows):
         assert _outcome(text) == _loop_outcome(text)

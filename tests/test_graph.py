@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import pickle
 import tracemalloc
 
@@ -9,6 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from util import complete_graph
+from wfcolor import solve
+from wfcolor.coloring import validate
 from wfcolor.dimacs import parse_dimacs
 from wfcolor.graph import (Graph, _check_canonical, barabasi_albert,
                            crown_graph, random_gnp, star_graph)
@@ -92,21 +95,25 @@ def test_from_edges_reads_every_integer_width(dtype):
 
 
 def test_from_edges_keys_do_not_overflow_narrow_ids():
-    # u * n + w passes 2**31 here: the keys are int64 whatever the ids' width
-    for dtype in (np.int32, np.uint32, np.uint64):
-        g = Graph.from_edges(70_000, np.array([[69_999, 69_998], [0, 69_999]], dtype))
-        assert g.edges() == [(0, 69_999), (69_998, 69_999)]
+    # u * n + w passes 2**31 here: the keys are int64 whatever the width of
+    # the ids or of n, whose square wraps in 32 bits
+    for n in (70_000, np.int32(70_000), np.uint32(70_000)):
+        for dtype in (np.int32, np.uint32, np.uint64):
+            g = Graph.from_edges(n, np.array([[69_999, 69_998], [0, 69_999]], dtype))
+            assert g.edges() == [(0, 69_999), (69_998, 69_999)]
 
 
 @pytest.mark.parametrize("n", [65_535, 65_536])
 def test_from_edges_key_width_boundary(n):
     # keys are uint32 while n * n fits, so to n = 65,535, and the indices a
     # view of them; at 65,536 they are int64, narrowed by a copy.  The
-    # edges reach the largest key, (n - 1) * n + n - 2
+    # edges reach the largest key, (n - 1) * n + n - 2.  A 32-bit numpy n,
+    # whose n * n wraps, picks the same keys as a Python int
     pairs = [(n - 1, n - 2), (0, n - 1), (n - 2, n - 3), (n - 1, 0), (1, n - 2)]
     indptr, indices = _csr_by_edge_set(n, pairs)
-    for dtype in (np.int32, np.uint32, np.int64, np.uint64):
-        g = Graph.from_edges(n, np.array(pairs, dtype))
+    for count, dtype in itertools.product((n, np.int32(n), np.uint32(n)),
+                                          (np.int32, np.uint32, np.int64, np.uint64)):
+        g = Graph.from_edges(count, np.array(pairs, dtype))
         assert g.indptr.tobytes() == indptr.tobytes()
         assert g.indices.tobytes() == indices.tobytes()
         base = g.indices.base
@@ -423,6 +430,16 @@ def test_graph_arrays_are_frozen():
             for a in (h.indptr, h.indices):
                 with pytest.raises(ValueError):
                     a[-1] = 0
+
+
+def test_a_numpy_vertex_count_is_stored_as_an_int():
+    # solve's heap keys reach n * n, which wraps for a 32-bit numpy n
+    for n in (np.int32(70_000), np.uint32(70_000)):
+        g = Graph.from_edges(n, [(0, 69_999), (69_998, 69_999), (5, 69_999)])
+        h = Graph(n, g.indptr, g.indices)
+        for x in (g, h):
+            assert type(x.n) is int and x.n == 70_000
+        assert validate(h, solve(h).coloring).ok
 
 
 def test_graph_keeps_its_own_arrays():
