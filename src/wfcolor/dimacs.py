@@ -7,12 +7,12 @@ Internally everything is 0-based; the translation happens only here.
 parse_dimacs has two paths that give the same graph.  Canonical text, what
 write_dimacs writes for its ids (a ``c`` comment header allowed), with
 ``\n`` or CRLF line ends, is read at array speed, in blocks of about
-graph.BLOCK_ROWS lines cut at line ends: each block's CRLFs become
-``\n``, its ids are read by one np.fromstring call and taken as read only
-when they are in range, no edge is a self-loop, and int_lines writes them
-back as the block's exact text.  The ids of all blocks go into one int32
-array, and Graph.from_edges builds the CSR from them on 32-bit keys up to
-65,535 vertices.  Anything else goes through a loop over the lines of the
+graph.BLOCK_ROWS lines cut at line ends: the CRLFs of a block that holds
+a ``\r`` become ``\n``, its ids are read by one np.fromstring call and
+taken as read only when they are in range, no edge is a self-loop, and
+int_lines writes them back as the block's exact text.  The ids of all
+blocks go into one int32 array, and Graph.from_edges builds the CSR from
+them on 32-bit keys up to 65,535 vertices.  Anything else goes through a loop over the lines of the
 original text, the only source of DimacsParseError, so error kinds, line
 numbers and messages do not depend on the path taken.  parse_dimacs takes
 only a ``str``: load_dimacs reads a file with read_text.
@@ -23,12 +23,13 @@ one table straight into its column of the output matrix, and the NUL bytes
 that pad the cells are stripped from the matrix's bytes.  write_dimacs calls
 it on one Graph.edge_blocks block of about graph.BLOCK_ROWS edges at a time,
 and joins the blocks once, so neither direction holds more than one block's
-buffers beside the text, the parsed ids and the CSR.
+buffers beside the text, the parsed ids and the CSR; save_dimacs writes each
+block's text to the file as it is made, so it holds one block beside the CSR.
 """
 from __future__ import annotations
 
 import warnings
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -87,9 +88,10 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
     docstring defines it, or None for any other text.  The lines before the
     first edge line go through the loop and must hold no edge line.  The
     lines after them are read in blocks of about graph.BLOCK_ROWS lines,
-    each cut at a line end, its CRLFs turned into "\n", and read by one
-    np.fromstring call; a block's ids are kept only if they are in range,
-    give no self-loop and int_lines writes them back as the block's text.
+    each cut at a line end, its CRLFs turned into "\n" if it holds a
+    "\r", and read by one np.fromstring call; a block's ids are kept only
+    if they are in range, give no self-loop and int_lines writes them back
+    as the block's text.
     The ids go into one int32 array, sized from the count of line ends,
     which the blocks must fill exactly."""
     # the body starts at the first "e " line after the first line, if any
@@ -116,8 +118,12 @@ def _parse_bulk(text: str) -> tuple[int, np.ndarray, int] | None:
         while start < len(text):
             # the block ends at the first line end from start + step on
             end = text.find("\n", min(start + step, len(text)) - 1) + 1
-            # CRLF line ends read as "\n"; a stray "\r" fails the write-back
-            block = text[start:end].replace("\r\n", "\n")
+            block = text[start:end]
+            # CRLF line ends read as "\n", rewritten only in a block that
+            # holds a "\r": the search for one is some 80x cheaper than the
+            # replace; a stray "\r" fails the write-back
+            if "\r" in block:
+                block = block.replace("\r\n", "\n")
             try:
                 ids = np.fromstring(block.replace("e", " "), dtype=np.int64, sep=" ")
             except (ValueError, DeprecationWarning):
@@ -208,16 +214,21 @@ def write_dimacs(g: Graph) -> str:
     """Emit canonical DIMACS text: problem line, then each edge once as
     ``e u v`` with u < v, 1-based.  parse_dimacs inverts this exactly.
 
-    int_lines writes the edge lines of one Graph.edge_blocks block of about
-    graph.BLOCK_ROWS int32 edges at a time, and the problem line and the
-    blocks are joined once: beside the CSR and the text, no step holds more
-    than one block's endpoints."""
-    blocks = [f"p edge {g.n} {g.m}\n"]
+    The problem line and the text of every block _dimacs_pieces yields are
+    joined once: beside the CSR and the text, no step holds more than one
+    block's endpoints."""
+    return "".join(_dimacs_pieces(g))
+
+
+def _dimacs_pieces(g: Graph) -> Iterator[str]:
+    """write_dimacs's text in pieces: the problem line, then the edge lines
+    int_lines writes for each Graph.edge_blocks block of about
+    graph.BLOCK_ROWS int32 edges."""
+    yield f"p edge {g.n} {g.m}\n"
     for us, ws in g.edge_blocks():
         rows = np.column_stack((us, ws))
         rows += 1
-        blocks.append(int_lines(rows, lead="e "))
-    return "".join(blocks)
+        yield int_lines(rows, lead="e ")
 
 
 # The text of one 3-digit group of an id, as 4-byte cells that a
@@ -263,5 +274,7 @@ def int_lines(rows: np.ndarray, lead: str = "") -> str:
 
 
 def save_dimacs(g: Graph, path) -> None:
+    """Write write_dimacs(g) to a file one _dimacs_pieces piece at a time,
+    so no more than one block's text is held beside the CSR."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_dimacs(g))
+        fh.writelines(_dimacs_pieces(g))

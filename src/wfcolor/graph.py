@@ -8,10 +8,12 @@ the DIMACS parser an int32 one; it builds the CSR with whole-array numpy
 operations, on keys u * n + w that are uint32 while n * n fits (n up to
 65,535), with the indices a view of them, and int64 above that.  That CSR
 is canonical by construction, so it is not checked again; a CSR handed to
-``Graph(n, indptr, indices)``, or unpickled, is checked in full and copied.
-``Graph.edge_blocks`` yields the u < w edges of one vertex range of about
-BLOCK_ROWS edges at a time: write_dimacs and validate read the CSR
-through it, one block beside the CSR, and ``edge_arrays`` is its one block.
+``Graph(n, indptr, indices)``, or unpickled, is checked in full, its
+symmetry on keys of the same width, and copied.  ``_vertex_ranges`` cuts
+the vertices into ranges of about 2 * BLOCK_ROWS arcs: validate compares
+colors over the arcs of one range at a time, and ``Graph.edge_blocks``
+yields the u < w edges of one range at a time, which write_dimacs writes;
+each holds one block beside the CSR, and ``edge_arrays`` is the one block.
 Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed``.
 """
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 # the CSR arrays are int32, so vertex ids and n must fit in it
 MAX_VERTICES = 2**31 - 1
 
-# About the edges one edge_blocks block holds, which write_dimacs writes and
+# About the edges one vertex range holds, which write_dimacs writes and
 # validate checks at a time, and about the lines the DIMACS bulk parse reads
 # at a time
 BLOCK_ROWS = 8_192
@@ -87,18 +89,13 @@ class Graph:
 
     def edge_blocks(self, rows: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (us, ws), the int32 endpoints of the edges with u < w, for
-        consecutive vertex ranges of about 2 * rows arcs, so about ``rows``
-        edges, in canonical (u, w) order; rows defaults to BLOCK_ROWS, read
-        at each call.  A range starts at the vertex that holds every
-        (2 * rows)-th arc, so it takes one row more than 2 * rows arcs at
-        most.  Each block is the range's arcs, with their sources made by
-        np.repeat over its indptr, restricted to u < w: they hold each edge
-        once.  rows >= m gives one block, also when n is 0."""
-        rows = BLOCK_ROWS if rows is None else rows
+        each of _vertex_ranges's ranges of about 2 * rows arcs, so about
+        ``rows`` edges, in canonical (u, w) order.  Each block is the
+        range's arcs, with their sources made by np.repeat over its indptr,
+        restricted to u < w: they hold each edge once.  rows >= m gives one
+        block, also when n is 0."""
         indptr = self.indptr
-        holders = np.searchsorted(indptr, np.arange(0, indptr[-1], 2 * rows), side="right") - 1
-        bounds = [0, *np.unique(holders)[1:].tolist(), self.n]
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in _vertex_ranges(indptr, rows):
             ws = self.indices[indptr[lo]:indptr[hi]]
             us = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo:hi + 1]))
             upper = us < ws
@@ -142,19 +139,13 @@ class Graph:
         if np.any(u == w):
             raise ValueError("self-loops are not allowed")
         # one key u * n + w per arc, both orientations, written and sorted in
-        # place in one array; sorted keys are in (src, dst) order.  Keys are
-        # uint32 while n * n fits, so to n = 65,535, and int64 above that.
-        # The ids are in 0..n-1, which every integer dtype holds, so they
-        # are read into the keys by an unsafe cast that changes no value;
-        # nn is a numpy scalar, so numpy's older value-based promotion
-        # cannot widen the uint32 arithmetic
-        key = np.uint32 if n * n <= np.iinfo(np.uint32).max else np.int64
+        # place in one array; sorted keys are in (src, dst) order
+        key = _key_dtype(n)
         nn = key(n)
         k = u.shape[0]
         keys = np.empty(2 * k, key)
-        for src, dst, out in ((u, w, keys[:k]), (w, u, keys[k:])):
-            np.multiply(src, nn, out=out, dtype=key, casting="unsafe")
-            np.add(out, dst, out=out, dtype=key, casting="unsafe")
+        _write_keys(u, w, n, keys[:k])
+        _write_keys(w, u, n, keys[k:])
         keys.sort()
         fresh = np.empty(2 * k, bool)
         fresh[:1] = True
@@ -181,6 +172,37 @@ class Graph:
         object.__setattr__(g, "indices", indices)
         g._freeze()
         return g
+
+
+def _vertex_ranges(indptr: np.ndarray, rows: int | None = None) -> list[tuple[int, int]]:
+    """Consecutive vertex ranges (lo, hi) that cover the vertices of a CSR
+    and hold about 2 * rows arcs each, so about ``rows`` edges; rows
+    defaults to BLOCK_ROWS, read at each call.  A range starts at the
+    vertex that holds every (2 * rows)-th arc, so it takes one row more
+    than 2 * rows arcs at most.  2 * rows >= the arc count gives one range,
+    also when n is 0."""
+    rows = BLOCK_ROWS if rows is None else rows
+    holders = np.searchsorted(indptr, np.arange(0, indptr[-1], 2 * rows), side="right") - 1
+    bounds = [0, *np.unique(holders)[1:].tolist(), indptr.shape[0] - 1]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _key_dtype(n: int) -> type:
+    """The dtype of arc keys u * n + w on n vertices: uint32 while n * n
+    fits it, so to n = 65,535, and int64 above that.  n must be a Python
+    int: a 32-bit numpy n would wrap n * n and pick keys too narrow."""
+    return np.uint32 if n * n <= np.iinfo(np.uint32).max else np.int64
+
+
+def _write_keys(src: np.ndarray, dst: np.ndarray, n: int, out: np.ndarray) -> None:
+    """out = src * n + dst, in out's key dtype, _key_dtype(n).  The ids are
+    in 0..n-1, which every integer dtype holds, so they are read into the
+    keys by an unsafe cast that changes no value; n becomes a numpy scalar
+    of the key dtype, so numpy's older value-based promotion cannot widen
+    the uint32 arithmetic."""
+    key = out.dtype.type
+    np.multiply(src, key(n), out=out, dtype=key, casting="unsafe")
+    np.add(out, dst, out=out, dtype=key, casting="unsafe")
 
 
 def _check_int(x: int, what: str) -> None:
@@ -241,11 +263,12 @@ def _check_canonical(n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
     if loops.size:
         raise ValueError(f"self-loop at vertex {loops[0]}")
     # symmetry: the (u, w) arc keys, already sorted, must equal the (w, u)
-    # keys once sorted; int64 keys, since n * n overflows int32
-    fwd = np.multiply(src, n, dtype=np.int64)
-    fwd += indices
-    rev = np.multiply(indices, n, dtype=np.int64)
-    rev += src
+    # keys once sorted, in from_edges's key dtype: uint32 while n * n fits
+    key = _key_dtype(int(n))
+    fwd = np.empty(src.shape[0], key)
+    _write_keys(src, indices, n, fwd)
+    rev = np.empty(src.shape[0], key)
+    _write_keys(indices, src, n, rev)
     del src
     rev.sort()
     if not np.array_equal(fwd, rev):

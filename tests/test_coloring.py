@@ -1,6 +1,7 @@
 import copy
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from util import complete_graph
-from wfcolor.coloring import (MAX_COLOR, UNCOLORED, Coloring, format_coloring,
+from wfcolor import graph
+from wfcolor.coloring import (MAX_COLOR, UNCOLORED, Coloring, Verdict, format_coloring,
                               parse_coloring, validate)
 from wfcolor.graph import crown_graph, random_gnp
 from wfcolor.wfc import solve
@@ -58,6 +60,41 @@ def test_validate_reports_first_uncolored():
     v = validate(g, Coloring.from_list([1, None, None]))
     assert not v.ok
     assert v.uncolored == 1
+
+
+def test_validate_k6_in_one_color_reports_the_first_edge():
+    assert validate(complete_graph(6), Coloring([1] * 6)) == Verdict(ok=False, conflict=(0, 1))
+
+
+def test_validate_reports_an_uncolored_vertex_before_conflicts():
+    # vertices 0-3 and 5 share a color; vertex 4 is uncolored
+    v = validate(complete_graph(6), Coloring.from_list([1, 1, 1, 1, None, 1]))
+    assert v == Verdict(ok=False, uncolored=4)
+
+
+def _validate_by_edges(g, coloring):
+    """validate as a walk over g.edges() in canonical order: the reference."""
+    a = coloring.assignment.tolist()
+    if UNCOLORED in a:
+        return Verdict(ok=False, uncolored=a.index(UNCOLORED))
+    for u, w in g.edges():
+        if a[u] == a[w]:
+            return Verdict(ok=False, conflict=(u, w))
+    return Verdict(ok=True)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+def test_validate_matches_the_edge_walk(rows):
+    """Colors 1-3 on random graphs, mostly improper: validate compares them
+    arc by arc over vertex ranges, the default ones or ranges of a few arcs,
+    and reports what the walk over the edges reports."""
+    rng = np.random.default_rng(7)
+    for seed in range(50):
+        n = int(rng.integers(1, 40))
+        g = random_gnp(n, float(rng.choice([0.05, 0.2, 0.5])), seed)
+        coloring = Coloring(rng.integers(1, 4, n))
+        with mock.patch.object(graph, "BLOCK_ROWS", rows or graph.BLOCK_ROWS):
+            assert validate(g, coloring) == _validate_by_edges(g, coloring)
 
 
 def test_validate_crown_two_coloring():

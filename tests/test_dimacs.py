@@ -14,7 +14,7 @@ from wfcolor.bench import load_best_known, parse_best_known
 from wfcolor.cli import main
 from wfcolor.coloring import Coloring, Verdict, validate
 from wfcolor.dimacs import (DimacsParseError, DimacsWarning, int_lines,
-                            load_dimacs, parse_dimacs, write_dimacs)
+                            load_dimacs, parse_dimacs, save_dimacs, write_dimacs)
 from wfcolor.graph import Graph, crown_graph, random_gnp
 
 K3_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -452,6 +452,32 @@ def test_parse_of_written_text_peaks_under_6_mb():
     assert peak < 3.5 * 2**20
 
 
+def test_save_writes_the_text_of_write_dimacs(tmp_path):
+    g = random_gnp(60, 0.3, 2)
+    path = tmp_path / "g.col"
+    for rows in (graph.BLOCK_ROWS, 3):  # one block, and many
+        with mock.patch.object(graph, "BLOCK_ROWS", rows):
+            save_dimacs(g, path)
+            assert path.read_bytes() == write_dimacs(g).encode()
+    assert load_dimacs(path).indices.tobytes() == g.indices.tobytes()
+
+
+def test_save_peaks_one_block_above_the_graph(tmp_path):
+    # gnp(2000, 0.5): a 10.4 MiB text.  save_dimacs writes one block of
+    # about 8,192 edge lines at a time: 1.8 MiB.  Writing write_dimacs's
+    # text, the blocks and their join, read 20.8 MiB
+    g = random_gnp(2000, 0.5, 1)
+    path = tmp_path / "g.col"
+    tracemalloc.start()
+    try:
+        save_dimacs(g, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == len(write_dimacs(g))
+    assert peak < 4 * 2**20
+
+
 def test_million_edge_round_trip_peaks_one_block_above_its_arrays():
     # gnp(2000, 0.5), C2000.5's size: 999,736 edges, a 10.4 MiB text and
     # 7.6 MiB of CSR indices.  write holds the blocks and their join, two
@@ -543,19 +569,35 @@ def test_a_defect_in_the_last_block_goes_to_the_loop(defect, fromstring, small_b
         assert got[0] is DimacsParseError and got[2:] == (kind, 12)
 
 
+# line-end changes to the path text below, (old, new, whether the bulk path
+# reads it); its 11 edge lines make blocks of about 3 lines, so "e 6 7" is
+# in a middle block
+_LINE_END_CASES = {
+    "CRLF on the last line": ("e 11 12\n", "e 11 12\r\n", True),
+    "CRLF only in a middle block": ("e 6 7\n", "e 6 7\r\n", True),
+    "CRLF on every line": ("\n", "\r\n", True),
+    # str.splitlines ends a line at a lone "\r": the loop reads two edge
+    # lines, or a malformed one
+    "lone CR between lines": ("e 6 7\n", "e 6 7\r", False),
+    "lone CR inside a line": ("e 6 7\n", "e 6\r7\n", False),
+}
+
+
 @pytest.mark.parametrize("fromstring", [_fromstring, _warning_fromstring],
                          ids=["numpy", "warning"])
 def test_crlf_text_takes_the_bulk_path(fromstring, small_blocks):
-    """CRLF line ends, on the last line or on every line, are read in
-    blocks, and give the line loop's graph."""
+    """CRLF line ends, in any block, are read in blocks; a lone CR, in a
+    block with no CRLF, sends the text to the loop.  Each gives the line
+    loop's outcome."""
     g = Graph.from_edges(12, [(u, u + 1) for u in range(11)])  # a path
-    text = write_dimacs(g)
-    for crlf in (text[:-1] + "\r\n", text.replace("\n", "\r\n")):
+    for case, (old, new, bulk) in _LINE_END_CASES.items():
+        text = write_dimacs(g).replace(old, new)
         with mock.patch.object(np, "fromstring", fromstring):
-            assert dimacs._parse_bulk(crlf) is not None
-            got = _outcome(crlf)
-        assert got == _loop_outcome(crlf)
-        assert got[1:] == (g.indptr.tobytes(), g.indices.tobytes(), [])
+            assert (dimacs._parse_bulk(text) is not None) == bulk, case
+            got = _outcome(text)
+        assert got == _loop_outcome(text), case
+        if bulk:
+            assert got[1:] == (g.indptr.tobytes(), g.indices.tobytes(), []), case
 
 
 def test_validate_in_blocks_finds_the_lowest_conflict(small_blocks):

@@ -120,6 +120,48 @@ def test_from_edges_key_width_boundary(n):
         assert base.dtype == np.uint32 if n == 65_535 else base is None
 
 
+@pytest.mark.parametrize("n", [65_535, 65_536, 65_537])
+def test_canonical_check_key_width_boundary(n):
+    # the symmetry check's keys are from_edges's: uint32 to n = 65,535,
+    # int64 above.  Row n - 1 is [0, n - 2]; with its 0 made a 1, rows 0
+    # and n - 1 and rows 1 and n - 1 each hold an arc the other lacks.  A
+    # lone arc (0, n - 1) lacks its reverse too; at n = 65,537 their keys,
+    # 2**16 and 2**32 + 2**16, agree in 32 bits, so keys that narrow would
+    # pass it.  A 32-bit numpy n, whose n * n wraps, is checked as a Python
+    # int
+    indptr, indices = _csr_by_edge_set(n, [(n - 1, n - 2), (0, n - 1), (1, n - 2)])
+    bad = indices.copy()
+    bad[indptr[n - 1]] = 1
+    lone = np.ones(n + 1, np.int32)
+    lone[0] = 0
+    for count in (n, np.int32(n), np.uint32(n)):
+        assert Graph(count, indptr, indices).m == 3
+        for ptr, ids in ((indptr, bad), (lone, np.array([n - 1], np.int32))):
+            with pytest.raises(ValueError, match="adjacency is not symmetric"):
+                Graph(count, ptr, ids)
+
+
+def test_canonical_check_peaks_under_26_mb():
+    # gnp(2000, 0.5): 999,736 edges, 7.6 MiB of CSR.  The check holds int32
+    # sources and uint32 forward and reverse keys for all 2m arcs, three
+    # CSRs' bytes: 22.9 MiB.  With int64 keys it read 38.2 MiB, and an
+    # unpickle, which also holds the unpickled arrays, 45.8
+    g = random_gnp(2000, 0.5, 1)
+    blob = pickle.dumps(g)
+    csr = g.indptr.nbytes + g.indices.nbytes
+    for make, bound in ((lambda: Graph(g.n, g.indptr, g.indices), 0),
+                        (lambda: copy.copy(g), 0), (lambda: pickle.loads(blob), csr)):
+        tracemalloc.start()
+        try:
+            h = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.indices.tobytes() == g.indices.tobytes()
+        del h
+        assert peak < 26 * 2**20 + bound
+
+
 def test_from_edges_builds_in_little_memory():
     # 122,608 edges: one uint32 key array of both orientations is 1.0 MB,
     # the indices are a view of it, and the dedupe mask adds 0.25 MB: 1.2 MiB
