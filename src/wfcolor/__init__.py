@@ -6,7 +6,7 @@ from .dimacs import (DimacsParseError, DimacsWarning, load_dimacs,
                      parse_dimacs, save_dimacs, write_dimacs)
 from .graph import Graph, crown_graph, random_gnp
 from .oracle import OracleLimitError, exact_chromatic
-from .wfc import RESTART, DomainState, SolveResult, solve
+from .wfc import DomainState, SolveResult, solve
 
 __all__ = [
     "BACKEND",
@@ -16,7 +16,6 @@ __all__ = [
     "DomainState",
     "Graph",
     "OracleLimitError",
-    "RESTART",
     "SolveResult",
     "Verdict",
     "crown_graph",

@@ -15,7 +15,8 @@ blocks go into one int32 array, and Graph.from_edges builds the CSR from
 them on 32-bit keys up to 65,535 vertices.  Anything else goes through a loop over the lines of the
 original text, the only source of DimacsParseError, so error kinds, line
 numbers and messages do not depend on the path taken.  parse_dimacs takes
-only a ``str``: load_dimacs reads a file with read_text.
+only a ``str``: load_dimacs reads a file with read_text, which drops a
+leading byte-order mark.
 
 write_dimacs, like coloring.format_coloring, writes its lines of integers
 with int_lines: every 3-digit group of an id is a 4-byte cell, gathered from
@@ -200,9 +201,10 @@ def _int_token(token: str, read=int):
 
 
 def read_text(path) -> str:
-    """A file's text, decoded as UTF-8 with bad bytes replaced: the one way
-    the package reads a DIMACS, coloring or best-known file."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    """A file's text, decoded as UTF-8 with bad bytes replaced and a leading
+    byte-order mark dropped: the one way the package reads a DIMACS,
+    coloring or best-known file."""
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         return fh.read()
 
 

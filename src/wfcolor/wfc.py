@@ -14,34 +14,33 @@ least nonzero entropy, so it is the next pick anyway.  The attempt at
 max(max_degree, 1) fails exactly when the pass needs more colors, and
 max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 
-DomainState is the paper's step API (set_color, observe, collapse,
-propagate) for one attempt at a color budget m, ties ranked by degree,
-then id; the traced driver in wfbench times it step by step.  It keeps a
-heap of keys with lazy deletion, each key ordered by saturation, then
-rank, and carrying its vertex, and a Python-int bitset of the colors
-around each vertex, so memory grows with the colors in use, not with n
-times the budget, and no domain sets (oracle.naive_propagate does); it
-reads the CSR in place through memoryviews and keeps no rank order or
-offset list.  Its one dead-end signal is observe returning RESTART.  solve
-does not use it: the tests check solve against oracle.paper_wfc,
-baselines.dsatur and networkx's DSATUR.
-
 solve runs one of two passes, module functions with one signature and one
-result; both make the same picks.  Sparse graphs take _heap_pass,
-DomainState's heap layout with the steps inlined in one loop over local
-variables, since three method calls and fresh attribute loads a pick cost
-about a fifth of the time there.  Dense graphs take _dense_pass,
-whose pick is the argmin of one key array and whose strike is a few
-whole-array numpy operations over uint64 color words instead of a Python
-loop over every arc.  One rule on the mean degree (_is_dense) sends a
-graph to _dense_pass from the first pick.  Below it, a graph of mean
-degree SWITCH_DEGREE or more runs _heap_pass with a probe: after n / 16
-picks, if the strikes so far reach SWITCH_RATIO times the arcs read and
-the color words fit in the CSR's bytes (_dense_state), the heap layout's
-lists become the dense layout's arrays and the pass finishes in
-_dense_pass's loop, _dense_loop.  G(n,p) switches from a mean degree of
-about 60; crowns and random bipartite graphs, which strike few colors per
-arc, keep the heap.
+result; both make the same picks, and the tests check solve against
+oracle.paper_wfc, baselines.dsatur and networkx's DSATUR.  Sparse graphs
+take _heap_pass: a heap of keys with lazy deletion, each key ordered by
+saturation, then rank, and carrying its vertex, and a Python-int bitset of
+the colors around each vertex, so memory grows with the colors in use, not
+with n times the budget, and no domain sets (oracle.naive_propagate does).
+It reads the CSR in place through memoryviews, keeps no rank order or
+offset list, and inlines its steps in one loop over local variables, since
+three method calls and fresh attribute loads a pick cost about a fifth of
+the time there.  Dense graphs take _dense_pass, whose pick is the argmin
+of one key array and whose strike is a few whole-array numpy operations
+over uint64 color words instead of a Python loop over every arc.  One rule
+on the mean degree (_is_dense) sends a graph to _dense_pass from the first
+pick.  Below it, a graph of mean degree SWITCH_DEGREE or more runs
+_heap_pass with a probe: after n / 16 picks, if the strikes so far reach
+SWITCH_RATIO times the arcs read and the color words fit in the CSR's
+bytes (_dense_state), the heap layout's lists become the dense layout's
+arrays and the pass finishes in _dense_pass's loop, _dense_loop.  G(n,p)
+switches from a mean degree of about 60; crowns and random bipartite
+graphs, which strike few colors per arc, keep the heap.
+
+DomainState is the paper's step API (set_color, observe, collapse,
+propagate) over the heap layout, for one attempt at a color budget m with
+ties ranked by degree, then id.  It is the traced driver's stepper: the
+driver in wfbench times it step by step, and observe returning RESTART is
+its one dead-end signal.  solve does not use it.
 """
 from __future__ import annotations
 
@@ -51,7 +50,7 @@ from heapq import heapify, heappop, heappush
 import numpy as np
 
 from .coloring import Coloring
-from .graph import Graph, _check_seed
+from .graph import Graph, _check_int, _check_seed
 
 # observe's dead-end result (never a vertex id)
 RESTART = -1
@@ -123,8 +122,10 @@ class DomainState:
     """
 
     def __init__(self, g: Graph, m: int):
+        _check_int(m, "color budget")
         if m < 1:
             raise ValueError("need at least one color")
+        m = int(m)
         self._key, self._heap = _heap_start(g, "degree", 0)
         self.g = g
         self._n = n = g.n
@@ -138,25 +139,9 @@ class DomainState:
         # a key below this has saturation >= the budget
         self._floor = (1 - self._cap) * self._nn
         self._colored = 0
-        self._views()
         # colors used around each vertex, bit c-1 for color c; -1 (every
         # bit) once the vertex is colored, so strikes skip it in one test
         self._used = [0] * n
-
-    def _views(self) -> None:
-        """Read the CSR in place: memoryview items are Python ints."""
-        self._ptr = memoryview(self.g.indptr)
-        self._indices = memoryview(self.g.indices)
-
-    # memoryviews cannot be pickled or copied: a copy makes its own
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_ptr"], state["_indices"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._views()
 
     # -- counters ---------------------------------------------------------
 
@@ -248,8 +233,9 @@ class DomainState:
             self._refuse(v)
         bit = 1 << (c - 1)
         used, key, heap, nn = self._used, self._key, self._heap, self._nn
-        ptr = self._ptr
-        for w in self._indices[ptr[v]:ptr[v + 1]]:
+        # the CSR read in place: memoryview items are Python ints
+        ptr = memoryview(self.g.indptr)
+        for w in memoryview(self.g.indices)[ptr[v]:ptr[v + 1]]:
             u = used[w]
             if u & bit:
                 continue

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from wfcolor import dimacs, graph, solve
 from wfcolor.bench import load_best_known, parse_best_known
 from wfcolor.cli import main
-from wfcolor.coloring import Coloring, Verdict, validate
+from wfcolor.coloring import (Coloring, Verdict, format_coloring,
+                              parse_coloring, validate)
 from wfcolor.dimacs import (DimacsParseError, DimacsWarning, int_lines,
-                            load_dimacs, parse_dimacs, save_dimacs, write_dimacs)
+                            load_dimacs, parse_dimacs, read_text, save_dimacs,
+                            write_dimacs)
 from wfcolor.graph import Graph, crown_graph, random_gnp
 
 K3_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -365,6 +367,42 @@ def test_every_reader_decodes_a_file_as_its_bytes(where, tmp_path, capsys):
             load_best_known(paths["best.txt"])
         assert main(validate_argv) == 2
         assert capsys.readouterr().err == "error: line 4: expected two integers\n"
+
+
+def test_every_reader_drops_a_byte_order_mark(tmp_path):
+    """A file that starts with a UTF-8 byte-order mark, as some Windows
+    editors write, reads as the same graph, coloring and best-known table
+    as its copy without one."""
+    g = random_gnp(30, 0.3, 1)
+    texts = {"g.col": write_dimacs(g),
+             "colors.txt": format_coloring(solve(g).coloring),
+             "best.txt": "gnp 3\ncrown 2\n"}
+    plain, bom = {}, {}
+    for name, text in texts.items():
+        plain[name], bom[name] = tmp_path / name, tmp_path / f"bom-{name}"
+        plain[name].write_bytes(text.encode("utf-8"))
+        bom[name].write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert _outcome(bom["g.col"], load_dimacs) == \
+        _outcome(plain["g.col"], load_dimacs) == _outcome(texts["g.col"])
+    colors = [parse_coloring(read_text(p["colors.txt"]), g.n).assignment.tolist()
+              for p in (plain, bom)]
+    assert colors[0] == colors[1] == solve(g).coloring.assignment.tolist()
+    assert load_best_known(bom["best.txt"]) == \
+        load_best_known(plain["best.txt"]) == {"gnp": 3, "crown": 2}
+
+
+# README's grammar: a text keeps its byte-order mark, which only read_text
+# drops from a file; "p col" and node descriptors are not DIMACS edge format
+@pytest.mark.parametrize("text, message, line_no", [
+    ("\ufeffp edge 2 1\ne 1 2\n", "unrecognized line", 1),
+    ("p col 3 2\ne 1 2\ne 2 3\n", "bad problem line", 1),
+    ("p edge 3 0\nn 1 5\n", "unrecognized line", 2),
+])
+def test_lines_outside_the_grammar_are_refused(text, message, line_no):
+    with pytest.raises(DimacsParseError, match=message) as exc:
+        parse_dimacs(text)
+    assert (exc.value.kind, exc.value.line_no) == ("malformed", line_no)
+    assert _outcome(text) == _loop_outcome(text)
 
 
 @pytest.mark.parametrize("n", [2**31, 2**63 - 1, 10**20])

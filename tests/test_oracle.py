@@ -4,7 +4,6 @@ import pytest
 from util import complete_graph, path_graph
 from wfcolor.graph import Graph, random_gnp
 from wfcolor.oracle import naive_propagate, paper_wfc
-from wfcolor.wfc import RESTART, DomainState
 
 
 def test_naive_propagate_path_center():
@@ -39,41 +38,46 @@ def test_naive_propagate_requires_colored_vertex():
         naive_propagate(g, np.array([1, 0], dtype=np.int32), 0, 0)
 
 
+def _saturation(g, colors, v):
+    """Distinct colors among v's colored neighbors, counted afresh."""
+    return len({colors[w] for w in g.neighbors(v).tolist() if colors[w]})
+
+
 def test_naive_propagate_matches_forced_picks():
-    """From one colored vertex, the engine picking every vertex left with a
-    single color (saturation m - 1) reaches naive_propagate's fixed point:
-    same verdict (observe's RESTART for an emptied domain), same colors, and
-    domains of m minus the engine's saturation."""
+    """From one colored vertex, picking every vertex left with a single
+    color (saturation m - 1), as the engine does, with each saturation
+    recounted from the colors at every step, reaches naive_propagate's
+    fixed point: the same verdict (a saturation of m empties a domain),
+    the same colors, and domains of m minus the recounted saturation."""
     rng = np.random.default_rng(17)
     for trial in range(150):
         n = int(rng.integers(2, 12))
         g = random_gnp(n, [0.2, 0.5, 0.8][trial % 3], seed=trial)
         m = int(rng.integers(1, max(g.max_degree, 1) + 3))
         v = int(rng.integers(0, n))
-        state = DomainState(g, m)
-        state.set_color(v, 1)
-        snapshot = state.colors
-        assert state.propagate(v) is True
-        ok = True
-        while state.colored_count < n:
-            u = state.observe()
-            if u == RESTART:
-                ok = False
+        colors = [0] * n
+        colors[v] = 1
+        snapshot = np.array(colors, dtype=np.int32)
+        while True:
+            sat = {u: _saturation(g, colors, u) for u in range(n) if not colors[u]}
+            ok = all(s < m for s in sat.values())
+            # with m = 1 no domain is forced: it starts at one color
+            forced = [u for u, s in sat.items() if m >= 2 and s == m - 1]
+            if not ok or not forced:
                 break
-            if m < 2 or state.saturation(u) < m - 1:
-                break  # no unit domain left (with m = 1, none is forced)
-            state.collapse(u)
-            assert state.propagate(u) is True
+            # the engine's tie-break: highest degree, then lowest id
+            u = min(forced, key=lambda w: (-g.degrees[w], w))
+            around = {colors[w] for w in g.neighbors(u).tolist()}
+            colors[u] = min(set(range(1, m + 1)) - around)
         ref = naive_propagate(g, snapshot, m, v)
         assert ok == (ref is not None)
         if ok:
-            assert np.array_equal(ref[0], state.colors)
-            colors = state.colors.tolist()
+            assert ref[0].tolist() == colors
             for u in range(n):
                 if colors[u]:
                     assert ref[1][u] is None
                 else:
-                    assert len(ref[1][u]) == m - state.saturation(u)
+                    assert len(ref[1][u]) == m - sat[u]
 
 
 def _listed(out):

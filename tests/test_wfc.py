@@ -15,8 +15,8 @@ from wfcolor.coloring import validate
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
 from wfcolor.oracle import exact_chromatic, naive_propagate, paper_wfc
-from wfcolor.wfc import (RESTART, TIE_BREAKS, DomainState, _dense_pass,
-                         _heap_pass, _is_dense, _words_fit, solve)
+from wfcolor.wfc import (TIE_BREAKS, _compact, _dense_pass, _heap_pass,
+                         _is_dense, _words_fit, solve)
 
 
 # -- solve ------------------------------------------------------------------
@@ -262,33 +262,6 @@ def test_large_star_solves_in_little_memory():
     assert peak < 64 * 2**20
 
 
-def _step_to_the_end(st_):
-    """Observe, collapse and propagate until every vertex is colored; what
-    the state then holds: the colors, the saturation each vertex was
-    colored at, and saturation(v)."""
-    while st_.colored_count < st_.g.n:
-        v = st_.observe()
-        st_.collapse(v)
-        st_.propagate(v)
-    return (st_.colors.tolist(), st_.sat,
-            [st_.saturation(v) for v in range(st_.g.n)])
-
-
-def test_a_copied_state_runs_on_alone():
-    # copy.deepcopy and pickle rebuild the state, and the copy shares
-    # nothing with the original; run on, it ends where a fresh state does
-    g = crown_graph(5)
-    st_ = _state(g, g.n, [(0, 1)])
-    fresh = _step_to_the_end(_state(g, g.n, [(0, 1)]))
-    for twin in (copy.deepcopy(st_), pickle.loads(pickle.dumps(st_))):
-        assert type(twin) is DomainState
-        v = twin.observe()
-        twin.collapse(v)
-        twin.propagate(v)
-        assert twin.colored_count == 2 and st_.colored_count == 1
-        assert _step_to_the_end(twin) == fresh
-
-
 def _clique_with_pendants(clique, pendants):
     """K_clique with pendant vertex clique + i hung on clique vertex
     i % clique."""
@@ -360,26 +333,31 @@ def test_solve_takes_no_more_memory_than_the_steps(g, per_vertex):
     assert _peak(solve, g)[1] <= heap + 4 * g.n
 
 
-def test_heap_stays_compact():
-    # lazy deletion leaves old keys behind; the rebuild keeps the heap at
-    # most twice the uncolored count, and every uncolored vertex keeps its
-    # live key
+def test_heap_stays_compact(monkeypatch):
+    # lazy deletion leaves old keys behind; a whole heap pass rebuilds its
+    # heap as soon as it holds more than twice the uncolored count, and
+    # each rebuild is a heap of exactly the uncolored vertices' live keys
+    calls = []
+
+    def compact(heap, key, n):
+        out = _compact(heap, key, n)
+        live = sorted(k for k in key if k != n * n)
+        calls.append((len(heap), len(live), sorted(out) == live,
+                      all(out[(i - 1) // 2] <= out[i]
+                          for i in range(1, len(out)))))
+        return out
+
+    monkeypatch.setattr("wfcolor.wfc._compact", compact)
     for seed in range(3):
         g = random_gnp(150, [0.1, 0.5, 0.9][seed], seed)
-        state = DomainState(g, g.n)
-        v = int(np.argmax(g.degrees))
-        state.set_color(v, 1)
-        while True:
-            assert state.propagate(v)
-            uncolored = g.n - state.colored_count
-            assert len(state._heap) <= 2 * uncolored
-            colors = state.colors
-            live = {state._key[u] for u in range(g.n) if not colors[u]}
-            assert live <= set(state._heap)
-            if not uncolored:
-                break
-            v = state.observe()
-            state.collapse(v)
+        calls.clear()
+        assert _run(_heap_pass, g)[3] == "heap"
+        assert calls
+        for size, uncolored, exact, is_heap in calls:
+            # before this pick's strikes the heap held at most twice the
+            # uncolored count, the picked vertex included
+            assert 2 * uncolored < size <= 2 * (uncolored + 1) + g.max_degree
+            assert exact and is_heap
 
 
 # solve's stats on fixed graphs as (strikes, stale_pops) in each tie mode,
@@ -407,325 +385,6 @@ def test_heap_pops_keep_their_recorded_order(name, tie_break):
     assert solve(g, tie_break=tie_break, seed=7).stats == {
         "selections": g.n - 1, "strikes": strikes, "stale_pops": stale_pops,
         "layout": layout}
-
-
-# -- observe ----------------------------------------------------------------
-# entropy = m - saturation: the minimum-entropy vertex is the one with the
-# most distinct colors around it
-
-def _state(g, m, colored=()):
-    """A state with the (vertex, color) pairs set, then propagated."""
-    st_ = DomainState(g, m)
-    for v, c in colored:
-        st_.set_color(v, c)
-    for v, _ in colored:
-        assert st_.propagate(v) is True
-    return st_
-
-
-def _scan_saturation(g, colors, v):
-    return len({colors[w] for w in g.neighbors(v).tolist() if colors[w]})
-
-
-def test_observe_picks_minimum_entropy():
-    # 1 sees colors {1, 2}, 0 sees {1}, 2 sees none
-    g = Graph.from_edges(5, [(0, 3), (1, 3), (1, 4)])
-    st_ = _state(g, 4, [(3, 1), (4, 2)])
-    assert [st_.saturation(v) for v in range(3)] == [1, 2, 0]
-    assert st_.observe() == 1
-    assert st_.observe() == 1  # observing picks nothing
-
-
-def test_observe_breaks_ties_by_degree():
-    # vertices 0 and 1 tie at saturation 1; 0 has the higher degree
-    g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
-                             (1, 2), (1, 3), (1, 4)])
-    st_ = _state(g, 4, [(v, 1) for v in range(2, 7)])
-    assert st_.observe() == 0
-
-
-def test_observe_ties_fall_back_to_lowest_id():
-    g = Graph.from_edges(4, [])
-    st_ = DomainState(g, 3)
-    assert st_.observe() == 0
-    st_.collapse(0)
-    assert st_.observe() == 1
-
-
-def test_observe_empty_domain_signals_restart():
-    # 0 -- 1 -- 2 with two colors: 1 sees both, so its domain is empty
-    g = path_graph(3)
-    st_ = _state(g, 2, [(0, 1), (2, 2)])
-    assert st_.saturation(1) == 2
-    assert st_.observe() == RESTART
-    assert naive_propagate(g, st_.colors, 2, 2) is None
-    # with one color, the first strike already empties a domain
-    st_ = _state(g, 1, [(0, 1)])
-    assert st_.saturation(1) == 1
-    assert st_.observe() == RESTART
-    assert naive_propagate(g, st_.colors, 1, 0) is None
-
-
-def test_observe_requires_uncolored():
-    g = path_graph(2)
-    st_ = _state(g, 2, [(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        st_.observe()
-
-
-def test_observe_agrees_with_plain_scan():
-    """observe() returns exactly what a plain scan over the uncolored
-    vertices would: the highest saturation, then the highest degree, then
-    the lowest id, or RESTART once a saturation has reached the budget."""
-    rng = np.random.default_rng(0)
-    for trial in range(60):
-        n = int(rng.integers(5, 12))  # colors up to n need no budget
-        g = random_gnp(n, 0.5, seed=trial)
-        m = int(rng.integers(2, 6))
-        colored = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
-        pairs = [(int(v), int(rng.integers(1, m + 1))) for v in colored]
-        colors = [0] * n
-        for v, c in pairs:
-            colors[v] = c
-        uncolored = [v for v in range(n) if not colors[v]]
-        sat = {v: _scan_saturation(g, colors, v) for v in uncolored}
-        expected = min(uncolored, key=lambda v: (-sat[v], -g.degrees[v], v))
-        st_ = _state(g, n, pairs)
-        assert {v: st_.saturation(v) for v in uncolored} == sat
-        assert st_.observe() == expected
-        st_ = _state(g, m, pairs)
-        assert st_.observe() == (expected if sat[expected] < m else RESTART)
-
-
-# -- collapse ---------------------------------------------------------------
-
-def test_collapse_takes_minimum_color():
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    st_ = _state(g, 5, [(1, 1), (2, 3), (3, 4)])
-    assert st_.collapse(0) == 2
-    assert st_.colors[0] == 2
-
-
-def test_collapse_singleton():
-    # 0 sees colors 2 and 3 of three: one color is left, and the reference
-    # cascade colors 0 with it
-    g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    st_ = _state(g, 3, [(1, 2), (2, 3)])
-    assert st_.saturation(0) == 2
-    ref = naive_propagate(g, st_.colors, 3, 2)
-    assert st_.collapse(0) == 1 == ref[0][0]
-
-
-def test_collapse_min_is_set_min():
-    g = Graph.from_edges(2, [(0, 1)])
-    st_ = _state(g, 3, [(1, 2)])
-    colors, domains = naive_propagate(g, st_.colors, 3, 1)
-    assert domains[0] == {1, 3}
-    assert len(domains[0]) == 3 - st_.saturation(0)
-    assert st_.collapse(0) == min(domains[0])
-
-
-def test_collapse_empty_domain_is_an_error():
-    g = Graph.from_edges(3, [(0, 1), (0, 2)])
-    st_ = _state(g, 2, [(1, 1), (2, 2)])
-    assert st_.observe() == RESTART
-    with pytest.raises(ValueError):
-        st_.collapse(0)  # no color left in the budget
-    with pytest.raises(ValueError):
-        st_.collapse(1)  # already colored
-
-
-# -- propagate --------------------------------------------------------------
-
-def test_restriction_stops_at_wide_domains():
-    # 0 -- 1 -- 2; coloring 0 cannot reach 2 while 1 keeps two options
-    g = path_graph(3)
-    st_ = _state(g, 3, [(0, 1)])
-    colors, domains = naive_propagate(g, st_.colors, 3, 0)
-    assert colors.tolist() == [1, 0, 0]  # the reference cascades nothing
-    assert domains == [None, {2, 3}, {1, 2, 3}]
-    assert [st_.saturation(v) for v in (1, 2)] == [1, 0]
-    assert st_.forced_count == 0
-
-
-def test_restriction_cascades_through_unit_domains():
-    # 1 is left with the single color 2: it is picked next, as the cascade
-    # would color it, and its strike reaches 2
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    st_ = _state(g, 3, [(3, 3), (0, 1)])
-    colors, domains = naive_propagate(g, st_.colors, 3, 0)
-    assert colors.tolist() == [1, 2, 0, 3] and domains[2] == {1, 3}
-    assert st_.saturation(1) == 2
-    assert st_.observe() == 1
-    assert st_.collapse(1) == 2
-    assert st_.propagate(1) is True
-    assert np.array_equal(st_.colors, colors)
-    assert st_.saturation(2) == 3 - len(domains[2])
-    assert st_.forced_count == 1
-
-
-def test_path_5_cascade_colors_everything():
-    # every vertex after the first is picked with one color left, as the
-    # recomputing reference cascade colors them
-    g = path_graph(5)
-    st_ = _state(g, 2, [(0, 1)])
-    snapshot = st_.colors
-    while st_.colored_count < g.n:
-        v = st_.observe()
-        assert v != RESTART
-        st_.collapse(v)
-        st_.propagate(v)
-    assert st_.colors.tolist() == [1, 2, 1, 2, 1]
-    assert st_.forced_count == 4
-    ref = naive_propagate(g, snapshot, 2, 0)
-    assert ref is not None
-    assert np.array_equal(ref[0], st_.colors)
-
-
-def test_triangle_with_two_colors_restarts():
-    g = complete_graph(3)
-    st_ = _state(g, 2, [(0, 1)])
-    v = st_.observe()
-    assert st_.collapse(v) == 2
-    assert st_.propagate(v) is True
-    # the third vertex sees both colors: its domain is empty
-    assert st_.saturation(3 - v) == 2
-    assert st_.observe() == RESTART
-    assert naive_propagate(g, st_.colors, 2, v) is None
-
-
-def test_edge_with_one_color_restarts_on_empty_domain():
-    g = path_graph(2)
-    with pytest.raises(ValueError, match="need at least one color"):
-        DomainState(g, 0)
-    st_ = DomainState(g, 1)
-    st_.set_color(0, 1)
-    assert st_.propagate(0) is True
-    assert st_.saturation(1) == 1
-    assert st_.observe() == RESTART
-
-
-# the step API ranks ties by degree only; the ids keep naming the mode
-@pytest.mark.parametrize("tie_break", ["degree"])
-@pytest.mark.parametrize("g, m", [(complete_graph(3), 2), (path_graph(2), 1),
-                                  (cycle_graph(5), 2)],
-                         ids=["K3", "edge", "C5"])
-def test_propagate_returns_true_past_the_budget(g, m, tie_break):
-    # a caller that loops on a falsy propagate (retrying with one more
-    # color) would spin forever; the dead end shows only at observe
-    st_ = DomainState(g, m)
-    v = int(np.argmax(g.degrees))
-    st_.set_color(v, 1)
-    while True:
-        assert st_.propagate(v) is True
-        assert st_.colored_count < g.n  # m colors cannot do
-        v = st_.observe()
-        if v == RESTART:
-            break
-        st_.collapse(v)
-    colors = st_.colors.tolist()
-    assert any(_scan_saturation(g, colors, u) >= m
-               for u in range(g.n) if not colors[u])
-
-
-def test_propagate_requires_colored_start():
-    g = path_graph(2)
-    st_ = DomainState(g, 2)
-    with pytest.raises(ValueError):
-        st_.propagate(0)
-
-
-@pytest.mark.parametrize("v", [-1, 3])
-def test_steps_reject_vertex_ids_outside_the_graph(v):
-    # a negative id would otherwise index the per-vertex lists from the end
-    g = path_graph(3)
-    st_ = DomainState(g, g.n)
-    st_.set_color(1, 1)
-    for step, args in ((st_.set_color, (v, 1)), (st_.collapse, (v,)),
-                       (st_.propagate, (v,)), (st_.saturation, (v,))):
-        with pytest.raises(ValueError, match="outside 0..2"):
-            step(*args)
-    assert st_.colors.tolist() == [0, 1, 0] and st_.colored_count == 1
-
-
-def test_a_budget_above_n_still_bounds_colors_by_n():
-    # no saturation reaches n, so colors past n can never be needed; a
-    # color of 10**8 would otherwise size a bitset
-    big = DomainState(path_graph(2), 10**8)
-    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
-        big.set_color(0, 10**8)
-    assert big.colored_count == 0
-    # and observe gives the verdicts of a budget of 5 at every step
-    for g in (path_graph(2), complete_graph(3), complete_graph(5),
-              cycle_graph(5), star_graph(4)):
-        states = [DomainState(g, m) for m in (10**8, 5)]
-        for st_ in states:
-            st_.set_color(0, 1)
-            st_.propagate(0)
-        while states[0].colored_count < g.n:
-            picks = {st_.observe() for st_ in states}
-            assert len(picks) == 1 and RESTART not in picks
-            v = picks.pop()
-            assert len({st_.collapse(v) for st_ in states}) == 1
-            for st_ in states:
-                st_.propagate(v)
-        assert states[0].colors.tolist() == states[1].colors.tolist()
-
-
-def test_propagate_keeps_colored_neighbor_exclusion():
-    # after every step, each uncolored vertex's saturation is exactly the
-    # number of distinct colors among its colored neighbors, and its
-    # reference domain is the budget minus those colors
-    rng = np.random.default_rng(3)
-    for trial in range(40):
-        n = int(rng.integers(3, 14))
-        g = random_gnp(n, 0.5, seed=100 + trial)
-        m = max(g.max_degree, 1) + int(rng.integers(0, 3))
-        v = int(rng.integers(0, n))
-        st_ = _state(g, m, [(v, 1)])
-        while True:
-            colors = st_.colors.tolist()
-            for u in range(n):
-                if not colors[u]:
-                    seen = {colors[w] for w in g.neighbors(u).tolist()}
-                    assert st_.saturation(u) == len(seen - {0})
-            if st_.colored_count == n:
-                break
-            v = st_.observe()
-            if v == RESTART:
-                break
-            st_.collapse(v)
-            assert st_.propagate(v) is True
-
-
-def test_propagate_only_shrinks_domains():
-    # saturations never fall, so domains (m minus saturation) never grow;
-    # the reference domains after the strike sit inside the budget
-    g = crown_graph(5)
-    st_ = DomainState(g, 4)
-    st_.set_color(0, 1)
-    before = [st_.saturation(v) for v in range(1, g.n)]
-    assert st_.propagate(0) is True
-    after = [st_.saturation(v) for v in range(1, g.n)]
-    assert all(a >= b for a, b in zip(after, before))
-    _, domains = naive_propagate(g, st_.colors, 4, 0)
-    for v in range(1, g.n):
-        assert domains[v] <= {1, 2, 3, 4}
-        assert len(domains[v]) == 4 - after[v - 1]
-
-
-# -- forced colorings vs. observation ----------------------------------------
-
-def test_star_center_seed_forces_nothing_with_wide_budget():
-    g = star_graph(5)
-    st_ = DomainState(g, 5)
-    st_.set_color(0, 1)
-    assert st_.propagate(0) is True
-    assert st_.forced_count == 0
-    assert all(st_.saturation(v) == 1 for v in range(1, 6))
-    colors, domains = naive_propagate(g, st_.colors, 5, 0)
-    assert colors.tolist() == [1, 0, 0, 0, 0, 0]
-    assert domains[1:] == [{2, 3, 4, 5}] * 5
 
 
 # -- the dense pass -----------------------------------------------------------
@@ -790,26 +449,6 @@ def test_pass_leaves_the_state_the_steps_leave_above_the_rule(
         assert colors == dsatur(g).coloring.assignment.tolist()
     # every popped key was pushed: n ranks plus one key per strike
     assert stale_pops <= (g.n + sum(sat) if pass_ is _heap_pass else 0)
-
-
-@pytest.mark.parametrize("tie_break", TIE_BREAKS)
-@pytest.mark.parametrize("dense", [False, True], ids=["heap", "dense"])
-def test_solve_builds_no_domain_state(dense, tie_break, monkeypatch):
-    # the step API is for the traced driver; solve's passes are module
-    # functions, and solve gives the other layout's pass's coloring
-    g = _dense_graph("crown200") if dense else random_gnp(400, 0.02, 3)
-    assert _is_dense(g) == dense
-    colors, sat, _, _ = _run(_heap_pass if dense else _dense_pass, g,
-                             tie_break, 5)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("solve built a DomainState")
-
-    monkeypatch.setattr("wfcolor.wfc.DomainState", refuse)
-    r = solve(g, tie_break=tie_break, seed=5)
-    assert r.coloring.assignment.tolist() == colors
-    assert r.stats["strikes"] == sum(sat)
-    assert r.stats["stale_pops"] <= (0 if dense else g.n + sum(sat))
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -967,3 +606,392 @@ def test_a_probed_clique_switches(n, probe):
     colors, sat, _, layout = _heap_pass(g, 0, "degree", 0, probe)
     assert layout == "switched"
     assert colors == list(range(1, n + 1)) and sat == list(range(n))
+
+
+# -- the step API --------------------------------------------------------------
+# DomainState, the paper's step API over the heap layout, is the traced
+# benchmark driver's stepper, and RESTART is its dead-end value; solve uses
+# neither, and no test outside this section reaches them
+
+from wfcolor.wfc import RESTART, DomainState
+
+
+def _state(g, m, colored=()):
+    """A state with the (vertex, color) pairs set, then propagated."""
+    st_ = DomainState(g, m)
+    for v, c in colored:
+        st_.set_color(v, c)
+    for v, _ in colored:
+        assert st_.propagate(v) is True
+    return st_
+
+
+def _scan_saturation(g, colors, v):
+    return len({colors[w] for w in g.neighbors(v).tolist() if colors[w]})
+
+
+def _step_to_the_end(st_):
+    """Observe, collapse and propagate until every vertex is colored; what
+    the state then holds: the colors, the saturation each vertex was
+    colored at, and saturation(v)."""
+    while st_.colored_count < st_.g.n:
+        v = st_.observe()
+        st_.collapse(v)
+        st_.propagate(v)
+    return (st_.colors.tolist(), st_.sat,
+            [st_.saturation(v) for v in range(st_.g.n)])
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("dense", [False, True], ids=["heap", "dense"])
+def test_solve_builds_no_domain_state(dense, tie_break, monkeypatch):
+    # the step API is for the traced driver; solve's passes are module
+    # functions, and solve gives the other layout's pass's coloring
+    g = _dense_graph("crown200") if dense else random_gnp(400, 0.02, 3)
+    assert _is_dense(g) == dense
+    colors, sat, _, _ = _run(_heap_pass if dense else _dense_pass, g,
+                             tie_break, 5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve built a DomainState")
+
+    monkeypatch.setattr("wfcolor.wfc.DomainState", refuse)
+    r = solve(g, tie_break=tie_break, seed=5)
+    assert r.coloring.assignment.tolist() == colors
+    assert r.stats["strikes"] == sum(sat)
+    assert r.stats["stale_pops"] <= (0 if dense else g.n + sum(sat))
+
+
+def test_restart_is_the_step_apis_alone():
+    # the dead-end value stays in wfc; the package exports the step API
+    import wfcolor
+    assert "RESTART" not in wfcolor.__all__ and "DomainState" in wfcolor.__all__
+    with pytest.raises(AttributeError):
+        wfcolor.RESTART
+
+
+def test_a_copied_state_runs_on_alone():
+    # copy.deepcopy and pickle rebuild the state, and the copy shares
+    # nothing with the original; run on, it ends where a fresh state does
+    g = crown_graph(5)
+    st_ = _state(g, g.n, [(0, 1)])
+    fresh = _step_to_the_end(_state(g, g.n, [(0, 1)]))
+    for twin in (copy.deepcopy(st_), pickle.loads(pickle.dumps(st_))):
+        assert type(twin) is DomainState
+        v = twin.observe()
+        twin.collapse(v)
+        twin.propagate(v)
+        assert twin.colored_count == 2 and st_.colored_count == 1
+        assert _step_to_the_end(twin) == fresh
+
+
+# observe.  Entropy = m - saturation: the minimum-entropy vertex is the one
+# with the most distinct colors around it
+
+def test_observe_picks_minimum_entropy():
+    # 1 sees colors {1, 2}, 0 sees {1}, 2 sees none
+    g = Graph.from_edges(5, [(0, 3), (1, 3), (1, 4)])
+    st_ = _state(g, 4, [(3, 1), (4, 2)])
+    assert [st_.saturation(v) for v in range(3)] == [1, 2, 0]
+    assert st_.observe() == 1
+    assert st_.observe() == 1  # observing picks nothing
+
+
+def test_observe_breaks_ties_by_degree():
+    # vertices 0 and 1 tie at saturation 1; 0 has the higher degree
+    g = Graph.from_edges(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6),
+                             (1, 2), (1, 3), (1, 4)])
+    st_ = _state(g, 4, [(v, 1) for v in range(2, 7)])
+    assert st_.observe() == 0
+
+
+def test_observe_ties_fall_back_to_lowest_id():
+    g = Graph.from_edges(4, [])
+    st_ = DomainState(g, 3)
+    assert st_.observe() == 0
+    st_.collapse(0)
+    assert st_.observe() == 1
+
+
+def test_observe_empty_domain_signals_restart():
+    # 0 -- 1 -- 2 with two colors: 1 sees both, so its domain is empty
+    g = path_graph(3)
+    st_ = _state(g, 2, [(0, 1), (2, 2)])
+    assert st_.saturation(1) == 2
+    assert st_.observe() == RESTART
+    assert naive_propagate(g, st_.colors, 2, 2) is None
+    # with one color, the first strike already empties a domain
+    st_ = _state(g, 1, [(0, 1)])
+    assert st_.saturation(1) == 1
+    assert st_.observe() == RESTART
+    assert naive_propagate(g, st_.colors, 1, 0) is None
+
+
+def test_observe_requires_uncolored():
+    g = path_graph(2)
+    st_ = _state(g, 2, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        st_.observe()
+
+
+def test_observe_agrees_with_plain_scan():
+    """observe() returns exactly what a plain scan over the uncolored
+    vertices would: the highest saturation, then the highest degree, then
+    the lowest id, or RESTART once a saturation has reached the budget."""
+    rng = np.random.default_rng(0)
+    for trial in range(60):
+        n = int(rng.integers(5, 12))  # colors up to n need no budget
+        g = random_gnp(n, 0.5, seed=trial)
+        m = int(rng.integers(2, 6))
+        colored = rng.choice(n, size=int(rng.integers(0, n)), replace=False)
+        pairs = [(int(v), int(rng.integers(1, m + 1))) for v in colored]
+        colors = [0] * n
+        for v, c in pairs:
+            colors[v] = c
+        uncolored = [v for v in range(n) if not colors[v]]
+        sat = {v: _scan_saturation(g, colors, v) for v in uncolored}
+        expected = min(uncolored, key=lambda v: (-sat[v], -g.degrees[v], v))
+        st_ = _state(g, n, pairs)
+        assert {v: st_.saturation(v) for v in uncolored} == sat
+        assert st_.observe() == expected
+        st_ = _state(g, m, pairs)
+        assert st_.observe() == (expected if sat[expected] < m else RESTART)
+
+
+# collapse
+
+def test_collapse_takes_minimum_color():
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    st_ = _state(g, 5, [(1, 1), (2, 3), (3, 4)])
+    assert st_.collapse(0) == 2
+    assert st_.colors[0] == 2
+
+
+def test_collapse_singleton():
+    # 0 sees colors 2 and 3 of three: one color is left, and the reference
+    # cascade colors 0 with it
+    g = Graph.from_edges(3, [(0, 1), (0, 2)])
+    st_ = _state(g, 3, [(1, 2), (2, 3)])
+    assert st_.saturation(0) == 2
+    ref = naive_propagate(g, st_.colors, 3, 2)
+    assert st_.collapse(0) == 1 == ref[0][0]
+
+
+def test_collapse_min_is_set_min():
+    g = Graph.from_edges(2, [(0, 1)])
+    st_ = _state(g, 3, [(1, 2)])
+    colors, domains = naive_propagate(g, st_.colors, 3, 1)
+    assert domains[0] == {1, 3}
+    assert len(domains[0]) == 3 - st_.saturation(0)
+    assert st_.collapse(0) == min(domains[0])
+
+
+def test_collapse_empty_domain_is_an_error():
+    g = Graph.from_edges(3, [(0, 1), (0, 2)])
+    st_ = _state(g, 2, [(1, 1), (2, 2)])
+    assert st_.observe() == RESTART
+    with pytest.raises(ValueError):
+        st_.collapse(0)  # no color left in the budget
+    with pytest.raises(ValueError):
+        st_.collapse(1)  # already colored
+
+
+# propagate
+
+def test_restriction_stops_at_wide_domains():
+    # 0 -- 1 -- 2; coloring 0 cannot reach 2 while 1 keeps two options
+    g = path_graph(3)
+    st_ = _state(g, 3, [(0, 1)])
+    colors, domains = naive_propagate(g, st_.colors, 3, 0)
+    assert colors.tolist() == [1, 0, 0]  # the reference cascades nothing
+    assert domains == [None, {2, 3}, {1, 2, 3}]
+    assert [st_.saturation(v) for v in (1, 2)] == [1, 0]
+    assert st_.forced_count == 0
+
+
+def test_restriction_cascades_through_unit_domains():
+    # 1 is left with the single color 2: it is picked next, as the cascade
+    # would color it, and its strike reaches 2
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
+    st_ = _state(g, 3, [(3, 3), (0, 1)])
+    colors, domains = naive_propagate(g, st_.colors, 3, 0)
+    assert colors.tolist() == [1, 2, 0, 3] and domains[2] == {1, 3}
+    assert st_.saturation(1) == 2
+    assert st_.observe() == 1
+    assert st_.collapse(1) == 2
+    assert st_.propagate(1) is True
+    assert np.array_equal(st_.colors, colors)
+    assert st_.saturation(2) == 3 - len(domains[2])
+    assert st_.forced_count == 1
+
+
+def test_path_5_cascade_colors_everything():
+    # every vertex after the first is picked with one color left, as the
+    # recomputing reference cascade colors them
+    g = path_graph(5)
+    st_ = _state(g, 2, [(0, 1)])
+    snapshot = st_.colors
+    while st_.colored_count < g.n:
+        v = st_.observe()
+        assert v != RESTART
+        st_.collapse(v)
+        st_.propagate(v)
+    assert st_.colors.tolist() == [1, 2, 1, 2, 1]
+    assert st_.forced_count == 4
+    ref = naive_propagate(g, snapshot, 2, 0)
+    assert ref is not None
+    assert np.array_equal(ref[0], st_.colors)
+
+
+def test_triangle_with_two_colors_restarts():
+    g = complete_graph(3)
+    st_ = _state(g, 2, [(0, 1)])
+    v = st_.observe()
+    assert st_.collapse(v) == 2
+    assert st_.propagate(v) is True
+    # the third vertex sees both colors: its domain is empty
+    assert st_.saturation(3 - v) == 2
+    assert st_.observe() == RESTART
+    assert naive_propagate(g, st_.colors, 2, v) is None
+
+
+def test_edge_with_one_color_restarts_on_empty_domain():
+    g = path_graph(2)
+    with pytest.raises(ValueError, match="need at least one color"):
+        DomainState(g, 0)
+    # the budget is read by graph._check_int, as a seed or a count is
+    for m in (True, 2.5, "3"):
+        with pytest.raises(ValueError, match="color budget .* is not an integer"):
+            DomainState(g, m)
+    st_ = DomainState(g, np.int64(3))
+    assert st_.m == 3 and type(st_.m) is int
+    st_.set_color(0, 1)
+    assert st_.propagate(0) is True and st_.observe() == 1
+    st_ = DomainState(g, 1)
+    st_.set_color(0, 1)
+    assert st_.propagate(0) is True
+    assert st_.saturation(1) == 1
+    assert st_.observe() == RESTART
+
+
+# the step API ranks ties by degree only; the ids keep naming the mode
+@pytest.mark.parametrize("tie_break", ["degree"])
+@pytest.mark.parametrize("g, m", [(complete_graph(3), 2), (path_graph(2), 1),
+                                  (cycle_graph(5), 2)],
+                         ids=["K3", "edge", "C5"])
+def test_propagate_returns_true_past_the_budget(g, m, tie_break):
+    # a caller that loops on a falsy propagate (retrying with one more
+    # color) would spin forever; the dead end shows only at observe
+    st_ = DomainState(g, m)
+    v = int(np.argmax(g.degrees))
+    st_.set_color(v, 1)
+    while True:
+        assert st_.propagate(v) is True
+        assert st_.colored_count < g.n  # m colors cannot do
+        v = st_.observe()
+        if v == RESTART:
+            break
+        st_.collapse(v)
+    colors = st_.colors.tolist()
+    assert any(_scan_saturation(g, colors, u) >= m
+               for u in range(g.n) if not colors[u])
+
+
+def test_propagate_requires_colored_start():
+    g = path_graph(2)
+    st_ = DomainState(g, 2)
+    with pytest.raises(ValueError):
+        st_.propagate(0)
+
+
+@pytest.mark.parametrize("v", [-1, 3])
+def test_steps_reject_vertex_ids_outside_the_graph(v):
+    # a negative id would otherwise index the per-vertex lists from the end
+    g = path_graph(3)
+    st_ = DomainState(g, g.n)
+    st_.set_color(1, 1)
+    for step, args in ((st_.set_color, (v, 1)), (st_.collapse, (v,)),
+                       (st_.propagate, (v,)), (st_.saturation, (v,))):
+        with pytest.raises(ValueError, match="outside 0..2"):
+            step(*args)
+    assert st_.colors.tolist() == [0, 1, 0] and st_.colored_count == 1
+
+
+def test_a_budget_above_n_still_bounds_colors_by_n():
+    # no saturation reaches n, so colors past n can never be needed; a
+    # color of 10**8 would otherwise size a bitset
+    big = DomainState(path_graph(2), 10**8)
+    with pytest.raises(ValueError, match=r"outside 1\.\.2"):
+        big.set_color(0, 10**8)
+    assert big.colored_count == 0
+    # and observe gives the verdicts of a budget of 5 at every step
+    for g in (path_graph(2), complete_graph(3), complete_graph(5),
+              cycle_graph(5), star_graph(4)):
+        states = [DomainState(g, m) for m in (10**8, 5)]
+        for st_ in states:
+            st_.set_color(0, 1)
+            st_.propagate(0)
+        while states[0].colored_count < g.n:
+            picks = {st_.observe() for st_ in states}
+            assert len(picks) == 1 and RESTART not in picks
+            v = picks.pop()
+            assert len({st_.collapse(v) for st_ in states}) == 1
+            for st_ in states:
+                st_.propagate(v)
+        assert states[0].colors.tolist() == states[1].colors.tolist()
+
+
+def test_propagate_keeps_colored_neighbor_exclusion():
+    # after every step, each uncolored vertex's saturation is exactly the
+    # number of distinct colors among its colored neighbors, and its
+    # reference domain is the budget minus those colors
+    rng = np.random.default_rng(3)
+    for trial in range(40):
+        n = int(rng.integers(3, 14))
+        g = random_gnp(n, 0.5, seed=100 + trial)
+        m = max(g.max_degree, 1) + int(rng.integers(0, 3))
+        v = int(rng.integers(0, n))
+        st_ = _state(g, m, [(v, 1)])
+        while True:
+            colors = st_.colors.tolist()
+            for u in range(n):
+                if not colors[u]:
+                    seen = {colors[w] for w in g.neighbors(u).tolist()}
+                    assert st_.saturation(u) == len(seen - {0})
+            if st_.colored_count == n:
+                break
+            v = st_.observe()
+            if v == RESTART:
+                break
+            st_.collapse(v)
+            assert st_.propagate(v) is True
+
+
+def test_propagate_only_shrinks_domains():
+    # saturations never fall, so domains (m minus saturation) never grow;
+    # the reference domains after the strike sit inside the budget
+    g = crown_graph(5)
+    st_ = DomainState(g, 4)
+    st_.set_color(0, 1)
+    before = [st_.saturation(v) for v in range(1, g.n)]
+    assert st_.propagate(0) is True
+    after = [st_.saturation(v) for v in range(1, g.n)]
+    assert all(a >= b for a, b in zip(after, before))
+    _, domains = naive_propagate(g, st_.colors, 4, 0)
+    for v in range(1, g.n):
+        assert domains[v] <= {1, 2, 3, 4}
+        assert len(domains[v]) == 4 - after[v - 1]
+
+
+# forced colorings vs. observation
+
+def test_star_center_seed_forces_nothing_with_wide_budget():
+    g = star_graph(5)
+    st_ = DomainState(g, 5)
+    st_.set_color(0, 1)
+    assert st_.propagate(0) is True
+    assert st_.forced_count == 0
+    assert all(st_.saturation(v) == 1 for v in range(1, 6))
+    colors, domains = naive_propagate(g, st_.colors, 5, 0)
+    assert colors.tolist() == [1, 0, 0, 0, 0, 0]
+    assert domains[1:] == [{2, 3, 4, 5}] * 5
