@@ -18,13 +18,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import validate
 from .dimacs import _int_token, load_dimacs, read_text
-from .graph import (Graph, _check_int, _check_seed, barabasi_albert,
-                    crown_graph, random_gnp, star_graph)
+from .graph import (Graph, _check_int, _check_seed, _is_real,
+                    barabasi_albert, crown_graph, random_gnp, star_graph)
 from .wfc import SolveResult, solve
 
 
@@ -177,7 +175,7 @@ def run_bench(algorithms: Sequence[str], instances: Sequence[str] = (),
     _check_int(reps, "repetitions")
     if reps < 1:
         raise ValueError("repetitions must be >= 1")
-    if np.asarray(timeout_ms).dtype.kind == "b" or not timeout_ms > 0:  # NaN fails > 0
+    if not _is_real(timeout_ms) or not timeout_ms > 0:  # NaN fails > 0
         raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
     _check_seed(seed)
     graphs = [(Path(p).stem, load_dimacs(p)) for p in instances]

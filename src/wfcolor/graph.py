@@ -19,6 +19,7 @@ Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed`
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -212,6 +213,13 @@ def _check_int(x: int, what: str) -> None:
         raise ValueError(f"{what} {x!r} is not an integer")
 
 
+def _is_real(x: float) -> bool:
+    # a real number by type, so a str, None or a complex is refused before
+    # any comparison, and a bool as _check_int refuses it; numpy floats and
+    # ints pass, numpy's bool and 0-d arrays are no numbers.Real
+    return isinstance(x, Real) and not isinstance(x, bool)
+
+
 def _int_array(items, message: str) -> np.ndarray:
     """``items`` as an integer array, or ValueError(message).  An ndarray or a
     scalar is judged by its dtype, unless empty.  Any other iterable is listed
@@ -296,7 +304,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     _check_vertex_count(n)
     if n < 1:
         raise ValueError("need at least one vertex")
-    if np.asarray(p).dtype.kind == "b" or not 0.0 <= p <= 1.0:  # numpy's bool too
+    if not _is_real(p) or not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be a number in [0, 1], got {p!r}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)

@@ -26,15 +26,13 @@ offset list, and inlines its steps in one loop over local variables, since
 three method calls and fresh attribute loads a pick cost about a fifth of
 the time there.  Dense graphs take _dense_pass, whose pick is the argmin
 of one key array and whose strike is a few whole-array numpy operations
-over uint64 color words instead of a Python loop over every arc.  One rule
-on the mean degree (_is_dense) sends a graph to _dense_pass from the first
-pick.  Below it, a graph of mean degree SWITCH_DEGREE or more runs
-_heap_pass with a probe: after n / 16 picks, if the strikes so far reach
-SWITCH_RATIO times the arcs read and the color words fit in the CSR's
-bytes (_dense_state), the heap layout's lists become the dense layout's
-arrays and the pass finishes in _dense_pass's loop, _dense_loop.  G(n,p)
-switches from a mean degree of about 60; crowns and random bipartite
-graphs, which strike few colors per arc, keep the heap.
+over uint64 color words instead of a Python loop over every arc.  One
+rule, _is_dense, picks the pass before the first pick, from the graph
+alone: a mean degree at the dense rule, or one in the band below it where
+the color words fit and a triangle closes at the seed vertex within the
+rows of its first BAND_ROWS neighbors.  G(n,p) and k-partite graphs go
+dense in the band; crowns and random bipartite graphs, which have no
+triangle and strike few colors per arc, keep the heap.
 
 DomainState is the paper's step API (set_color, observe, collapse,
 propagate) over the heap layout, for one attempt at a color budget m with
@@ -61,12 +59,12 @@ TIE_BREAKS = ("degree", "random")
 # dense pass (see _is_dense)
 DENSE_DEGREE = 150
 DENSE_PER_N = 1000
-# below that, a graph whose mean degree reaches SWITCH_DEGREE runs the heap
-# pass with a probe of n // PROBE_PER_N picks, and switches to the dense
-# loop if its strikes reach SWITCH_RATIO times its arcs (see _dense_state)
-SWITCH_DEGREE = 60
-PROBE_PER_N = 16
-SWITCH_RATIO = 0.3
+# below that, a graph whose mean degree reaches BAND_DEGREE + n / BAND_PER_N
+# gets it too when a triangle closes at the seed vertex within the rows of
+# its first BAND_ROWS neighbors and its color words fit
+BAND_DEGREE = 60
+BAND_PER_N = 2000
+BAND_ROWS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +75,8 @@ class SolveResult:
     vertices its cascade colors.  stats holds the pass's work counters:
     selections (vertices picked), strikes (colors struck from neighbors,
     one key update each) and stale_pops (outdated heap keys discarded; 0 on
-    the dense pass, which has no heap, and the heap part's alone on a
-    switched one), and the layout that ran: "heap", "dense", or "switched"
-    when the heap pass finished in the dense loop.  Results compare and hash
-    by identity."""
+    the dense pass, which has no heap), and the layout that ran: "heap" or
+    "dense".  Results compare and hash by identity."""
 
     coloring: Coloring
     k: int
@@ -271,8 +267,8 @@ def _compact(heap: list[int], key: list[int], n: int) -> list[int]:
     return heap
 
 
-def _heap_pass(g: Graph, v: int, tie_break: str, seed: int,
-               probe: int = 0) -> tuple[list[int], list[int], int, str]:
+def _heap_pass(g: Graph, v: int, tie_break: str,
+               seed: int) -> tuple[list[int], list[int], int, str]:
     """solve's pass on a sparse graph from vertex v, with tie_break and seed
     as in solve: collapse and propagate v, then observe, collapse and
     propagate until every vertex is colored, the steps inlined in one loop
@@ -280,58 +276,43 @@ def _heap_pass(g: Graph, v: int, tie_break: str, seed: int,
     colors, saturations and bitsets, with the CSR read through memoryviews,
     so a pick makes no numpy slice.  Returns each vertex's color, the
     saturation it was colored at, the stale heap pops and the layout,
-    "heap".
-
-    With 0 < probe < n the loop stops after probe picks, and if the strikes
-    so far favor the dense layout (_dense_state), the pass finishes in
-    _dense_pass's loop and its layout is "switched"; else the heap runs on.
-    The stop is the loop's bound, so the picks pay for no test."""
+    "heap"."""
     n = g.n
     nn = n * n
     key, heap = _heap_start(g, tie_break, seed)
     colors, sat, used = [0] * n, [0] * n, [0] * n
     ptr, indices = memoryview(g.indptr), memoryview(g.indices)
-    stale = colored = 0
-    stop = probe if 0 < probe < n else n
-    while True:
-        for colored in range(colored + 1, stop + 1):
-            # collapse: the lowest clear bit of v's bitset
-            u = used[v]
-            c = (~u & (u + 1)).bit_length()
-            colors[v] = c
-            sat[v] = -(key[v] // nn)
-            key[v] = nn
-            used[v] = -1
-            # propagate
-            bit = 1 << (c - 1)
-            for w in indices[ptr[v]:ptr[v + 1]]:
-                u = used[w]
-                if u & bit:
-                    continue
-                used[w] = u | bit
-                k = key[w] - nn
-                key[w] = k
-                heappush(heap, k)
-            if len(heap) > 2 * (n - colored):
-                heap = _compact(heap, key, n)
-            if colored < n:
-                # observe
-                while True:
-                    k = heap[0]
-                    v = k % n
-                    if key[v] == k:
-                        break
-                    heappop(heap)
-                    stale += 1
-        if stop == n:
-            return colors, sat, stale, "heap"
-        dense = _dense_state(g, key, sat, colors, used)
-        if dense is not None:
-            # the heap layout's lists are spent: free them before the loop
-            del key, heap, used, ptr, indices
-            _dense_loop(g, v, stop, *dense, colors, sat)
-            return colors, sat, stale, "switched"
-        stop = n
+    stale = 0
+    for colored in range(1, n + 1):
+        # collapse: the lowest clear bit of v's bitset
+        u = used[v]
+        c = (~u & (u + 1)).bit_length()
+        colors[v] = c
+        sat[v] = -(key[v] // nn)
+        key[v] = nn
+        used[v] = -1
+        # propagate
+        bit = 1 << (c - 1)
+        for w in indices[ptr[v]:ptr[v + 1]]:
+            u = used[w]
+            if u & bit:
+                continue
+            used[w] = u | bit
+            k = key[w] - nn
+            key[w] = k
+            heappush(heap, k)
+        if len(heap) > 2 * (n - colored):
+            heap = _compact(heap, key, n)
+        if colored < n:
+            # observe
+            while True:
+                k = heap[0]
+                v = k % n
+                if key[v] == k:
+                    break
+                heappop(heap)
+                stale += 1
+    return colors, sat, stale, "heap"
 
 
 # _dense_pass's bit masks, as np.uint64 scalars: numpy < 2 promotes uint64
@@ -347,39 +328,29 @@ def _dense_pass(g: Graph, v: int, tie_break: str,
     """solve's pass on a dense graph, called as _heap_pass is: its picks
     and colors without its heap.  Returns each vertex's color, the
     saturation it was colored at, 0 stale pops and the layout, "dense".
-    It draws the rank order itself, so that the order is freed once the key
-    array is built, and runs _dense_loop from that fresh state.
 
-    The keys sit in one int64 array, whose argmin is the pick (a
-    colored vertex's key n exceeds every uncolored one's), and the colors
-    around each vertex in uint64 words, 64 colors to a word and one
-    length-n array per word, so a strike is a few whole-array numpy
-    operations over the colored vertex's neighbors.  The words take n *
-    ceil(k / 64) * 8 bytes for k colors, which stays within the int32
-    CSR's 8m bytes on every graph that runs this loop.  Here k <= sqrt(2m)
-    + 1, since a greedy coloring has an edge between every two color
+    The keys sit in one int64 array, whose argmin is the pick (a colored
+    vertex's key n exceeds every uncolored one's), and the colors around
+    each vertex in uint64 words, 64 colors to a word and one length-n array
+    per word: words[j][u] bit i is set when color 64 * j + i + 1 is around
+    u, every bit once u is colored, and a word is added when a color first
+    needs it.  So a strike is a few whole-array numpy operations over the
+    colored vertex's neighbors.  The words take n * ceil(k / 64) * 8 bytes
+    for k colors, which stays within the int32 CSR's 8m bytes on every
+    graph that _is_dense sends here.  Above the dense rule k <= sqrt(2m) +
+    1, since a greedy coloring has an edge between every two color
     classes; with mean degree d = 2m/n that is about n * sqrt(d * n) / 8
-    bytes, which _is_dense's d > n / 1000 keeps below 8m, and in practice
-    far below it: 16 kB against 2 MB on gnp(1000, 0.5).  A heap pass that
-    switches here has k <= max_degree + 1, and _words_fit holds.
+    bytes, which d > n / 1000 keeps below 8m, and in practice far below
+    it: 16 kB against 2 MB on gnp(1000, 0.5).  In the band below it k <=
+    max_degree + 1, and _is_dense asks _words_fit.
     """
     n = g.n
+    # the rank order is freed once the key array is built
     key = np.argsort(_rank_order(g, tie_break, seed)).astype(np.int64)
     colors, sat = [0] * n, [0] * n
-    _dense_loop(g, v, 0, key, [], colors, sat)
-    return colors, sat, 0, "dense"
-
-
-def _dense_loop(g: Graph, v: int, done: int, key: np.ndarray,
-                words: list[np.ndarray], colors: list[int],
-                sat: list[int]) -> None:
-    """The dense layout's picks done + 1..n, from pick v: fills colors and
-    sat in place.  key is each vertex's int64 key (n once colored), and
-    words[j][u] bit i is set when color 64 * j + i + 1 is around u, every
-    bit once u is colored; a word is added when a color first needs it."""
-    n = g.n
+    words: list[np.ndarray] = []
     ptr, indices, argmin = g.indptr, g.indices, key.argmin
-    for colored in range(done + 1, n + 1):
+    for colored in range(1, n + 1):
         # collapse: the lowest clear bit of v's first open word
         c = 64 * len(words) + 1
         for j, word in enumerate(words):
@@ -409,6 +380,7 @@ def _dense_loop(g: Graph, v: int, done: int, key: np.ndarray,
         if colored < n:
             # observe
             v = int(argmin())
+    return colors, sat, 0, "dense"
 
 
 def _words_fit(g: Graph) -> bool:
@@ -417,53 +389,43 @@ def _words_fit(g: Graph) -> bool:
     return g.n * ((g.max_degree + 64) // 64) <= g.m
 
 
-def _dense_state(g: Graph, key: list[int], sat: list[int],
-                 colors: list[int],
-                 used: list[int]) -> tuple[np.ndarray, list[np.ndarray]] | None:
-    """At _heap_pass's probe: the dense layout's key array and color words
-    built from the heap layout's lists, or None when its strikes so far
-    fall below SWITCH_RATIO times its arcs (the degree sum of the colored
-    vertices) or the words could outgrow the CSR (_words_fit).  A graph
-    that strikes few colors per arc, such as a crown, keeps the heap."""
-    n = g.n
-    # the dense layout's keys rank - sat * n are the heap keys floored by n,
-    # taken on Python ints: heap keys reach about n**3, past int64 once n >
-    # 2 * 10**6
-    keys = np.fromiter((k // n for k in key), np.int64, n)
-    done = keys == n
-    arcs = int(g.degrees[done].sum())
-    # a colored vertex's saturation is in sat, an uncolored one's in its key
-    strikes = sum(sat) - int((keys[~done] // n).sum())
-    if strikes < SWITCH_RATIO * arcs or not _words_fit(g):
-        return None
-    # bit i of word j is bit 64 * j + i of the bitset; the mask keeps each
-    # word in range and fills a colored vertex's words from its -1
-    words = [np.fromiter(((u >> s) & _FULL for u in used), np.uint64, n)
-             for s in range(0, max(colors), 64)]
-    return keys, words
-
-
 def _is_dense(g: Graph) -> bool:
-    """True when g's mean degree 2m/n reaches DENSE_DEGREE + n /
-    DENSE_PER_N: then _dense_pass's whole-array strikes save more than its
-    O(n) argmin per pick costs, from the first pick.  The constants follow
-    the measured crossovers of the graphs with the fewest strikes, which
-    favor the heap most (crowns and random bipartite graphs: mean degree
-    about 125-155 up to n = 16,000, 175 at n = 32,000).  G(n,p) crosses
-    lower, from about SWITCH_DEGREE: solve lets _heap_pass probe such a
-    graph's strikes and switch to the dense loop (_dense_state)."""
-    return 2 * g.m >= g.n * (DENSE_DEGREE + g.n / DENSE_PER_N)
+    """True when solve should run _dense_pass from the first pick: when g's
+    mean degree d = 2m/n reaches DENSE_DEGREE + n / DENSE_PER_N, or when d
+    reaches BAND_DEGREE + n / BAND_PER_N, the color words fit (_words_fit)
+    and a triangle closes at solve's seed vertex v: a row among those of
+    v's first BAND_ROWS neighbors, read in CSR order, holds a neighbor of v.
+
+    Above the dense rule the whole-array strikes pay for the O(n) argmin a
+    pick on every graph measured, even those that favor the heap most
+    (crowns and random bipartite graphs cross at mean degree about 125-155
+    up to n = 16,000, 175 at n = 32,000).  In the band below it the heap
+    wins on graphs that strike few colors per arc, such as those two,
+    which have no triangle, while G(n,p) has triangles.  A triangle does
+    not bound the colors, though: a 3-partite graph colored with 3 colors
+    goes dense and runs slower there.  The band's n term keeps large
+    graphs, where the argmin costs most, on the heap."""
+    n, arcs = g.n, 2 * g.m
+    if arcs >= n * (DENSE_DEGREE + n / DENSE_PER_N):
+        return True
+    if arcs < n * (BAND_DEGREE + n / BAND_PER_N) or not _words_fit(g):
+        return False
+    # solve's seed vertex; n > 0 here, as the empty graph is dense
+    nb = g.neighbors(int(np.argmax(g.degrees)))
+    near = np.zeros(n, dtype=bool)
+    near[nb] = True
+    return any(near[g.neighbors(u)].any() for u in nb[:BAND_ROWS].tolist())
 
 
 def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     """Color g in one saturation pass: seed the lowest-id maximum-degree
     vertex with color 1, then observe/collapse/propagate until every vertex
-    is colored.  The pass is _dense_pass when _is_dense(g), and otherwise
-    _heap_pass, which probes a graph of mean degree SWITCH_DEGREE or more
-    and may finish in the dense loop; neither builds a DomainState.  The
-    layout that ran is stats["layout"].  The tests check solve
-    against oracle.paper_wfc (colors and counters, both tie modes),
-    baselines.dsatur and networkx's DSATUR.  The empty graph gets k = 0.
+    is colored.  The pass, chosen once before the first pick, is _dense_pass
+    when _is_dense(g) and _heap_pass otherwise; neither builds a
+    DomainState, and both make the same picks.  The layout that ran is
+    stats["layout"].  The tests check solve against oracle.paper_wfc
+    (colors and counters, both tie modes), baselines.dsatur and networkx's
+    DSATUR.  The empty graph gets k = 0.
 
     tie_break orders vertices of equal saturation: "degree" (highest degree,
     then lowest id) or "random" (a permutation of the vertices drawn from
@@ -478,12 +440,8 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     # the first maximum is the lowest id; nothing is colored yet, so its
     # smallest open color is 1.  A pass over no vertex runs no step
     v = int(np.argmax(g.degrees)) if g.n else 0
-    if _is_dense(g):
-        colors, sat, stale_pops, layout = _dense_pass(g, v, tie_break, seed)
-    else:
-        probe = g.n // PROBE_PER_N if 2 * g.m >= SWITCH_DEGREE * g.n else 0
-        colors, sat, stale_pops, layout = _heap_pass(g, v, tie_break, seed,
-                                                     probe)
+    pass_ = _dense_pass if _is_dense(g) else _heap_pass
+    colors, sat, stale_pops, layout = pass_(g, v, tie_break, seed)
     coloring = Coloring(np.array(colors, dtype=np.int32))
     k = coloring.k
     m0 = max(g.max_degree, 1)

@@ -25,6 +25,9 @@ def test_config_validation(monkeypatch):
                 {"algorithms": ("wfcc",), "timeout_ms": 0.0, **crown},
                 {"algorithms": ("wfcc",), "timeout_ms": True, **crown},
                 {"algorithms": ("wfcc",), "timeout_ms": np.True_, **crown},
+                {"algorithms": ("wfcc",), "timeout_ms": "5", **crown},
+                {"algorithms": ("ig",), "timeout_ms": None, **crown},
+                {"algorithms": ("wfcc",), "timeout_ms": 5 + 0j, **crown},
                 {"algorithms": ("wfcc",), "seed": -1, **crown},
                 {"algorithms": ("wfcc",), "seed": 2.5, **crown},
                 {"algorithms": ("wfcc",), "seed": True, **crown},

@@ -441,6 +441,11 @@ def test_gnp_rejects_bad_probability():
         random_gnp(5, True, seed=0)  # would build K5, as p = 1
     with pytest.raises(ValueError):
         random_gnp(5, np.True_, seed=0)
+    # not a real number: refused by type, not by a failed comparison
+    for p in ("0.5", None, 0.5 + 0j, np.array(0.5)):
+        with pytest.raises(ValueError, match="edge probability must be a "
+                                             "number in"):
+            random_gnp(5, p, seed=0)
 
 
 @given(n=st.integers(1, 40), p=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),

@@ -15,8 +15,8 @@ from wfcolor.coloring import validate
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
 from wfcolor.oracle import exact_chromatic, naive_propagate, paper_wfc
-from wfcolor.wfc import (TIE_BREAKS, _compact, _dense_pass, _heap_pass,
-                         _is_dense, _words_fit, solve)
+from wfcolor.wfc import (BAND_ROWS, TIE_BREAKS, _compact, _dense_pass,
+                         _heap_pass, _is_dense, _words_fit, solve)
 
 
 # -- solve ------------------------------------------------------------------
@@ -371,8 +371,8 @@ _HEAP_DISCIPLINE = {
                 {"degree": (800, 799), "random": (800, 799)}),
     "crown150": (lambda: crown_graph(150), "heap",
                  {"degree": (299, 296), "random": (299, 296)}),
-    "gnp250_0.5": (lambda: random_gnp(250, 0.5, 401), "switched",
-                   {"degree": (6478, 3), "random": (6580, 2)}),
+    "gnp250_0.5": (lambda: random_gnp(250, 0.5, 401), "dense",
+                   {"degree": (6478, 0), "random": (6580, 0)}),
 }
 
 
@@ -411,8 +411,7 @@ def _dense_graph(name):
 
 def _run(pass_, g, tie_break="degree", seed=0):
     """pass_ (_heap_pass or _dense_pass) from solve's seed vertex, on any
-    graph, as one whole pass on its own layout (no probe): (colors, sat,
-    stale pops, layout)."""
+    graph: (colors, sat, stale pops, layout)."""
     return pass_(g, int(np.argmax(g.degrees)), tie_break, seed)
 
 
@@ -471,14 +470,14 @@ def test_dense_layout_solves_as_the_heap_does(name, tie_break):
             dsatur(g).coloring.assignment.tobytes()
 
 
-# -- the switch ---------------------------------------------------------------
-# graphs below the dense rule whose heap pass probes n // 16 picks, then
-# finishes in the dense loop, with the sha256 of oracle.paper_wfc's int32
-# colors in each tie mode (random ties drawn from seed 7).  paper_wfc
-# recomputes every domain at each step, 1-22 s a run on these, so the
-# digests were recorded from it once and it reruns live on the smallest
-# graph only.  The planted clique has 68 colors at its probe in both modes,
-# so each bitset becomes two color words
+# -- the band ------------------------------------------------------------------
+# graphs below the dense rule and above the band's floor, where _is_dense
+# looks for a triangle at solve's seed vertex, with the sha256 of
+# oracle.paper_wfc's int32 colors in each tie mode (random ties drawn from
+# seed 7).  paper_wfc recomputes every domain at each step, 1-22 s a run on
+# these, so the digests were recorded from it once and it reruns live on
+# the smallest graph only.  The planted clique takes 80 colors, so its
+# dense pass uses two color words
 
 def _planted_clique(n, p, size, seed):
     """random_gnp(n, p, seed) with vertices 0..size-1 made a clique."""
@@ -495,7 +494,7 @@ def _random_bipartite(half, p, seed):
     return Graph.from_edges(2 * half, np.stack([us, ws + half], axis=1))
 
 
-_SWITCHED = {
+_BAND = {
     "gnp250_0.5": (lambda: random_gnp(250, 0.5, 401), {
         "degree": "f92f76c378f871467e171aea23dee4ffa987805e657ab6ace3d10c864ea4799c",
         "random": "2cf7362a877440bf783b3736ff7bf1f90e181e46e1642869e7bee628e161b909"}),
@@ -516,21 +515,22 @@ def _sha(colors):
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-@pytest.mark.parametrize("name", sorted(_SWITCHED))
+@pytest.mark.parametrize("name", sorted(_BAND))
 def test_switched_pass_colors_as_the_whole_passes(name, tie_break):
-    make, digests = _SWITCHED[name]
+    # each band graph runs the dense pass from its first pick, and both
+    # passes give the paper loop's recorded colors
+    make, digests = _BAND[name]
     g = make()
-    assert not _is_dense(g)
+    assert 2 * g.m < 150 * g.n  # below the dense rule
     r = solve(g, tie_break=tie_break, seed=7)
-    assert r.stats["layout"] == "switched"
+    assert r.stats["layout"] == "dense"
     heap = _run(_heap_pass, g, tie_break, 7)
     dense = _run(_dense_pass, g, tie_break, 7)
     assert r.coloring.assignment.tolist() == heap[0] == dense[0]
     assert _sha(heap[0]) == digests[tie_break]
     assert heap[1] == dense[1] and r.stats["strikes"] == sum(heap[1])
     assert r.forced_colorings == heap[1].count(r.final_m - 1)
-    # only the heap part pops keys, and it is the whole pass's first part
-    assert r.stats["stale_pops"] <= heap[2]
+    assert r.stats["stale_pops"] == 0
     if tie_break == "degree":
         assert r.coloring.assignment.tobytes() == \
             dsatur(g).coloring.assignment.tobytes()
@@ -538,7 +538,7 @@ def test_switched_pass_colors_as_the_whole_passes(name, tie_break):
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 def test_switched_digests_are_the_paper_loops(tie_break):
-    make, digests = _SWITCHED["gnp250_0.5"]
+    make, digests = _BAND["gnp250_0.5"]
     assert _sha(paper_wfc(make(), tie_break, 7)[0]) == digests[tie_break]
 
 
@@ -547,65 +547,80 @@ def test_switched_digests_are_the_paper_loops(tie_break):
     (lambda: _random_bipartite(500, 0.2, 1), "heap"),
     (lambda: random_gnp(1000, 0.006, 3), "heap"),
     (lambda: star_graph(800), "heap"),
-    *[(make, "switched") for make, _ in _SWITCHED.values()],
+    *[(make, "dense") for make, _ in _BAND.values()],
     (lambda: random_gnp(1000, 0.5, 1), "dense"),
     (lambda: random_gnp(700, 0.5, 2), "dense"),
 ], ids=["crown150", "bipartite1000_0.2", "gnp1000_0.006", "star800",
-        *_SWITCHED, "gnp1000_0.5", "gnp700_0.5"])
+        *_BAND, "gnp1000_0.5", "gnp700_0.5"])
 def test_layout_follows_the_strikes(make, layout):
-    # crowns and random bipartite graphs strike about 0.1 colors an arc by
-    # the probe, G(n,p) 0.6-0.7; gnp1000_0.006 and star800 are below the
-    # floor and run no probe, and the last two are above the dense rule
+    # crowns and random bipartite graphs, which strike about 0.1 colors an
+    # arc, have no triangle and keep the heap; G(n,p) in the band closes
+    # one at its seed vertex; gnp1000_0.006 and star800 are below the band
+    # and the last two are above the dense rule
     g = make()
     r = solve(g)
-    assert r.stats["layout"] == layout
+    assert r.stats["layout"] == layout == ("dense" if _is_dense(g) else "heap")
+    assert r.coloring.assignment.tolist() == _run(_heap_pass, g)[0]
+
+
+def _cliques(size, count):
+    """count disjoint copies of K_size: mean degree size - 1, and every
+    vertex on a triangle."""
+    us, ws = np.triu_indices(size, 1)
+    base = np.repeat(np.arange(count) * size, us.size)
+    return Graph.from_edges(size * count, np.stack(
+        [np.tile(us, count) + base, np.tile(ws, count) + base], axis=1))
+
+
+@pytest.mark.parametrize("size, count, dense", [
+    (61, 33, False), (62, 32, True), (71, 282, False), (72, 278, True)],
+    ids=["d60_n2013", "d61_n1984", "d70_n20022", "d71_n20016"])
+def test_band_floor_grows_with_n(size, count, dense):
+    # the floor is 60 + n / 2000: about 61 at n = 2,000 and 70 at 20,000
+    assert _is_dense(_cliques(size, count)) == dense
+
+
+def _crown_plus(*edges):
+    """crown(150) with the matching edge (0, 150), which keeps vertex 0 the
+    seed and the graph bipartite, and the given edges."""
+    g = crown_graph(150)
+    return Graph.from_edges(g.n, [*g.edges(), (0, 150), *edges])
+
+
+@pytest.mark.parametrize("edges, dense", [
+    ((), False),
+    # the last scanned row, vertex 0's BAND_ROWS-th neighbor's, holds the
+    # next neighbor of vertex 0: a triangle at the seed
+    (((149 + BAND_ROWS, 150 + BAND_ROWS),), True),
+    # the same triangle one row later, past the scan
+    (((150 + BAND_ROWS, 151 + BAND_ROWS),), False),
+], ids=["bipartite", "triangle_in_scan", "triangle_past_scan"])
+def test_band_scans_a_bounded_neighborhood(edges, dense):
+    g = _crown_plus(*edges)
+    assert int(np.argmax(g.degrees)) == 0
+    assert _is_dense(g) == dense
+    r = solve(g)
+    assert r.stats["layout"] == ("dense" if dense else "heap")
     assert r.coloring.assignment.tolist() == _run(_heap_pass, g)[0]
 
 
 def test_switch_needs_the_color_words_to_fit(monkeypatch):
     # G(2999, 0.025) and a vertex joined to all of it: max_degree + 1 =
     # 3000 colors would take 47 words a vertex, 141,000 words against
-    # about 115,000 edges, so the graph keeps the heap although its strikes
-    # favor the dense loop
+    # about 115,000 edges, so the graph keeps the heap although a triangle
+    # closes at its seed vertex, the hub
     n = 3000
     hub = np.stack([np.arange(n - 1), np.full(n - 1, n - 1)], axis=1)
     g = Graph.from_edges(n, np.concatenate(
         [np.array(random_gnp(n - 1, 0.025, 1).edges()), hub]))
-    assert not _is_dense(g) and not _words_fit(g)
+    assert not _words_fit(g)
     r = solve(g)
     assert r.stats["layout"] == "heap"
     monkeypatch.setattr("wfcolor.wfc._words_fit", lambda g: True)
-    switched = solve(g)
-    assert switched.stats["layout"] == "switched"
-    assert switched.coloring.assignment.tobytes() == \
+    dense = solve(g)
+    assert dense.stats["layout"] == "dense"
+    assert dense.coloring.assignment.tobytes() == \
         r.coloring.assignment.tobytes()
-
-
-@given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
-       seed=st.integers(0, 1000), data=st.data())
-def test_a_probe_at_any_pick_ends_as_the_whole_pass(g, tie_break, seed,
-                                                    data):
-    # _heap_pass probes wherever it is told to; whichever layout the
-    # strikes then pick, the pass ends where the whole heap pass does
-    probe = data.draw(st.integers(0, g.n))
-    whole = _run(_heap_pass, g, tie_break, seed)
-    colors, sat, stale_pops, layout = _heap_pass(
-        g, int(np.argmax(g.degrees)), tie_break, seed, probe)
-    assert (colors, sat) == whole[:2]
-    assert stale_pops <= whole[2]
-    if not 0 < probe < g.n:
-        assert layout == "heap"
-
-
-@pytest.mark.parametrize("n, probe", [(10, 3), (70, 66)],
-                         ids=["one_word", "two_words"])
-def test_a_probed_clique_switches(n, probe):
-    # every pick strikes a color from every uncolored vertex; K70 has 66
-    # colors at its probe, so each bitset becomes two color words
-    g = complete_graph(n)
-    colors, sat, _, layout = _heap_pass(g, 0, "degree", 0, probe)
-    assert layout == "switched"
-    assert colors == list(range(1, n + 1)) and sat == list(range(n))
 
 
 # -- the step API --------------------------------------------------------------
