@@ -1,12 +1,12 @@
 """wfcolor: fast vertex coloring built around a wave-function-collapse
 style heuristic, with greedy baselines and a DIMACS benchmark harness."""
 from .baselines import dsatur, iterated_greedy, rlf
-from .coloring import Coloring, Verdict, validate
+from .coloring import Coloring, SolveResult, Verdict, validate
 from .dimacs import (DimacsParseError, DimacsWarning, load_dimacs,
                      parse_dimacs, save_dimacs, write_dimacs)
 from .graph import Graph, crown_graph, random_gnp
 from .oracle import OracleLimitError, exact_chromatic
-from .wfc import DomainState, SolveResult, solve
+from .wfc import DomainState, solve
 
 __all__ = [
     "BACKEND",

@@ -2,9 +2,10 @@
 greedy (DSatur), and recursive-largest-first (RLF).
 
 Each is one self-contained loop, independent of the collapse solver
-(wfc.py) that is checked and timed against them.  A set of colors is a
-Python-int bitset.  All three break ties one way: they scan a vertex order
-fixed once per call and keep the first maximum.
+(wfc.py) that is checked and timed against them: this module imports only
+graph.py and coloring.py, which holds their result type, SolveResult.  A
+set of colors is a Python-int bitset.  All three break ties one way: they
+scan a vertex order fixed once per call and keep the first maximum.
 """
 from __future__ import annotations
 
@@ -12,9 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coloring import Coloring
+from .coloring import Coloring, SolveResult
 from .graph import Graph, _check_seed, _int_array
-from .wfc import SolveResult
 
 SATURATION_MODES = ("distinct", "count")
 RLF_TIE_BREAKS = ("random", "lowest-id")

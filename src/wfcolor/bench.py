@@ -19,11 +19,11 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 from .baselines import dsatur, iterated_greedy, rlf
-from .coloring import validate
+from .coloring import SolveResult, validate
 from .dimacs import _int_token, load_dimacs, read_text
 from .graph import (Graph, _check_int, _check_seed, _is_real,
                     barabasi_albert, crown_graph, random_gnp, star_graph)
-from .wfc import SolveResult, solve
+from .wfc import solve
 
 
 class Solver(NamedTuple):

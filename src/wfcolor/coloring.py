@@ -1,4 +1,4 @@
-"""Color assignments and the proper-coloring validator."""
+"""Color assignments, the colorers' SolveResult and the validator."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimacs import _int_token, int_lines
-from .graph import Graph, _int_array, _vertex_ranges
+from .graph import Graph, _check_vertex, _int_array, _vertex_ranges
 
 UNCOLORED = 0  # sentinel in assignment arrays; real colors start at 1
 MAX_COLOR = int(np.iinfo(np.int32).max)  # assignments are stored as int32
@@ -52,6 +52,7 @@ class Coloring:
         return bool(np.all(self.assignment != UNCOLORED))
 
     def color_of(self, v: int) -> int | None:
+        _check_vertex(v, self.n)
         c = int(self.assignment[v])
         return None if c == UNCOLORED else c
 
@@ -77,6 +78,25 @@ class Verdict:
 
 
 VALID = Verdict(ok=True)
+
+
+@dataclass(frozen=True, eq=False)
+class SolveResult:
+    """A coloring with its color count k, as wfc.solve and the reference
+    colorers in baselines.py return it.  For the collapse solver, restarts
+    is 0 or 1 and final_m = max(max_degree, 1) + restarts is the budget
+    the paper's loop succeeds with; forced_colorings counts the vertices
+    its cascade colors.  stats holds solve's work counters, selections,
+    strikes (one key update each) and stale_pops (outdated heap keys
+    discarded; 0 on the dense pass), and the layout that ran, "heap" or
+    "dense".  Results compare and hash by identity."""
+
+    coloring: Coloring
+    k: int
+    restarts: int = 0
+    final_m: int | None = None
+    forced_colorings: int = 0
+    stats: dict[str, int | str] = field(default_factory=dict)
 
 
 def format_coloring(coloring: Coloring) -> str:

@@ -10,10 +10,10 @@ operations, on keys u * n + w that are uint32 while n * n fits (n up to
 is canonical by construction, so it is not checked again; a CSR handed to
 ``Graph(n, indptr, indices)``, or unpickled, is checked in full, its
 symmetry on keys of the same width, and copied.  ``_vertex_ranges`` cuts
-the vertices into ranges of about 2 * BLOCK_ROWS arcs: validate compares
-colors over the arcs of one range at a time, and ``Graph.edge_blocks``
-yields the u < w edges of one range at a time, which write_dimacs writes;
-each holds one block beside the CSR, and ``edge_arrays`` is the one block.
+the vertices into ranges of about 2 * BLOCK_ROWS arcs, the one block size:
+validate compares colors over the arcs of one range at a time, and
+``Graph.edge_blocks`` yields the u < w edges of one range at a time, which
+write_dimacs writes and ``edge_arrays`` joins; each holds one block.
 Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed``.
 """
 from __future__ import annotations
@@ -80,23 +80,25 @@ class Graph:
         return int(np.max(np.diff(self.indptr)))
 
     def neighbors(self, v: int) -> np.ndarray:
+        _check_vertex(v, self.n)
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Endpoints (us, ws) of every edge with u < w, in canonical (u, w)
-        order: edge_blocks's one block.  Both are int32, the CSR's own
+        order: edge_blocks's blocks joined.  Both are int32, the CSR's own
         dtype."""
-        return next(self.edge_blocks(max(self.m, 1)))
+        us, ws = zip(*self.edge_blocks())
+        return np.concatenate(us), np.concatenate(ws)
 
-    def edge_blocks(self, rows: int | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Yield (us, ws), the int32 endpoints of the edges with u < w, for
-        each of _vertex_ranges's ranges of about 2 * rows arcs, so about
-        ``rows`` edges, in canonical (u, w) order.  Each block is the
-        range's arcs, with their sources made by np.repeat over its indptr,
-        restricted to u < w: they hold each edge once.  rows >= m gives one
-        block, also when n is 0."""
+        each of _vertex_ranges's ranges of about 2 * BLOCK_ROWS arcs, so
+        about BLOCK_ROWS edges, in canonical (u, w) order.  Each block is
+        the range's arcs, with their sources made by np.repeat over its
+        indptr, restricted to u < w: they hold each edge once.  BLOCK_ROWS
+        >= m gives one block, also when n or m is 0."""
         indptr = self.indptr
-        for lo, hi in _vertex_ranges(indptr, rows):
+        for lo, hi in _vertex_ranges(indptr):
             ws = self.indices[indptr[lo]:indptr[hi]]
             us = np.repeat(np.arange(lo, hi, dtype=np.int32), np.diff(indptr[lo:hi + 1]))
             upper = us < ws
@@ -109,6 +111,7 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         row = self.neighbors(u)
+        _check_vertex(v, self.n)
         i = np.searchsorted(row, v)
         return i < row.shape[0] and row[i] == v
 
@@ -175,15 +178,14 @@ class Graph:
         return g
 
 
-def _vertex_ranges(indptr: np.ndarray, rows: int | None = None) -> list[tuple[int, int]]:
+def _vertex_ranges(indptr: np.ndarray) -> list[tuple[int, int]]:
     """Consecutive vertex ranges (lo, hi) that cover the vertices of a CSR
-    and hold about 2 * rows arcs each, so about ``rows`` edges; rows
-    defaults to BLOCK_ROWS, read at each call.  A range starts at the
-    vertex that holds every (2 * rows)-th arc, so it takes one row more
-    than 2 * rows arcs at most.  2 * rows >= the arc count gives one range,
-    also when n is 0."""
-    rows = BLOCK_ROWS if rows is None else rows
-    holders = np.searchsorted(indptr, np.arange(0, indptr[-1], 2 * rows), side="right") - 1
+    and hold about 2 * BLOCK_ROWS arcs each, so about BLOCK_ROWS edges;
+    BLOCK_ROWS is read at each call.  A range starts at the vertex that
+    holds every (2 * BLOCK_ROWS)-th arc, so it takes one row more than 2 *
+    BLOCK_ROWS arcs at most.  2 * BLOCK_ROWS >= the arc count gives one
+    range, also when n is 0."""
+    holders = np.searchsorted(indptr, np.arange(0, indptr[-1], 2 * BLOCK_ROWS), side="right") - 1
     bounds = [0, *np.unique(holders)[1:].tolist(), indptr.shape[0] - 1]
     return list(zip(bounds, bounds[1:]))
 
@@ -211,6 +213,14 @@ def _check_int(x: int, what: str) -> None:
     # is; numpy integers pass
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"{what} {x!r} is not an integer")
+
+
+def _check_vertex(v: int, n: int) -> None:
+    # an id of a graph on n vertices: a negative one would index from the
+    # end, and a bool is refused as _check_int refuses it
+    _check_int(v, "vertex")
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} outside 0..{n - 1}")
 
 
 def _is_real(x: float) -> bool:
@@ -290,9 +300,10 @@ def crown_graph(pairs: int) -> Graph:
     Every vertex has degree n-1; the graph is bipartite with n(n-1) edges.
     """
     _check_int(pairs, "pair count")
-    n = pairs
+    n = int(pairs)  # a narrow numpy int would wrap 2 * n
     if n < 2:
         raise ValueError("crown graph needs at least 2 vertex pairs")
+    _check_vertex_count(2 * n)  # before np.eye allocates n * n
     i, j = np.nonzero(~np.eye(n, dtype=bool))
     return Graph.from_edges(2 * n, np.column_stack((i, n + j)))
 
@@ -316,8 +327,10 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 def star_graph(leaves: int) -> Graph:
     """A hub joined to ``leaves`` vertices: vertex 0 to each of 1..leaves."""
     _check_int(leaves, "leaf count")
+    leaves = int(leaves)  # a narrow numpy int would wrap leaves + 1
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
+    _check_vertex_count(leaves + 1)  # before the leaf ids are allocated
     leaf = np.arange(1, leaves + 1)
     hub = np.zeros_like(leaf)
     return Graph.from_edges(leaves + 1, np.column_stack((hub, leaf)))

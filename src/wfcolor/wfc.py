@@ -42,13 +42,12 @@ its one dead-end signal.  solve does not use it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 import numpy as np
 
-from .coloring import Coloring
-from .graph import Graph, _check_int, _check_seed
+from .coloring import Coloring, SolveResult
+from .graph import Graph, _check_int, _check_seed, _check_vertex
 
 # observe's dead-end result (never a vertex id)
 RESTART = -1
@@ -65,25 +64,6 @@ DENSE_PER_N = 1000
 BAND_DEGREE = 60
 BAND_PER_N = 2000
 BAND_ROWS = 16
-
-
-@dataclass(frozen=True, eq=False)
-class SolveResult:
-    """A coloring with its color count k.  For the collapse solver,
-    restarts is 0 or 1 and final_m = max(max_degree, 1) + restarts is the
-    budget the paper's loop succeeds with; forced_colorings counts the
-    vertices its cascade colors.  stats holds the pass's work counters:
-    selections (vertices picked), strikes (colors struck from neighbors,
-    one key update each) and stale_pops (outdated heap keys discarded; 0 on
-    the dense pass, which has no heap), and the layout that ran: "heap" or
-    "dense".  Results compare and hash by identity."""
-
-    coloring: Coloring
-    k: int
-    restarts: int = 0
-    final_m: int | None = None
-    forced_colorings: int = 0
-    stats: dict[str, int | str] = field(default_factory=dict)
 
 
 def _rank_order(g: Graph, tie_break: str, seed: int) -> np.ndarray:
@@ -157,9 +137,8 @@ class DomainState:
         negative one would index the per-vertex lists from the end), else a
         vertex propagate cannot start from.  The steps test ``0 <= v < n``
         inline and call this only to fail."""
-        n = self._n
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        if not 0 <= v < self._n:
+            _check_vertex(v, self._n)
         raise ValueError(f"vertex {v} is not colored")
 
     def saturation(self, v: int) -> int:
@@ -268,15 +247,14 @@ def _compact(heap: list[int], key: list[int], n: int) -> list[int]:
 
 
 def _heap_pass(g: Graph, v: int, tie_break: str,
-               seed: int) -> tuple[list[int], list[int], int, str]:
+               seed: int) -> tuple[list[int], list[int], int]:
     """solve's pass on a sparse graph from vertex v, with tie_break and seed
     as in solve: collapse and propagate v, then observe, collapse and
     propagate until every vertex is colored, the steps inlined in one loop
     over DomainState's lists as local variables: the keys, the heap, the
     colors, saturations and bitsets, with the CSR read through memoryviews,
     so a pick makes no numpy slice.  Returns each vertex's color, the
-    saturation it was colored at, the stale heap pops and the layout,
-    "heap"."""
+    saturation it was colored at and the stale heap pops."""
     n = g.n
     nn = n * n
     key, heap = _heap_start(g, tie_break, seed)
@@ -312,7 +290,7 @@ def _heap_pass(g: Graph, v: int, tie_break: str,
                     break
                 heappop(heap)
                 stale += 1
-    return colors, sat, stale, "heap"
+    return colors, sat, stale
 
 
 # _dense_pass's bit masks, as np.uint64 scalars: numpy < 2 promotes uint64
@@ -324,10 +302,10 @@ _BITS = [np.uint64(1 << i) for i in range(64)]
 
 
 def _dense_pass(g: Graph, v: int, tie_break: str,
-                seed: int) -> tuple[list[int], list[int], int, str]:
+                seed: int) -> tuple[list[int], list[int], int]:
     """solve's pass on a dense graph, called as _heap_pass is: its picks
     and colors without its heap.  Returns each vertex's color, the
-    saturation it was colored at, 0 stale pops and the layout, "dense".
+    saturation it was colored at and 0 stale pops.
 
     The keys sit in one int64 array, whose argmin is the pick (a colored
     vertex's key n exceeds every uncolored one's), and the colors around
@@ -380,7 +358,7 @@ def _dense_pass(g: Graph, v: int, tie_break: str,
         if colored < n:
             # observe
             v = int(argmin())
-    return colors, sat, 0, "dense"
+    return colors, sat, 0
 
 
 def _words_fit(g: Graph) -> bool:
@@ -440,8 +418,9 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     # the first maximum is the lowest id; nothing is colored yet, so its
     # smallest open color is 1.  A pass over no vertex runs no step
     v = int(np.argmax(g.degrees)) if g.n else 0
-    pass_ = _dense_pass if _is_dense(g) else _heap_pass
-    colors, sat, stale_pops, layout = pass_(g, v, tie_break, seed)
+    dense = _is_dense(g)
+    pass_ = _dense_pass if dense else _heap_pass
+    colors, sat, stale_pops = pass_(g, v, tie_break, seed)
     coloring = Coloring(np.array(colors, dtype=np.int32))
     k = coloring.k
     m0 = max(g.max_degree, 1)
@@ -449,6 +428,6 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     final_m = m0 + restarts
     forced = sat.count(final_m - 1) if final_m >= 2 else 0
     stats = {"selections": max(g.n - 1, 0), "strikes": sum(sat),
-             "stale_pops": stale_pops, "layout": layout}
+             "stale_pops": stale_pops, "layout": "dense" if dense else "heap"}
     return SolveResult(coloring=coloring, k=k, restarts=restarts,
                        final_m=final_m, forced_colorings=forced, stats=stats)

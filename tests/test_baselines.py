@@ -1,15 +1,29 @@
+import ast
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wfcolor
 from util import complete_graph, cycle_graph
+from wfcolor import baselines, coloring, wfc
 from wfcolor.baselines import dsatur, iterated_greedy, resolve_order, rlf
 from wfcolor.coloring import validate
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
 from wfcolor.oracle import exact_chromatic
+
+
+def test_the_references_import_no_solver():
+    # the colorers that check solve share none of its module: their result
+    # type lives in coloring.py, and every public path names that one class
+    tree = ast.parse(Path(baselines.__file__).read_text())
+    assert {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level} == \
+        {"coloring", "graph"}
+    assert wfcolor.SolveResult is coloring.SolveResult is wfc.SolveResult
 
 
 # -- iterated greedy ----------------------------------------------------------

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wfcolor
 from util import one_color_solve, read_csv
 from wfcolor.bench import (BenchError, BenchRow, default_best_known,
                            load_best_known, parse_best_known,
@@ -12,6 +18,20 @@ K3_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 
 def _never_called(*_, **__):
     raise AssertionError("a solve ran before the arguments were checked")
+
+
+def test_import_loads_the_seven_modules():
+    # wfbench's calibrate() reads faster when the import loads one more
+    # module, which moves its scaled round times with no change in a round,
+    # so the set is pinned: a fresh interpreter, importing the package the
+    # tests import
+    env = {**os.environ, "PYTHONPATH": str(Path(wfcolor.__file__).parents[1])}
+    code = ("import sys, wfcolor; print(*sorted(m for m in sys.modules"
+            " if m.partition('.')[0] == 'wfcolor'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["wfcolor", *(f"wfcolor.{m}" for m in (
+        "baselines", "coloring", "dimacs", "graph", "oracle", "wfc"))]
 
 
 def test_config_validation(monkeypatch):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from util import one_color_solve, read_csv
@@ -128,6 +129,19 @@ def test_color_rejects_a_vertex_count_past_int32(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 1:") and err.count("\n") == 1
+
+
+def test_bench_refuses_a_star_past_int32_before_allocating(capsys,
+                                                         monkeypatch):
+    # star:2147483647 has 2**31 vertices; its leaf ids alone would take
+    # 16 GiB, so np.arange must not run
+    def refuse(*_, **__):
+        raise AssertionError("allocated before the check")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    rc = main(["bench", "--alg", "ig", "--gen", "star:2147483647"])
+    assert rc == 2
+    assert "vertex count" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alg", SOLVERS)

@@ -41,6 +41,15 @@ def test_partial_coloring():
     assert c.k == 2
 
 
+@pytest.mark.parametrize("v", [-1, 3, True, 1.0])
+def test_color_of_refuses_ids_outside_the_coloring(v):
+    # -1 would read the last vertex's color
+    c = Coloring.from_list([1, None, 2])
+    with pytest.raises(ValueError, match=r"outside 0\.\.2|not an integer"):
+        c.color_of(v)
+    assert c.color_of(np.int64(2)) == 2
+
+
 def test_validate_triangle_proper():
     g = complete_graph(3)
     v = validate(g, Coloring.from_list([1, 2, 3]))

@@ -3,14 +3,15 @@ import hashlib
 import itertools
 import pickle
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from util import complete_graph
-from wfcolor import solve
+from util import complete_graph, path_graph
+from wfcolor import graph, solve
 from wfcolor.coloring import validate
 from wfcolor.dimacs import parse_dimacs
 from wfcolor.graph import (Graph, _check_canonical, barabasi_albert,
@@ -220,7 +221,8 @@ def test_edges_match_neighbor_loop(kind, n, p, seed):
     # blocks of vertex ranges of about 2 * rows arcs, in order, hold the
     # same edges; one block per holder of every (2 * rows)-th arc at most
     for rows in (1, 2, 3, max(g.m, 1)):
-        blocks = list(g.edge_blocks(rows))
+        with mock.patch.object(graph, "BLOCK_ROWS", rows):
+            blocks = list(g.edge_blocks())
         assert 1 <= len(blocks) <= max(1, -(-g.m // rows))  # ceil(m / rows)
         assert [(u, w) for us, ws in blocks for u, w in zip(us.tolist(), ws.tolist())] == edges
 
@@ -306,6 +308,40 @@ def test_star_shape():
     assert g.degrees.tolist() == [6, 1, 1, 1, 1, 1, 1]
     with pytest.raises(ValueError):
         star_graph(0)
+
+
+@pytest.mark.parametrize("make, count", [(star_graph, 2**31 - 1),
+                                         (crown_graph, 2**30)],
+                         ids=["star", "crown"])
+def test_generators_check_the_vertex_count_before_allocating(make, count):
+    # star(2**31 - 1) has 2**31 vertices and crown(2**30) 2**31: their
+    # np.arange or np.eye would fill gigabytes before from_edges refused n
+    refuse = mock.Mock(side_effect=AssertionError("allocated before the check"))
+    with mock.patch.object(np, "arange", refuse), \
+            mock.patch.object(np, "eye", refuse):
+        with pytest.raises(ValueError, match="vertex count"):
+            make(count)
+
+
+def test_generators_read_narrow_numpy_counts_as_ints():
+    # 32767 leaves make 32768 vertices and 100 pairs 200, past int16 and
+    # int8: the vertex count must not wrap in the count's own type
+    assert star_graph(np.int16(32767)).n == 32768
+    assert crown_graph(np.int8(100)).n == 200
+
+
+@pytest.mark.parametrize("v", [-1, 3, True, 1.0, np.int64(-1)],
+                         ids=["-1", "n", "True", "1.0", "int64(-1)"])
+def test_accessors_refuse_ids_outside_the_graph(v):
+    # a negative id would read a row from the end, a bool or a float would
+    # pass for an int, and n would raise IndexError
+    g = path_graph(3)
+    for call in (lambda: g.neighbors(v), lambda: g.has_edge(v, 0),
+                 lambda: g.has_edge(0, v)):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2|not an integer"):
+            call()
+    assert g.neighbors(np.int32(1)).tolist() == [0, 2]
+    assert g.has_edge(np.int64(2), 1) and not g.has_edge(0, 2)
 
 
 @pytest.mark.parametrize("make, args", [

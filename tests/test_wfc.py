@@ -310,7 +310,7 @@ def test_dense_layout_takes_less_memory_than_the_heap():
     assert _is_dense(g)
     dense, dense_peak = _peak(_run, _dense_pass, g)
     heap, heap_peak = _peak(_run, _heap_pass, g)
-    assert dense == (*heap[:2], 0, "dense")
+    assert dense == (*heap[:2], 0)
     assert dense_peak < heap_peak
     assert dense_peak < 80 * g.n
 
@@ -351,7 +351,7 @@ def test_heap_stays_compact(monkeypatch):
     for seed in range(3):
         g = random_gnp(150, [0.1, 0.5, 0.9][seed], seed)
         calls.clear()
-        assert _run(_heap_pass, g)[3] == "heap"
+        _run(_heap_pass, g)
         assert calls
         for size, uncolored, exact, is_heap in calls:
             # before this pick's strikes the heap held at most twice the
@@ -411,7 +411,7 @@ def _dense_graph(name):
 
 def _run(pass_, g, tie_break="degree", seed=0):
     """pass_ (_heap_pass or _dense_pass) from solve's seed vertex, on any
-    graph: (colors, sat, stale pops, layout)."""
+    graph: (colors, sat, stale pops)."""
     return pass_(g, int(np.argmax(g.degrees)), tie_break, seed)
 
 
@@ -424,17 +424,14 @@ def test_pass_leaves_the_state_the_steps_leave(g, tie_break, seed):
     colors, _, _, _, sat = paper_wfc(g, tie_break, seed)
     heap = _run(_heap_pass, g, tie_break, seed)
     assert heap[:2] == (colors.tolist(), sat)
-    assert heap[3] == "heap"
-    assert _run(_dense_pass, g, tie_break, seed) == (*heap[:2], 0, "dense")
+    assert _run(_dense_pass, g, tie_break, seed) == (*heap[:2], 0)
     # every popped key was pushed: n ranks plus one key per strike
     assert heap[2] <= g.n + sum(sat)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-# the ids name the two saturation layouts: the heap's pass is _heap_pass,
-# the dense one's is _dense_pass
 @pytest.mark.parametrize("pass_", [_heap_pass, _dense_pass],
-                         ids=["_HeapState", "_DenseState"])
+                         ids=["heap", "dense"])
 @pytest.mark.parametrize("name", ["gnp500_0.7", "K200", "crown200"])
 def test_pass_leaves_the_state_the_steps_leave_above_the_rule(
         name, pass_, tie_break):
@@ -442,7 +439,7 @@ def test_pass_leaves_the_state_the_steps_leave_above_the_rule(
     # and many heap compactions
     g = _dense_graph(name)
     other = _dense_pass if pass_ is _heap_pass else _heap_pass
-    colors, sat, stale_pops, _ = _run(pass_, g, tie_break, 5)
+    colors, sat, stale_pops = _run(pass_, g, tie_break, 5)
     assert (colors, sat) == _run(other, g, tie_break, 5)[:2]
     if tie_break == "degree":
         assert colors == dsatur(g).coloring.assignment.tolist()
@@ -456,7 +453,7 @@ def test_dense_layout_solves_as_the_heap_does(name, tie_break):
     g = _dense_graph(name)
     assert _is_dense(g)
     r = solve(g, tie_break=tie_break, seed=7)
-    colors, sat, _, _ = _run(_heap_pass, g, tie_break, 7)
+    colors, sat, _ = _run(_heap_pass, g, tie_break, 7)
     assert r.coloring.assignment.tolist() == colors
     # the paper's counters come from the saturations, as on the small
     # graphs where test_solve_equals_paper_wfc checks them
@@ -516,7 +513,7 @@ def _sha(colors):
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
 @pytest.mark.parametrize("name", sorted(_BAND))
-def test_switched_pass_colors_as_the_whole_passes(name, tie_break):
+def test_band_graphs_run_dense_from_the_first_pick(name, tie_break):
     # each band graph runs the dense pass from its first pick, and both
     # passes give the paper loop's recorded colors
     make, digests = _BAND[name]
@@ -537,7 +534,7 @@ def test_switched_pass_colors_as_the_whole_passes(name, tie_break):
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
-def test_switched_digests_are_the_paper_loops(tie_break):
+def test_band_digests_are_the_paper_loops(tie_break):
     make, digests = _BAND["gnp250_0.5"]
     assert _sha(paper_wfc(make(), tie_break, 7)[0]) == digests[tie_break]
 
@@ -552,7 +549,7 @@ def test_switched_digests_are_the_paper_loops(tie_break):
     (lambda: random_gnp(700, 0.5, 2), "dense"),
 ], ids=["crown150", "bipartite1000_0.2", "gnp1000_0.006", "star800",
         *_BAND, "gnp1000_0.5", "gnp700_0.5"])
-def test_layout_follows_the_strikes(make, layout):
+def test_layout_follows_the_rule(make, layout):
     # crowns and random bipartite graphs, which strike about 0.1 colors an
     # arc, have no triangle and keep the heap; G(n,p) in the band closes
     # one at its seed vertex; gnp1000_0.006 and star800 are below the band
@@ -604,7 +601,7 @@ def test_band_scans_a_bounded_neighborhood(edges, dense):
     assert r.coloring.assignment.tolist() == _run(_heap_pass, g)[0]
 
 
-def test_switch_needs_the_color_words_to_fit(monkeypatch):
+def test_band_needs_the_color_words_to_fit(monkeypatch):
     # G(2999, 0.025) and a vertex joined to all of it: max_degree + 1 =
     # 3000 colors would take 47 words a vertex, 141,000 words against
     # about 115,000 edges, so the graph keeps the heap although a triangle
@@ -664,7 +661,7 @@ def test_solve_builds_no_domain_state(dense, tie_break, monkeypatch):
     # functions, and solve gives the other layout's pass's coloring
     g = _dense_graph("crown200") if dense else random_gnp(400, 0.02, 3)
     assert _is_dense(g) == dense
-    colors, sat, _, _ = _run(_heap_pass if dense else _dense_pass, g,
+    colors, sat, _ = _run(_heap_pass if dense else _dense_pass, g,
                              tie_break, 5)
 
     def refuse(*args, **kwargs):
