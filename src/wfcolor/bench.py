@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .baselines import dsatur, iterated_greedy, rlf
 from .coloring import SolveResult, validate
-from .dimacs import _int_token, load_dimacs, read_text
+from .dimacs import _int_token, _pair_records, load_dimacs, read_text
 from .graph import (Graph, _check_int, _check_seed, _is_real,
                     barabasi_albert, crown_graph, random_gnp, star_graph)
 from .wfc import solve
@@ -199,14 +199,7 @@ def load_best_known(path) -> dict[str, int]:
 
 def parse_best_known(text: str) -> dict[str, int]:
     out: dict[str, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) != 2:
-            raise ValueError(
-                f"line {line_no}: expected '<instance-name> <k*>', got {raw!r}")
-        name, value = tokens
+    for line_no, name, value in _pair_records(text, "<instance-name> <k*>"):
         try:
             k = _int_token(value)
         except ValueError:

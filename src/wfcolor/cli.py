@@ -81,15 +81,8 @@ def _cmd_validate(args) -> int:
     g = load_dimacs(args.input)
     coloring = parse_coloring(read_text(args.coloring), g.n)
     verdict = validate(g, coloring)
-    if verdict.ok:
-        print("VALID")
-        return 0
-    if verdict.uncolored is not None:
-        print(f"INVALID: vertex {verdict.uncolored + 1} is uncolored")
-    else:
-        u, w = verdict.conflict
-        print(f"INVALID: edge ({u + 1}, {w + 1}) has matching colors")
-    return 1
+    print(verdict)
+    return 0 if verdict.ok else 1
 
 
 def main(argv: list[str] | None = None) -> int:

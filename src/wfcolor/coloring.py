@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimacs import _int_token, int_lines
+from .dimacs import _int_token, _pair_records, int_lines
 from .graph import Graph, _check_vertex, _int_array, _vertex_ranges
 
 UNCOLORED = 0  # sentinel in assignment arrays; real colors start at 1
@@ -76,6 +76,16 @@ class Verdict:
     def __bool__(self) -> bool:
         return self.ok
 
+    def __str__(self) -> str:
+        """The line wfcolor validate prints, with 1-based ids, as the files
+        number them."""
+        if self.ok:
+            return "VALID"
+        if self.uncolored is not None:
+            return f"INVALID: vertex {self.uncolored + 1} is uncolored"
+        u, w = self.conflict
+        return f"INVALID: edge ({u + 1}, {w + 1}) has matching colors"
+
 
 VALID = Verdict(ok=True)
 
@@ -110,14 +120,9 @@ def parse_coloring(text: str, n: int) -> Coloring:
     """Inverse of format_coloring for a graph on n vertices.  Vertices not
     mentioned stay unassigned (and will fail validation)."""
     assignment = np.zeros(n, dtype=np.int32)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if len(tokens) != 2:
-            raise ValueError(f"line {line_no}: expected '<vertex> <color>'")
+    for line_no, v, c in _pair_records(text, "<vertex> <color>"):
         try:
-            v, c = _int_token(tokens[0]), _int_token(tokens[1])
+            v, c = _int_token(v), _int_token(c)
         except ValueError:
             raise ValueError(f"line {line_no}: expected two integers") from None
         if not 1 <= v <= n:

@@ -200,6 +200,20 @@ def _int_token(token: str, read=int):
     return read(token)
 
 
+def _pair_records(text: str, form: str) -> Iterator[tuple[int, str, str]]:
+    """(line number, first token, second token) for each record of a coloring
+    or best-known file, lines numbered from 1: blank lines and ``#`` comments
+    are skipped, and a line of other than two tokens is a ValueError that
+    names the line and the ``form`` it should have."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) != 2:
+            raise ValueError(f"line {line_no}: expected '{form}', got {raw!r}")
+        yield line_no, *tokens
+
+
 def read_text(path) -> str:
     """A file's text, decoded as UTF-8 with bad bytes replaced and a leading
     byte-order mark dropped: the one way the package reads a DIMACS,

@@ -9,9 +9,12 @@ operations, on keys u * n + w that are uint32 while n * n fits (n up to
 65,535), with the indices a view of them, and int64 above that.  That CSR
 is canonical by construction, so it is not checked again; a CSR handed to
 ``Graph(n, indptr, indices)``, or unpickled, is checked in full, its
-symmetry on keys of the same width, and copied.  ``_vertex_ranges`` cuts
-the vertices into ranges of about 2 * BLOCK_ROWS arcs, the one block size:
-validate compares colors over the arcs of one range at a time, and
+symmetry on keys of the same width, and copied as native int32, whatever
+signed dtype and byte order it came in.  Both paths end in one storing step,
+``Graph._store``, so every Graph holds its CSR as frozen native int32
+arrays.  ``_vertex_ranges`` cuts the vertices into ranges of about 2 *
+BLOCK_ROWS arcs, the one block size: validate compares colors over the
+arcs of one range at a time, and
 ``Graph.edge_blocks`` yields the u < w edges of one range at a time, which
 write_dimacs writes and ``edge_arrays`` joins; each holds one block.
 Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed``.
@@ -49,21 +52,24 @@ class Graph:
 
     def __post_init__(self) -> None:
         _check_canonical(self.n, self.indptr, self.indices)
-        # a Python int, as from_edges stores: n * n must not wrap in 32 bits
-        object.__setattr__(self, "n", int(self.n))
-        # private copies: the caller's arrays, or the base of a view, stay
-        # writable and must not reach a checked graph
-        object.__setattr__(self, "indptr", self.indptr.copy())
-        object.__setattr__(self, "indices", self.indices.copy())
-        self._freeze()
+        # private native int32 copies: the caller's arrays, or the base of a
+        # view, stay writable and must not reach a checked graph.  The cast
+        # comes after the check, which bounds every id by n and every offset
+        # by the arc count, so it changes no value
+        self._store(self.n, np.array(self.indptr, dtype=np.int32),
+                    np.array(self.indices, dtype=np.int32))
 
     def __reduce__(self):
         # a copy or an unpickled graph is outside input: check and freeze it
         return type(self), (self.n, self.indptr, self.indices)
 
-    def _freeze(self) -> None:
-        self.indptr.setflags(write=False)
-        self.indices.setflags(write=False)
+    def _store(self, n: int, indptr: np.ndarray, indices: np.ndarray) -> None:
+        """The one storing step of every Graph: n as a Python int, so n * n
+        cannot wrap in 32 bits, and the native int32 CSR, frozen."""
+        object.__setattr__(self, "n", int(n))
+        for name, a in (("indptr", indptr), ("indices", indices)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def m(self) -> int:
@@ -113,7 +119,7 @@ class Graph:
         row = self.neighbors(u)
         _check_vertex(v, self.n)
         i = np.searchsorted(row, v)
-        return i < row.shape[0] and row[i] == v
+        return bool(i < row.shape[0] and row[i] == v)
 
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "Graph":
@@ -167,14 +173,11 @@ class Graph:
         keys.setflags(write=False)
         indices = keys.view(np.int32) if key is np.uint32 else keys.astype(np.int32)
         # sorted, deduplicated keys of both orientations give a sorted,
-        # symmetric, loop-free CSR, so the fields are set without
+        # symmetric, loop-free CSR, so the fields are stored without
         # __post_init__: its check runs on every public Graph(...), and on
         # this path in test_from_edges_output_is_canonical
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "indptr", indptr)
-        object.__setattr__(g, "indices", indices)
-        g._freeze()
+        g._store(n, indptr, indices)
         return g
 
 

@@ -209,7 +209,7 @@ def test_load_best_known_empty(tmp_path):
 def test_load_best_known_malformed_line(tmp_path):
     path = tmp_path / "bk.txt"
     path.write_text("dsjc250.5 28\noops\n")
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match="^line 2: expected '<instance-name> <k\\*>', got 'oops'$"):
         load_best_known(path)
     path.write_text("dsjc250.5 twenty\n")
     with pytest.raises(ValueError, match="line 1"):

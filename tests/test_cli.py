@@ -188,7 +188,9 @@ def test_bench_refuses_an_invalid_coloring(tmp_path, monkeypatch, capsys):
     rc = main(["bench", "--alg", "wfcc", "--input", str(graph_path),
                "--reps", "1"])
     assert rc == 2  # harness refuses the conflicting coloring
-    assert "invalid coloring" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the verdict's sentence, with the file's 1-based ids
+    assert "invalid coloring" in err and "edge (1, 2)" in err
 
 
 def test_bench_runs_variants_side_by_side(tmp_path, capsys):

@@ -221,8 +221,8 @@ def test_format_coloring_matches_the_f_string_format(n):
 
 
 def test_parse_coloring_errors():
-    with pytest.raises(ValueError):
-        parse_coloring("1 2 3\n", 3)
+    with pytest.raises(ValueError, match="^line 2: expected '<vertex> <color>', got '1 2 3'$"):
+        parse_coloring("# x\n1 2 3\n", 3)
     with pytest.raises(ValueError):
         parse_coloring("9 1\n", 3)
     with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ def test_from_edges_dedupes_and_symmetrizes():
     assert g.m == 2
     assert g.neighbors(1).tolist() == [0, 2]
     assert g.has_edge(1, 0) and g.has_edge(1, 2) and not g.has_edge(0, 2)
+    assert type(g.has_edge(1, 0)) is bool and type(g.has_edge(0, 2)) is bool
 
 
 def test_from_edges_rejects_self_loop_and_range():
@@ -525,6 +526,20 @@ def test_a_numpy_vertex_count_is_stored_as_an_int():
         assert validate(h, solve(h).coloring).ok
 
 
+@pytest.mark.parametrize("make, layout", [
+    (lambda: crown_graph(3), "heap"), (lambda: random_gnp(100, 0.05, 1), "heap"),
+    (lambda: random_gnp(300, 0.6, 1), "dense")], ids=["crown3", "gnp100", "gnp300"])
+def test_a_byte_swapped_csr_solves_as_its_native_graph(make, layout):
+    # the heap pass reads the CSR through memoryviews, which refuse a
+    # byte-swapped format
+    g = make()
+    h = Graph(g.n, g.indptr.astype(np.dtype(np.int32).newbyteorder()),
+              g.indices.astype(np.dtype(np.int64).newbyteorder()))
+    ours, theirs = solve(h), solve(g)
+    assert ours.stats == theirs.stats and ours.stats["layout"] == layout
+    assert ours.coloring.assignment.tobytes() == theirs.coloring.assignment.tobytes()
+
+
 def test_graph_keeps_its_own_arrays():
     # a view's base stays writable, so the graph must not keep the view
     base = np.array([0, 1, 2, 1, 0], np.int32)
@@ -535,6 +550,15 @@ def test_graph_keeps_its_own_arrays():
     indptr, indices = np.array([0, 1, 2]), np.array([1, 0])
     Graph(2, indptr, indices)
     assert indptr.flags.writeable and indices.flags.writeable
+    # one stored form, native int32, whatever signed dtype and byte order
+    # the caller's CSR came in
+    g = random_gnp(30, 0.3, 1)
+    for dtype in (">i4", ">i8", np.int16, np.int64):
+        h = Graph(g.n, g.indptr.astype(dtype), g.indices.astype(dtype))
+        for x in (h, copy.copy(h), pickle.loads(pickle.dumps(h))):
+            for a, b in ((x.indptr, g.indptr), (x.indices, g.indices)):
+                assert a.dtype == np.dtype(np.int32) and a.dtype.isnative
+                assert not a.flags.writeable and a.tobytes() == b.tobytes()
 
 
 _SHAPE = "indptr and indices must be 1-D signed integer arrays"

@@ -697,6 +697,19 @@ def test_a_copied_state_runs_on_alone():
         assert _step_to_the_end(twin) == fresh
 
 
+@pytest.mark.parametrize("make", [
+    lambda: crown_graph(3), lambda: random_gnp(100, 0.05, 1),
+    lambda: random_gnp(300, 0.6, 1)], ids=["crown3", "gnp100", "gnp300"])
+def test_a_byte_swapped_graph_steps_as_its_native_graph(make):
+    # propagate reads the CSR through memoryviews, which refuse a
+    # byte-swapped format
+    g = make()
+    h = Graph(g.n, g.indptr.astype(np.dtype(np.int32).newbyteorder()),
+              g.indices.astype(np.dtype(np.int64).newbyteorder()))
+    m = g.max_degree + 1
+    assert _step_to_the_end(_state(h, m)) == _step_to_the_end(_state(g, m))
+
+
 # observe.  Entropy = m - saturation: the minimum-entropy vertex is the one
 # with the most distinct colors around it
 
