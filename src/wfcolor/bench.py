@@ -88,16 +88,23 @@ def parse_generator_spec(spec: str, seed: int) -> tuple[str, Graph]:
             n = _int_token(args)
             return f"star_{n}", star_graph(n)
         if kind == "gnp":
-            n_s, p_s = args.split(",")
+            n_s, p_s = _two_args(args, "gnp:<n>,<p>")
             n, p = _int_token(n_s), _int_token(p_s, float)
             return f"gnp_{n}_{p:g}", random_gnp(n, p, seed)
         if kind == "ba":
-            n_s, k_s = args.split(",")
+            n_s, k_s = _two_args(args, "ba:<n>,<k>")
             n, k = _int_token(n_s), _int_token(k_s)
             return f"ba_{n}_{k}", barabasi_albert(n, k, seed)
     except ValueError as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from exc
     raise ValueError(f"unknown generator {kind!r}; use {GENERATORS}")
+
+
+def _two_args(args: str, form: str) -> list[str]:
+    parts = args.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected {form}")
+    return parts
 
 
 def _bench_pair(name: str, g: Graph, alg: str, reps: int, seed: int,
@@ -163,6 +170,11 @@ def run_bench(algorithms: Sequence[str], instances: Sequence[str] = (),
     Pairs run one after another in this process, so no two timings
     overlap.
     """
+    # a bare str is a sequence of one-character names
+    for kind, names in (("algorithms", algorithms), ("instances", instances),
+                        ("generators", generators)):
+        if isinstance(names, str):
+            raise ValueError(f"{kind} must be a sequence of str, not a str")
     algorithms = list(algorithms)
     if not algorithms:
         raise ValueError("select at least one algorithm")

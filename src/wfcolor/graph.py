@@ -17,7 +17,7 @@ BLOCK_ROWS arcs, the one block size: validate compares colors over the
 arcs of one range at a time, and
 ``Graph.edge_blocks`` yields the u < w edges of one range at a time, which
 write_dimacs writes and ``edge_arrays`` joins; each holds one block.
-Seeded entry points, all but the reference oracle.paper_wfc, call ``_check_seed``.
+Every seeded entry point calls ``_check_seed``.
 """
 from __future__ import annotations
 

@@ -15,12 +15,13 @@ max(max_degree, 1) fails exactly when the pass needs more colors, and
 max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 
 solve runs one of two passes, module functions with one signature and one
-result; both make the same picks, and the tests check solve against
-oracle.paper_wfc, baselines.dsatur and networkx's DSATUR.  Sparse graphs
-take _heap_pass: a heap of keys with lazy deletion, each key ordered by
-saturation, then rank, and carrying its vertex, and a Python-int bitset of
-the colors around each vertex, so memory grows with the colors in use, not
-with n times the budget, and no domain sets (oracle.naive_propagate does).
+result; both make the same picks, and the tests check solve against the
+paper's loop in tests/util.py, baselines.dsatur and networkx's DSATUR.
+Sparse graphs take _heap_pass: a heap of keys with lazy deletion, each key
+ordered by saturation, then rank, and carrying its vertex, and a Python-int
+bitset of the colors around each vertex, so memory grows with the colors in
+use, not with n times the budget, and no domain sets (the test reference
+does).
 It reads the CSR in place through memoryviews, keeps no rank order or
 offset list, and inlines its steps in one loop over local variables, since
 three method calls and fresh attribute loads a pick cost about a fifth of
@@ -401,9 +402,9 @@ def solve(g: Graph, tie_break: str = "degree", seed: int = 0) -> SolveResult:
     is colored.  The pass, chosen once before the first pick, is _dense_pass
     when _is_dense(g) and _heap_pass otherwise; neither builds a
     DomainState, and both make the same picks.  The layout that ran is
-    stats["layout"].  The tests check solve against oracle.paper_wfc
-    (colors and counters, both tie modes), baselines.dsatur and networkx's
-    DSATUR.  The empty graph gets k = 0.
+    stats["layout"].  The tests check solve against the paper's loop in
+    tests/util.py (colors and counters, both tie modes), baselines.dsatur
+    and networkx's DSATUR.  The empty graph gets k = 0.
 
     tie_break orders vertices of equal saturation: "degree" (highest degree,
     then lowest id) or "random" (a permutation of the vertices drawn from

@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from util import colorable, complete_graph
+from util import colorable, complete_graph, paper_wfc
 from wfcolor.baselines import dsatur, iterated_greedy, rlf
 from wfcolor.bench import render_csv, run_bench
 from wfcolor.coloring import validate
 from wfcolor.dimacs import load_dimacs
 from wfcolor.graph import crown_graph, random_gnp, star_graph
-from wfcolor.oracle import exact_chromatic, paper_wfc
+from wfcolor.oracle import exact_chromatic
 from wfcolor.wfc import solve
 
 

@@ -59,6 +59,19 @@ def test_config_validation(monkeypatch):
             run_bench(**bad)
 
 
+def test_run_bench_refuses_a_bare_str():
+    # a str would be read one character at a time: algorithm 'w', generator
+    # 'c', or a file named 'x' opened before any check
+    for arg, bad in (("algorithms", {"algorithms": "wfcc",
+                                     "generators": ("crown:3",)}),
+                     ("generators", {"algorithms": ("ig",),
+                                     "generators": "crown:3"}),
+                     ("instances", {"algorithms": ("ig",),
+                                    "instances": "x.col"})):
+        with pytest.raises(ValueError, match=f"{arg} must be a sequence"):
+            run_bench(**bad)
+
+
 def test_generator_specs():
     name, g = parse_generator_spec("crown:4", seed=0)
     assert name == "crown_4" and g.n == 8
@@ -79,6 +92,12 @@ def test_generator_specs():
                 "gnp:10,0.2_5", "gnp:10,\u0660.5"):
         with pytest.raises(ValueError):
             parse_generator_spec(bad, seed=0)
+    # a wrong argument count names the spec's form, not an unpack error
+    for bad, form in (("gnp:20", "gnp:<n>,<p>"), ("ba:50", "ba:<n>,<k>"),
+                      ("gnp:20,2,3", "gnp:<n>,<p>")):
+        with pytest.raises(ValueError) as err:
+            parse_generator_spec(bad, seed=0)
+        assert str(err.value) == f"bad generator spec {bad!r}: expected {form}"
 
 
 def test_crown_row_reports_two_colors():

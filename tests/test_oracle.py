@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from util import complete_graph, path_graph
+from util import complete_graph, naive_propagate, paper_wfc, path_graph
 from wfcolor.graph import Graph, random_gnp
-from wfcolor.oracle import naive_propagate, paper_wfc
 
 
 def test_naive_propagate_path_center():

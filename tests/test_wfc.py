@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from util import complete_graph, cycle_graph, path_graph
+from util import (complete_graph, cycle_graph, naive_propagate, paper_wfc,
+                  path_graph)
 from wfcolor.baselines import dsatur
 from wfcolor.coloring import validate
 from wfcolor.graph import (Graph, barabasi_albert, crown_graph, random_gnp,
                            star_graph)
-from wfcolor.oracle import exact_chromatic, naive_propagate, paper_wfc
+from wfcolor.oracle import exact_chromatic
 from wfcolor.wfc import (BAND_ROWS, TIE_BREAKS, _compact, _dense_pass,
                          _heap_pass, _is_dense, _words_fit, solve)
 
@@ -388,7 +389,7 @@ def test_heap_pops_keep_their_recorded_order(name, tie_break):
 
 
 # -- the dense pass -----------------------------------------------------------
-# graphs the rule routes to _dense_pass.  Too large for oracle.paper_wfc,
+# graphs the rule routes to _dense_pass.  Too large for util.paper_wfc,
 # they are checked against dsatur with degree ties and against the other
 # pass in both tie modes
 
@@ -418,7 +419,7 @@ def _run(pass_, g, tie_break="degree", seed=0):
 @given(g=_graphs(), tie_break=st.sampled_from(TIE_BREAKS),
        seed=st.integers(0, 1000))
 def test_pass_leaves_the_state_the_steps_leave(g, tie_break, seed):
-    # the steps of the paper's loop, run by oracle.paper_wfc: either pass
+    # the steps of the paper's loop, run by util.paper_wfc: either pass
     # gives its colors and the saturation each vertex was colored at.
     # Either pass runs any graph, so _dense_pass is forced onto every family
     colors, _, _, _, sat = paper_wfc(g, tie_break, seed)
@@ -470,7 +471,7 @@ def test_dense_layout_solves_as_the_heap_does(name, tie_break):
 # -- the band ------------------------------------------------------------------
 # graphs below the dense rule and above the band's floor, where _is_dense
 # looks for a triangle at solve's seed vertex, with the sha256 of
-# oracle.paper_wfc's int32 colors in each tie mode (random ties drawn from
+# util.paper_wfc's int32 colors in each tie mode (random ties drawn from
 # seed 7).  paper_wfc recomputes every domain at each step, 1-22 s a run on
 # these, so the digests were recorded from it once and it reruns live on
 # the smallest graph only.  The planted clique takes 80 colors, so its
