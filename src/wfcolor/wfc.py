@@ -17,29 +17,32 @@ max_degree + 1 colors cannot fail, so solve derives the paper's counters.
 solve runs one of two passes, module functions with one signature and one
 result; both make the same picks, and the tests check solve against the
 paper's loop in tests/util.py, baselines.dsatur and networkx's DSATUR.
-Sparse graphs take _heap_pass: a heap of keys with lazy deletion, each key
-ordered by saturation, then rank, and carrying its vertex, and a Python-int
-bitset of the colors around each vertex, so memory grows with the colors in
-use, not with n times the budget, and no domain sets (the test reference
-does).
-It reads the CSR in place through memoryviews, keeps no rank order or
-offset list, and inlines its steps in one loop over local variables, since
-three method calls and fresh attribute loads a pick cost about a fifth of
-the time there.  Dense graphs take _dense_pass, whose pick is the argmin
-of one key array and whose strike is a few whole-array numpy operations
-over uint64 color words instead of a Python loop over every arc.  One
-rule, _is_dense, picks the pass before the first pick, from the graph
-alone: a mean degree at the dense rule, or one in the band below it where
-the color words fit and a triangle closes at the seed vertex within the
-rows of its first BAND_ROWS neighbors.  G(n,p) and k-partite graphs go
-dense in the band; crowns and random bipartite graphs, which have no
-triangle and strike few colors per arc, keep the heap.
+Sparse graphs take _heap_pass: a heap, with lazy deletion, of the struck
+vertices' keys, each ordered by saturation, then rank, and carrying its
+vertex; a pointer that walks the rank order for the picks at saturation 0;
+and a Python-int bitset of the colors around each vertex, so memory grows
+with the struck vertices and the colors in use, not with n times the
+budget, and no domain sets (the test reference does).
+It reads the CSR in place through memoryviews, keeps the ranks and the
+rank order as int32 arrays and no offset list, and inlines its steps in
+one loop over local variables, since three method calls and fresh
+attribute loads a pick cost about a fifth of the time there.  Dense graphs
+take _dense_pass, whose pick is the argmin of one key array and whose
+strike is a few whole-array numpy operations over uint64 color words
+instead of a Python loop over every arc.  One rule, _is_dense, picks the
+pass before the first pick, from the graph alone: a mean degree at the
+dense rule, or one in the band below it where the color words fit and a
+triangle closes at the seed vertex within the rows of its first BAND_ROWS
+neighbors.  G(n,p) and k-partite graphs go dense in the band; crowns and
+random bipartite graphs, which have no triangle and strike few colors per
+arc, keep the heap.
 
 DomainState is the paper's step API (set_color, observe, collapse,
-propagate) over the heap layout, for one attempt at a color budget m with
-ties ranked by degree, then id.  It is the traced driver's stepper: the
-driver in wfbench times it step by step, and observe returning RESTART is
-its one dead-end signal.  solve does not use it.
+propagate) over a heap that holds a key for every vertex from the start
+(_heap_start), for one attempt at a color budget m with ties ranked by
+degree, then id.  It is the traced driver's stepper: the driver in wfbench
+times it step by step, and observe returning RESTART is its one dead-end
+signal.  solve does not use it.
 """
 from __future__ import annotations
 
@@ -226,8 +229,8 @@ class DomainState:
 
 def _heap_start(g: Graph, tie_break: str,
                 seed: int) -> tuple[list[int], list[int]]:
-    """The heap layout's two lists: each vertex v's key, at first rank * n
-    + v (n * n, never a key, once v is colored), and the heap of keys.  The
+    """DomainState's two lists: each vertex v's key, at first rank * n + v
+    (n * n, never a key, once v is colored), and the heap of keys.  The
     keys are built in int64, where rank * n + v < n * n < 2**62; in rank
     order they are already a heap, which shares the key list's int
     objects.  The rank order itself is not kept."""
@@ -238,10 +241,10 @@ def _heap_start(g: Graph, tie_break: str,
 
 
 def _compact(heap: list[int], key: list[int], n: int) -> list[int]:
-    """heap's live keys, one per uncolored vertex, as a new heap: the heap
-    layout calls this once its heap holds more than twice the uncolored
-    count, so each rebuild drops at least half the heap and costs O(1) a
-    push."""
+    """heap's live keys as a new heap: one per uncolored vertex in
+    DomainState, one per saturated uncolored vertex in _heap_pass.  Both
+    call this once the heap holds more than twice the uncolored count, so
+    each rebuild drops at least half the heap and costs O(1) a push."""
     heap = [k for k in heap if key[k % n] == k]
     heapify(heap)
     return heap
@@ -252,13 +255,26 @@ def _heap_pass(g: Graph, v: int, tie_break: str,
     """solve's pass on a sparse graph from vertex v, with tie_break and seed
     as in solve: collapse and propagate v, then observe, collapse and
     propagate until every vertex is colored, the steps inlined in one loop
-    over DomainState's lists as local variables: the keys, the heap, the
-    colors, saturations and bitsets, with the CSR read through memoryviews,
-    so a pick makes no numpy slice.  Returns each vertex's color, the
-    saturation it was colored at and the stale heap pops."""
+    over local variables, with the CSR read through memoryviews, so a pick
+    makes no numpy slice.  Returns each vertex's color, the saturation it
+    was colored at and the stale heap pops.
+
+    Only saturated vertices have heap keys.  A vertex's key is 0 while its
+    saturation is 0, DomainState's key (rank - sat * n) * n + v, which is
+    negative, once it is struck, and n * n once it is colored; the heap
+    holds the struck vertices' keys, with lazy deletion.  When the heap
+    holds no live key, every uncolored vertex has saturation 0 and the pick
+    is the first of them in rank order: a pointer p walks the order past
+    colored and struck vertices (a nonzero bitset), and never moves back,
+    since no vertex regains saturation 0.  So the pass builds a key only
+    for a strike, and keeps the rank and the order as int32 arrays."""
     n = g.n
     nn = n * n
-    key, heap = _heap_start(g, tie_break, seed)
+    order = _rank_order(g, tie_break, seed).astype(np.int32)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    order, rank = memoryview(order), memoryview(rank)
+    key, heap, p = [0] * n, [], 0
     colors, sat, used = [0] * n, [0] * n, [0] * n
     ptr, indices = memoryview(g.indptr), memoryview(g.indices)
     stale = 0
@@ -270,27 +286,31 @@ def _heap_pass(g: Graph, v: int, tie_break: str,
         sat[v] = -(key[v] // nn)
         key[v] = nn
         used[v] = -1
-        # propagate
+        # propagate; a first strike builds w's key from its rank
         bit = 1 << (c - 1)
         for w in indices[ptr[v]:ptr[v + 1]]:
             u = used[w]
             if u & bit:
                 continue
             used[w] = u | bit
-            k = key[w] - nn
+            k = (key[w] if u else rank[w] * n + w) - nn
             key[w] = k
             heappush(heap, k)
         if len(heap) > 2 * (n - colored):
             heap = _compact(heap, key, n)
         if colored < n:
-            # observe
-            while True:
+            # observe: the heap's least live key, else the walk
+            while heap:
                 k = heap[0]
                 v = k % n
                 if key[v] == k:
                     break
                 heappop(heap)
                 stale += 1
+            else:
+                while used[order[p]]:
+                    p += 1
+                v = order[p]
     return colors, sat, stale
 
 
@@ -308,25 +328,28 @@ def _dense_pass(g: Graph, v: int, tie_break: str,
     and colors without its heap.  Returns each vertex's color, the
     saturation it was colored at and 0 stale pops.
 
-    The keys sit in one int64 array, whose argmin is the pick (a colored
-    vertex's key n exceeds every uncolored one's), and the colors around
-    each vertex in uint64 words, 64 colors to a word and one length-n array
-    per word: words[j][u] bit i is set when color 64 * j + i + 1 is around
-    u, every bit once u is colored, and a word is added when a color first
-    needs it.  So a strike is a few whole-array numpy operations over the
-    colored vertex's neighbors.  The words take n * ceil(k / 64) * 8 bytes
-    for k colors, which stays within the int32 CSR's 8m bytes on every
-    graph that _is_dense sends here.  Above the dense rule k <= sqrt(2m) +
-    1, since a greedy coloring has an edge between every two color
-    classes; with mean degree d = 2m/n that is about n * sqrt(d * n) / 8
-    bytes, which d > n / 1000 keeps below 8m, and in practice far below
+    The keys sit in one int64 array, whose argmin is the pick: an uncolored
+    vertex's key is rank - saturation * n, a colored vertex's n plus the
+    saturation it was colored at, which exceeds every uncolored key and
+    leaves the saturations in the array at the end.  The colors around
+    each vertex sit in uint64 words, 64 colors to a word and one length-n
+    array per word: words[j][u] bit i is set when color 64 * j + i + 1 is
+    around u, every bit once u is colored, and a word is added when a color
+    first needs it.  So a strike is a few whole-array numpy operations over
+    the colored vertex's neighbors.  The words take n * ceil(k / 64) * 8
+    bytes for k colors, which stays within the int32 CSR's 8m bytes on
+    every graph that _is_dense sends here.  Above the dense rule k <=
+    sqrt(2m) + 1, since a greedy coloring has an edge between every two
+    color classes; with mean degree d = 2m/n that is about n * sqrt(d * n)
+    / 8 bytes, which d > n / 1000 keeps below 8m, and in practice far below
     it: 16 kB against 2 MB on gnp(1000, 0.5).  In the band below it k <=
-    max_degree + 1, and _is_dense asks _words_fit.
+    max_degree + 1, and _is_dense asks _words_fit.  The colors are an int32
+    array, and the words are freed before the two result lists are built.
     """
     n = g.n
     # the rank order is freed once the key array is built
     key = np.argsort(_rank_order(g, tie_break, seed)).astype(np.int64)
-    colors, sat = [0] * n, [0] * n
+    colors = np.zeros(n, dtype=np.int32)
     words: list[np.ndarray] = []
     ptr, indices, argmin = g.indptr, g.indices, key.argmin
     for colored in range(1, n + 1):
@@ -338,15 +361,14 @@ def _dense_pass(g: Graph, v: int, tie_break: str,
                 c = 64 * j + (~u & (u + 1)).bit_length()
                 break
         colors[v] = c
-        sat[v] = -(int(key[v]) // n)
-        key[v] = n
+        key[v] = n - int(key[v]) // n
         for word in words:
             word[v] = _ALL
         # propagate; a color past the last word needs one more word, all
         # ones at the colored vertices and empty elsewhere
         j, i = divmod(c - 1, 64)
         if j == len(words):
-            words.append(np.where(key == n, _ALL, _NONE))
+            words.append(np.where(key >= n, _ALL, _NONE))
         word = words[j]
         bit = _BITS[i]
         # intp ids: numpy casts int32 indices on every fancy index otherwise
@@ -359,7 +381,9 @@ def _dense_pass(g: Graph, v: int, tie_break: str,
         if colored < n:
             # observe
             v = int(argmin())
-    return colors, sat, 0
+    del words
+    key -= n
+    return colors.tolist(), key.tolist(), 0
 
 
 def _words_fit(g: Graph) -> bool:
