@@ -38,9 +38,9 @@ random bipartite graphs, which have no triangle and strike few colors per
 arc, keep the heap.
 
 DomainState is the paper's step API (set_color, observe, collapse,
-propagate) over a heap that holds a key for every vertex from the start
-(_heap_start), for one attempt at a color budget m with ties ranked by
-degree, then id.  It is the traced driver's stepper: the driver in wfbench
+propagate) over _heap_pass's state, with the steps that pass inlines as
+methods, for one attempt at a color budget m with ties ranked by degree,
+then id.  It is the traced driver's stepper: the driver in wfbench
 times it step by step, and observe returning RESTART is its one dead-end
 signal.  solve does not use it.
 """
@@ -70,16 +70,22 @@ BAND_PER_N = 2000
 BAND_ROWS = 16
 
 
-def _rank_order(g: Graph, tie_break: str, seed: int) -> np.ndarray:
-    """The vertices in rank order, the tie-break among equal saturations:
-    (-degree, id), or a permutation drawn from seed when tie_break is
-    "random"."""
+def _rank_order(g: Graph, tie_break: str,
+                seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices in rank order, the tie-break among equal saturations,
+    and each vertex's rank, both int32: (-degree, id), or a permutation
+    drawn from seed when tie_break is "random"."""
     if tie_break not in TIE_BREAKS:
         raise ValueError(f"tie_break must be one of {TIE_BREAKS}")
     _check_seed(seed)
     if tie_break == "random":
-        return np.random.default_rng(seed).permutation(g.n)
-    return np.argsort(-g.degrees, kind="stable")
+        order = np.random.default_rng(seed).permutation(g.n)
+    else:
+        order = np.argsort(-g.degrees, kind="stable")
+    order = order.astype(np.int32)
+    rank = np.empty(g.n, dtype=np.int32)
+    rank[order] = np.arange(g.n, dtype=np.int32)
+    return order, rank
 
 
 class DomainState:
@@ -88,14 +94,13 @@ class DomainState:
 
     A vertex's saturation is the number of distinct colors among its
     colored neighbors; an uncolored vertex's domain is {1..m} minus those
-    colors.  Each uncolored vertex v has a key ``(rank - sat * n) * n + v``,
-    where the rank is its place in the (-degree, id) order, so the least
-    key is the vertex of highest saturation, then lowest rank; key % n is
-    the vertex, -(key // (n * n)) its saturation, and a colored vertex's key
-    is n * n.  The keys sit in a heap with lazy deletion (a strike pushes a
-    new key, and outdated keys are dropped when they surface), and the
-    colors around each vertex in a Python-int bitset.  A state is owned by
-    a single run and never shared.
+    colors.  The state is _heap_pass's, with ties ranked by degree, then
+    id: the keys, the heap of the struck vertices' keys, the pointer that
+    walks the rank order and the bitsets, laid out as that pass's
+    docstring says, with its steps as methods.  The rank order and the
+    ranks are int32 arrays, read through memoryviews made at each call as
+    the CSR is, so copy.deepcopy and pickle copy a state.  A state is owned
+    by a single run and never shared.
 
     Colors are bounded by n, or by m when it is smaller: no saturation
     reaches n, so a budget of n or more changes no verdict of observe.
@@ -106,13 +111,17 @@ class DomainState:
         if m < 1:
             raise ValueError("need at least one color")
         m = int(m)
-        self._key, self._heap = _heap_start(g, "degree", 0)
+        self._order, self._rank = _rank_order(g, "degree", 0)
         self.g = g
         self._n = n = g.n
         # a colored vertex's key, and one more color's step down the keys
         self._nn = n * n
         self.m = m
         self._cap = min(m, n)
+        self._key = [0] * n
+        self._heap: list[int] = []
+        # the walk's place in the rank order
+        self._p = 0
         self._colors = [0] * n
         # the saturation each vertex was colored at (0 while uncolored)
         self.sat = [0] * n
@@ -136,20 +145,10 @@ class DomainState:
         where every domain starts at one color."""
         return self.sat.count(self.m - 1) if self.m >= 2 else 0
 
-    def _refuse(self, v: int) -> None:
-        """Raise a step's ValueError for v: an id outside the graph (a
-        negative one would index the per-vertex lists from the end), else a
-        vertex propagate cannot start from.  The steps test ``0 <= v < n``
-        inline and call this only to fail."""
-        if not 0 <= v < self._n:
-            _check_vertex(v, self._n)
-        raise ValueError(f"vertex {v} is not colored")
-
     def saturation(self, v: int) -> int:
         """Distinct colors among v's colored neighbors; fixed once v is
         colored."""
-        if not 0 <= v < self._n:
-            self._refuse(v)
+        _check_vertex(v, self._n)
         k, nn = self._key[v], self._nn
         return self.sat[v] if k == nn else -(k // nn)
 
@@ -163,13 +162,13 @@ class DomainState:
     def set_color(self, v: int, color: int) -> None:
         """Assign v a color directly (the seeding step; collapse goes
         through it too).  No propagation."""
-        if not 0 <= v < self._n:
-            self._refuse(v)
+        _check_vertex(v, self._n)
         if self._colors[v]:
             raise ValueError(f"vertex {v} already colored")
+        _check_int(color, "color")
         if not 1 <= color <= self._cap:
             raise ValueError(f"color {color} outside 1..{self._cap}")
-        self._colors[v] = color
+        self._colors[v] = int(color)
         nn = self._nn
         self.sat[v] = -(self._key[v] // nn)
         self._key[v] = nn
@@ -179,22 +178,26 @@ class DomainState:
     def observe(self) -> int:
         """Uncolored vertex of highest saturation, ties to the lowest rank,
         or RESTART, the one dead-end signal, if that saturation has reached
-        the budget.  Leaves the vertex in the heap, so repeated calls agree."""
+        the budget.  Colors nothing, so repeated calls agree."""
         if self._colored >= self._n:
             raise ValueError("observe() called with no uncolored vertices")
         heap, n, key = self._heap, self._n, self._key
-        while True:
+        while heap:
             k = heap[0]
             v = k % n
             if key[v] == k:
                 return RESTART if k < self._floor else v
             heappop(heap)
+        order, used, p = memoryview(self._order), self._used, self._p
+        while used[order[p]]:
+            p += 1
+        self._p = p
+        return order[p]
 
     def collapse(self, v: int) -> int:
         """Assign v the smallest color absent from its neighbors and return
         it."""
-        if not 0 <= v < self._n:
-            self._refuse(v)
+        _check_vertex(v, self._n)
         u = self._used[v]
         # lowest clear bit, 1-based; set_color rejects 0, for colored v
         # (u = -1), and a color past the budget, for an empty domain
@@ -206,20 +209,23 @@ class DomainState:
         """Strike colored v's color from its uncolored neighbors, pushing
         one heap key per neighbor whose saturation rises.  Always True: a
         saturation that reaches the budget shows at the next observe."""
-        n = self._n
-        c = self._colors[v] if 0 <= v < n else 0
+        _check_vertex(v, self._n)
+        c = self._colors[v]
         if not c:
-            self._refuse(v)
+            raise ValueError(f"vertex {v} is not colored")
+        n = self._n
         bit = 1 << (c - 1)
         used, key, heap, nn = self._used, self._key, self._heap, self._nn
-        # the CSR read in place: memoryview items are Python ints
-        ptr = memoryview(self.g.indptr)
+        # the CSR and the ranks read in place: memoryview items are Python
+        # ints
+        rank, ptr = memoryview(self._rank), memoryview(self.g.indptr)
         for w in memoryview(self.g.indices)[ptr[v]:ptr[v + 1]]:
             u = used[w]
             if u & bit:
                 continue
             used[w] = u | bit
-            k = key[w] - nn  # one more color around w
+            # a first strike builds w's key from its rank
+            k = (key[w] if u else rank[w] * n + w) - nn
             key[w] = k
             heappush(heap, k)
         if len(heap) > 2 * (n - self._colored):
@@ -227,24 +233,12 @@ class DomainState:
         return True
 
 
-def _heap_start(g: Graph, tie_break: str,
-                seed: int) -> tuple[list[int], list[int]]:
-    """DomainState's two lists: each vertex v's key, at first rank * n + v
-    (n * n, never a key, once v is colored), and the heap of keys.  The
-    keys are built in int64, where rank * n + v < n * n < 2**62; in rank
-    order they are already a heap, which shares the key list's int
-    objects.  The rank order itself is not kept."""
-    n = g.n
-    order = _rank_order(g, tie_break, seed)
-    key = (np.argsort(order) * n + np.arange(n)).tolist()
-    return key, [key[v] for v in order.tolist()]
-
-
 def _compact(heap: list[int], key: list[int], n: int) -> list[int]:
-    """heap's live keys as a new heap: one per uncolored vertex in
-    DomainState, one per saturated uncolored vertex in _heap_pass.  Both
-    call this once the heap holds more than twice the uncolored count, so
-    each rebuild drops at least half the heap and costs O(1) a push."""
+    """heap's live keys as a new heap: one per saturated uncolored vertex,
+    the negative keys, since only a strike pushes one.  _heap_pass and
+    DomainState call this once the heap holds more than twice the uncolored
+    count, so each rebuild drops at least half the heap and costs O(1) a
+    push."""
     heap = [k for k in heap if key[k % n] == k]
     heapify(heap)
     return heap
@@ -259,20 +253,23 @@ def _heap_pass(g: Graph, v: int, tie_break: str,
     makes no numpy slice.  Returns each vertex's color, the saturation it
     was colored at and the stale heap pops.
 
-    Only saturated vertices have heap keys.  A vertex's key is 0 while its
-    saturation is 0, DomainState's key (rank - sat * n) * n + v, which is
-    negative, once it is struck, and n * n once it is colored; the heap
-    holds the struck vertices' keys, with lazy deletion.  When the heap
-    holds no live key, every uncolored vertex has saturation 0 and the pick
-    is the first of them in rank order: a pointer p walks the order past
-    colored and struck vertices (a nonzero bitset), and never moves back,
-    since no vertex regains saturation 0.  So the pass builds a key only
-    for a strike, and keeps the rank and the order as int32 arrays."""
+    Only saturated vertices have heap keys.  A vertex v's key is 0 while
+    its saturation is 0, (rank - sat * n) * n + v once it is struck, where
+    the rank is its place in the rank order, and n * n once it is colored.
+    A struck key is negative, the least is the vertex of highest
+    saturation, then lowest rank, and in every form key % n is the vertex
+    and -(key // (n * n)) its saturation.  The heap holds the struck
+    vertices' keys with lazy deletion: a strike pushes a new key, and
+    outdated keys are dropped when they surface.  When the heap holds no
+    live key, every uncolored vertex has saturation 0 and the pick is the
+    first of them in rank order: a pointer p walks the order past colored
+    and struck vertices (a nonzero bitset), and never moves back, since no
+    vertex regains saturation 0.  So the pass builds a key only for a
+    strike, and keeps the rank and the order as int32 arrays.  DomainState
+    keeps this state between its steps."""
     n = g.n
     nn = n * n
-    order = _rank_order(g, tie_break, seed).astype(np.int32)
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
+    order, rank = _rank_order(g, tie_break, seed)
     order, rank = memoryview(order), memoryview(rank)
     key, heap, p = [0] * n, [], 0
     colors, sat, used = [0] * n, [0] * n, [0] * n
@@ -347,8 +344,8 @@ def _dense_pass(g: Graph, v: int, tie_break: str,
     array, and the words are freed before the two result lists are built.
     """
     n = g.n
-    # the rank order is freed once the key array is built
-    key = np.argsort(_rank_order(g, tie_break, seed)).astype(np.int64)
+    # the ranks are freed once the key array is built
+    key = _rank_order(g, tie_break, seed)[1].astype(np.int64)
     colors = np.zeros(n, dtype=np.int32)
     words: list[np.ndarray] = []
     ptr, indices, argmin = g.indptr, g.indices, key.argmin

@@ -338,12 +338,11 @@ def test_solve_takes_no_more_memory_than_the_steps(g, per_vertex):
     assert _peak(solve, g)[1] <= heap + 4 * g.n
 
 
-def test_heap_stays_compact(monkeypatch):
-    # lazy deletion leaves old keys behind; a whole heap pass rebuilds its
-    # heap as soon as it holds more than twice the uncolored count, and
-    # each rebuild is a heap of exactly the live keys of the saturated
-    # uncolored vertices, the negative ones: a vertex of saturation 0 has
-    # key 0 and no heap entry
+def _assert_compact_rebuilds(monkeypatch, run):
+    """run(g), a whole heap pass or the steps, on three graphs: it rebuilds
+    its heap, and each rebuild is a heap of exactly the live keys of the
+    saturated uncolored vertices, the negative ones, made once the heap
+    holds more than twice the uncolored count."""
     calls = []
 
     def compact(heap, key, n):
@@ -359,13 +358,19 @@ def test_heap_stays_compact(monkeypatch):
     for seed in range(3):
         g = random_gnp(150, [0.1, 0.5, 0.9][seed], seed)
         calls.clear()
-        _run(_heap_pass, g)
+        run(g)
         assert calls
         for size, uncolored, exact, is_heap in calls:
             # before this pick's strikes the heap held at most twice the
             # uncolored count, the picked vertex included
             assert 2 * uncolored < size <= 2 * (uncolored + 1) + g.max_degree
             assert exact and is_heap
+
+
+def test_heap_stays_compact(monkeypatch):
+    # lazy deletion leaves old keys behind; a vertex of saturation 0 has
+    # key 0 and no heap entry
+    _assert_compact_rebuilds(monkeypatch, lambda g: _run(_heap_pass, g))
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -649,7 +654,7 @@ def test_band_needs_the_color_words_to_fit(monkeypatch):
 
 
 # -- the step API --------------------------------------------------------------
-# DomainState, the paper's step API over the heap layout, is the traced
+# DomainState, the paper's step API over _heap_pass's state, is the traced
 # benchmark driver's stepper, and RESTART is its dead-end value; solve uses
 # neither, and no test outside this section reaches them
 
@@ -680,6 +685,41 @@ def _step_to_the_end(st_):
         st_.propagate(v)
     return (st_.colors.tolist(), st_.sat,
             [st_.saturation(v) for v in range(st_.g.n)])
+
+
+def _step_from_the_seed(g):
+    """The steps as _heap_pass runs them, from solve's seed vertex with
+    degree ties and max_degree + 1 colors, which no pick exceeds: (colors,
+    sat)."""
+    st_ = DomainState(g, g.max_degree + 1)
+    v = int(np.argmax(g.degrees))
+    st_.collapse(v)
+    st_.propagate(v)
+    return _step_to_the_end(st_)[:2]
+
+
+@given(g=_graphs())
+def test_steps_make_the_heap_pass_picks(g):
+    assert _step_from_the_seed(g) == _run(_heap_pass, g)[:2]
+
+
+@pytest.mark.parametrize("make, per_vertex", [
+    (lambda: random_gnp(3000, 0.0005, 1), 70),
+    (lambda: star_graph(50_000), 100)], ids=["gnp3000_0.0005", "star50k"])
+def test_steps_keep_the_heap_pass_state(make, per_vertex):
+    # the steps keep _heap_pass's state, so they build no key for a vertex
+    # that no strike has reached: about 57 and 80 bytes a vertex, the
+    # saturations read at the end included, against 94 and 120 with a key
+    # for every vertex from the start (CPython 3.11).  The first graph's 670 isolated vertices and
+    # many small components send observe down the rank order again and again
+    g = make()
+    steps, peak = _peak(_step_from_the_seed, g)
+    assert steps == _run(_heap_pass, g)[:2]
+    assert peak <= per_vertex * g.n
+
+
+def test_steps_keep_the_heap_compact(monkeypatch):
+    _assert_compact_rebuilds(monkeypatch, _step_from_the_seed)
 
 
 @pytest.mark.parametrize("tie_break", TIE_BREAKS)
@@ -957,17 +997,36 @@ def test_propagate_requires_colored_start():
         st_.propagate(0)
 
 
-@pytest.mark.parametrize("v", [-1, 3])
+@pytest.mark.parametrize("v", [-1, 3, True, 1.0, np.int64(-1)],
+                         ids=["-1", "3", "True", "1.0", "int64(-1)"])
 def test_steps_reject_vertex_ids_outside_the_graph(v):
-    # a negative id would otherwise index the per-vertex lists from the end
+    # a negative id would otherwise index the per-vertex lists from the end,
+    # and a bool or a float would pass for an int, as graph._check_vertex
+    # refuses them for the graph's accessors
     g = path_graph(3)
     st_ = DomainState(g, g.n)
     st_.set_color(1, 1)
     for step, args in ((st_.set_color, (v, 1)), (st_.collapse, (v,)),
                        (st_.propagate, (v,)), (st_.saturation, (v,))):
-        with pytest.raises(ValueError, match="outside 0..2"):
+        with pytest.raises(ValueError, match=r"outside 0\.\.2|not an integer"):
             step(*args)
     assert st_.colors.tolist() == [0, 1, 0] and st_.colored_count == 1
+
+
+@pytest.mark.parametrize("color", [True, 1.0], ids=["True", "1.0"])
+def test_set_color_reads_its_color_as_an_integer(color):
+    # a bool or a float would pass for color 1, and a float, stored, would
+    # fail the next strike's bit shift
+    g = path_graph(70)
+    st_ = DomainState(g, g.n)
+    with pytest.raises(ValueError, match="color .* is not an integer"):
+        st_.set_color(0, color)
+    assert st_.colored_count == 0
+    # a numpy integer passes and is kept as a Python int: an int64 bit for
+    # color 65 would overflow
+    st_.set_color(0, np.int64(65))
+    assert st_.propagate(0) is True
+    assert st_.saturation(1) == 1 and st_.collapse(1) == 1
 
 
 def test_a_budget_above_n_still_bounds_colors_by_n():
