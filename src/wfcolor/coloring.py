@@ -96,8 +96,9 @@ class SolveResult:
     colorers in baselines.py return it.  For the collapse solver, restarts
     is 0 or 1 and final_m = max(max_degree, 1) + restarts is the budget
     the paper's loop succeeds with; forced_colorings counts the vertices
-    its cascade colors.  stats holds solve's work counters, selections,
-    strikes (one key update each) and stale_pops (outdated heap keys
+    its cascade colors.  stats holds solve's work counters, selections
+    (the paper's n - 1), strikes (one per color a saturation counts: a key
+    update, or a pendant's coloring) and stale_pops (outdated heap keys
     discarded; 0 on the dense pass), and the layout that ran, "heap" or
     "dense".  Results compare and hash by identity."""
 

@@ -22,11 +22,15 @@ vertices' keys, each ordered by saturation, then rank, and carrying its
 vertex; a pointer that walks the rank order for the picks at saturation 0;
 and a Python-int bitset of the colors around each vertex, so memory grows
 with the struck vertices and the colors in use, not with n times the
-budget, and no domain sets (the test reference does).
-It reads the CSR in place through memoryviews, keeps the ranks and the
-rank order as int32 arrays and no offset list, and inlines its steps in
-one loop over local variables, since three method calls and fresh
-attribute loads a pick cost about a fifth of the time there.  Dense graphs
+budget, and no domain sets (the test reference does).  A pendant, a
+vertex of degree 1, is colored at the strike that reaches it, with no key
+and no pick: its one neighbor is then colored, so its color is fixed, and
+it strikes nothing, so the cascade's early collapse changes no other pick.
+stats["selections"] stays the paper's n - 1 all the same.  The pass
+reads the CSR in place through memoryviews, keeps the ranks and the rank
+order as int32 arrays and no offset list, and inlines its steps in one
+loop over local variables, since three method calls and fresh attribute
+loads a pick cost about a fifth of the time there.  Dense graphs
 take _dense_pass, whose pick is the argmin of one key array and whose
 strike is a few whole-array numpy operations over uint64 color words
 instead of a Python loop over every arc.  One rule, _is_dense, picks the
@@ -46,7 +50,7 @@ signal.  solve does not use it.
 """
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 
 import numpy as np
 
@@ -97,10 +101,12 @@ class DomainState:
     colors.  The state is _heap_pass's, with ties ranked by degree, then
     id: the keys, the heap of the struck vertices' keys, the pointer that
     walks the rank order and the bitsets, laid out as that pass's
-    docstring says, with its steps as methods.  The rank order and the
-    ranks are int32 arrays, read through memoryviews made at each call as
-    the CSR is, so copy.deepcopy and pickle copy a state.  A state is owned
-    by a single run and never shared.
+    docstring says, with its steps as methods.  observe picks every
+    vertex, pendants included, where the pass colors a pendant at its
+    neighbor's strike; both leave the same colors and saturations.  The
+    rank order and the ranks are int32 arrays, read through memoryviews
+    made at each call as the CSR is, so copy.deepcopy and pickle copy a
+    state.  A state is owned by a single run and never shared.
 
     Colors are bounded by n, or by m when it is smaller: no saturation
     reaches n, so a budget of n or more changes no verdict of observe.
@@ -260,22 +266,37 @@ def _heap_pass(g: Graph, v: int, tie_break: str,
     saturation, then lowest rank, and in every form key % n is the vertex
     and -(key // (n * n)) its saturation.  The heap holds the struck
     vertices' keys with lazy deletion: a strike pushes a new key, and
-    outdated keys are dropped when they surface.  When the heap holds no
-    live key, every uncolored vertex has saturation 0 and the pick is the
-    first of them in rank order: a pointer p walks the order past colored
-    and struck vertices (a nonzero bitset), and never moves back, since no
-    vertex regains saturation 0.  So the pass builds a key only for a
-    strike, and keeps the rank and the order as int32 arrays.  DomainState
-    keeps this state between its steps."""
+    outdated keys are dropped when they surface.  A pick that came off the
+    top of the heap leaves its key there, outdated, and its first push
+    replaces that key in one sift (heapreplace), counted as a stale pop.
+    When the heap holds no live key, every uncolored vertex has saturation
+    0 and the pick is the first of them in rank order: a pointer p walks
+    the order past colored and struck vertices (a nonzero bitset), and
+    never moves back, since no vertex regains saturation 0.  So the pass
+    builds a key only for a strike, and keeps the rank and the order as
+    int32 arrays.
+
+    A pendant, a vertex of degree 1, is colored at the strike that reaches
+    it, with no key and no pick: its one neighbor is then colored, so its
+    color is fixed (2 if the neighbor took 1, else 1) at saturation 1, and
+    coloring it strikes nothing, so every other pick, color and saturation
+    is DSatur's.  The pass marks a pendant by storing its rank as -1 -
+    rank, which the first strike reads anyway.  A pendant picked before
+    any strike reaches it, at saturation 0, is picked as any vertex is.
+    The loop counts colored vertices, not picks.  DomainState keeps this
+    state between its steps, but picks every vertex."""
     n = g.n
     nn = n * n
     order, rank = _rank_order(g, tie_break, seed)
+    np.subtract(-1, rank, out=rank, where=g.degrees == 1)
     order, rank = memoryview(order), memoryview(rank)
     key, heap, p = [0] * n, [], 0
     colors, sat, used = [0] * n, [0] * n, [0] * n
     ptr, indices = memoryview(g.indptr), memoryview(g.indices)
-    stale = 0
-    for colored in range(1, n + 1):
+    stale = colored = 0
+    # the pick's outdated key is the heap's top
+    top = False
+    while colored < n:
         # collapse: the lowest clear bit of v's bitset
         u = used[v]
         c = (~u & (u + 1)).bit_length()
@@ -283,16 +304,34 @@ def _heap_pass(g: Graph, v: int, tie_break: str,
         sat[v] = -(key[v] // nn)
         key[v] = nn
         used[v] = -1
-        # propagate; a first strike builds w's key from its rank
+        colored += 1
+        # propagate; a first strike builds w's key from its rank, or
+        # colors w if it is a pendant
         bit = 1 << (c - 1)
         for w in indices[ptr[v]:ptr[v + 1]]:
             u = used[w]
             if u & bit:
                 continue
+            if u:
+                k = key[w] - nn
+            else:
+                k = rank[w]
+                if k < 0:
+                    colors[w] = 2 if c == 1 else 1
+                    sat[w] = 1
+                    key[w] = nn
+                    used[w] = -1
+                    colored += 1
+                    continue
+                k = k * n + w - nn
             used[w] = u | bit
-            k = (key[w] if u else rank[w] * n + w) - nn
             key[w] = k
-            heappush(heap, k)
+            if top:
+                heapreplace(heap, k)
+                stale += 1
+                top = False
+            else:
+                heappush(heap, k)
         if len(heap) > 2 * (n - colored):
             heap = _compact(heap, key, n)
         if colored < n:
@@ -301,10 +340,12 @@ def _heap_pass(g: Graph, v: int, tie_break: str,
                 k = heap[0]
                 v = k % n
                 if key[v] == k:
+                    top = True
                     break
                 heappop(heap)
                 stale += 1
             else:
+                top = False
                 while used[order[p]]:
                     p += 1
                 v = order[p]

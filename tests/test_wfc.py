@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import heapq
 import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -230,11 +231,9 @@ def test_star_strikes_once_per_leaf(leaves):
     assert r.stats["strikes"] == leaves
     assert r.stats["selections"] == leaves
     # counted by hand: the hub is picked at saturation 0, with an empty
-    # heap, and its strikes push one key per leaf.  A leaf's pick pushes
-    # nothing, so the heap stays within twice the leaves left until the
-    # last pick and is not rebuilt before it.  Each leaf picked after the
-    # first finds the key of the leaf picked before it on top, outdated
-    assert r.stats["stale_pops"] == leaves - 1
+    # heap, and each leaf, a pendant, is colored at the hub's strike with
+    # no key and no pick.  So the heap stays empty, and no key is popped
+    assert r.stats["stale_pops"] == 0
 
 
 def test_strikes_are_bounded_by_degree_and_colors():
@@ -284,22 +283,25 @@ def _peak(fn, *args):
 
 
 @pytest.mark.parametrize("make, k, per_vertex", [
-    (lambda: star_graph(50_000), 2, 100),
-    (lambda: _clique_with_pendants(500, 100_000), 500, 190)],
+    (lambda: star_graph(50_000), 2, 50),
+    (lambda: _clique_with_pendants(500, 100_000), 500, 100)],
     ids=["star50k", "clique500+pendants100k"])
 def test_sparse_graphs_with_a_dense_core_stay_on_the_heap(make, k,
                                                          per_vertex):
     # _dense_pass's argmin costs O(n) a pick, which mean degree 2 or 4
     # cannot pay for; _heap_pass's heap grows with the struck vertices and
-    # the colors.  The pendants' bitsets hold colors up to 500, about 90
-    # bytes each: 80 bytes a vertex on the star, 174 on the clique, where
-    # every vertex is struck and the int32 rank and order add 8 (CPython
+    # the colors.  Every leaf is a pendant, colored at its neighbor's
+    # strike with no key, so its bitset never grows: about 40 bytes a
+    # vertex on the star, the pass's four lists and the int32 rank and
+    # order, and 83 on the clique, whose strikes leave up to 96,000 keys
+    # in the heap before a rebuild, as the heap may hold twice the
+    # uncolored count and most uncolored vertices are pendants (CPython
     # 3.11)
     g = make()
     assert not _is_dense(g)
     r, peak = _peak(solve, g)
     assert r.k == k and validate(g, r.coloring).ok
-    assert r.stats["stale_pops"] > 0  # the heap ran
+    assert r.stats["layout"] == "heap"
     assert peak < 64 * 2**20
     assert peak <= per_vertex * g.n
 
@@ -379,7 +381,7 @@ def test_saturation_0_picks_walk_the_rank_order(tie_break):
     # at the end of each component, and the next pick, at saturation 0, is
     # the first uncolored vertex in rank order, found by the walk.  A
     # vertex no strike reaches gets no key, so every popped key was pushed
-    # by a strike, and the pass keeps about 50 bytes a vertex (94 with a
+    # by a strike, and the pass keeps about 45 bytes a vertex (94 with a
     # key for every vertex from the start; CPython 3.11)
     g = random_gnp(3000, 0.0005, 1)
     assert not _is_dense(g)
@@ -396,12 +398,14 @@ def test_saturation_0_picks_walk_the_rank_order(tie_break):
 # solve's stats on fixed graphs as (strikes, stale_pops) in each tie mode,
 # random ties drawn from seed 7.  The heap pops its keys in (saturation,
 # rank) order whatever else a key carries, so these counts, stale pops
-# included, are fixed
+# included, are fixed.  A pick off the heap's top replaces its own
+# outdated key with its first push, one stale pop; star800's leaves are
+# pendants, colored at the hub's strike, so it pushes and pops no key
 _HEAP_DISCIPLINE = {
     "gnp1000_0.006": (lambda: random_gnp(1000, 0.006, 1), "heap",
-                      {"degree": (2276, 1120), "random": (2280, 1046)}),
+                      {"degree": (2276, 1122), "random": (2280, 1049)}),
     "star800": (lambda: star_graph(800), "heap",
-                {"degree": (800, 799), "random": (800, 799)}),
+                {"degree": (800, 0), "random": (800, 0)}),
     "crown150": (lambda: crown_graph(150), "heap",
                  {"degree": (299, 298), "random": (299, 298)}),
     "gnp250_0.5": (lambda: random_gnp(250, 0.5, 401), "dense",
@@ -418,6 +422,88 @@ def test_heap_pops_keep_their_recorded_order(name, tie_break):
     assert solve(g, tie_break=tie_break, seed=7).stats == {
         "selections": g.n - 1, "strikes": strikes, "stale_pops": stale_pops,
         "layout": layout}
+
+
+# -- pendants ------------------------------------------------------------------
+# _heap_pass colors a vertex of degree 1 at the strike that reaches it, with
+# no key and no pick.  On graphs rich in such leaves it still leaves
+# _dense_pass's colors and saturations, which pick every vertex, and solve
+# still colors as dsatur does
+
+def _matching(pairs):
+    """pairs disjoint edges (2i, 2i + 1): every vertex has degree 1."""
+    return Graph.from_edges(2 * pairs, [(2 * i, 2 * i + 1)
+                                        for i in range(pairs)])
+
+
+def _caterpillar(spine, legs):
+    """A path 0..spine-1 with legs leaves hung on each of its vertices."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    edges += [(i, spine + i * legs + j) for i in range(spine)
+              for j in range(legs)]
+    return Graph.from_edges(spine * (1 + legs), edges)
+
+
+_LEAFY = {
+    "ba300_1": lambda: barabasi_albert(300, 1, 1),
+    "ba1000_1": lambda: barabasi_albert(1000, 1, 2),
+    "matching50": lambda: _matching(50),
+    "caterpillar40_3": lambda: _caterpillar(40, 3),
+    "star1": lambda: star_graph(1),
+    "clique30+pendants200": lambda: _clique_with_pendants(30, 200),
+}
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+@pytest.mark.parametrize("name", sorted(_LEAFY))
+def test_pendants_leave_the_colors_of_every_pick(name, tie_break):
+    g = _LEAFY[name]()
+    assert (g.degrees == 1).any() and not _is_dense(g)
+    colors, sat, stale_pops = _run(_heap_pass, g, tie_break, 7)
+    assert (colors, sat) == _run(_dense_pass, g, tie_break, 7)[:2]
+    r = solve(g, tie_break=tie_break, seed=7)
+    assert r.coloring.assignment.tolist() == colors
+    assert r.stats == {"selections": g.n - 1, "strikes": sum(sat),
+                       "stale_pops": stale_pops, "layout": "heap"}
+    if g.n <= 300:
+        # the paper's loop, cascade and counters included
+        ref, restarts, final_m, forced, ref_sat = paper_wfc(g, tie_break, 7)
+        assert (colors, sat) == (ref.tolist(), ref_sat)
+        assert (r.restarts, r.final_m, r.forced_colorings) == \
+            (restarts, final_m, forced)
+    if tie_break == "degree":
+        assert r.coloring.assignment.tobytes() == \
+            dsatur(g).coloring.assignment.tobytes()
+
+
+@pytest.mark.parametrize("tie_break", TIE_BREAKS)
+def test_a_matching_walks_to_each_pairs_first_vertex(tie_break):
+    # every vertex is a pendant: after the seed vertex 0, the walk picks
+    # whichever of a pair comes first in rank order, at saturation 0, and
+    # its strike colors the other, so no key is ever pushed
+    g = _matching(50)
+    colors, sat, stale_pops = _run(_heap_pass, g, tie_break, 7)
+    rank = np.argsort(np.random.default_rng(7).permutation(g.n)
+                      if tie_break == "random" else np.arange(g.n))
+    first = [0] + [min(2 * i, 2 * i + 1, key=rank.__getitem__)
+                   for i in range(1, 50)]
+    assert [v for v in range(g.n) if sat[v] == 0] == sorted(first)
+    assert all(colors[v] == 1 and colors[v ^ 1] == 2 for v in first)
+    assert sat.count(1) == 50 and stale_pops == 0
+
+
+def test_a_star_pushes_no_key(monkeypatch):
+    # the hub's strikes color all 800 leaves; a BA tree, whose inner
+    # vertices are struck, shows that the wrappers see the pushes
+    pushed = []
+    for name in ("heappush", "heapreplace"):
+        monkeypatch.setattr(f"wfcolor.wfc.{name}",
+                            lambda heap, k, real=getattr(heapq, name):
+                            pushed.append(k) or real(heap, k))
+    r = solve(star_graph(800))
+    assert r.k == 2 and pushed == [] and r.stats["stale_pops"] == 0
+    assert solve(barabasi_albert(300, 1, 1)).stats["layout"] == "heap"
+    assert pushed
 
 
 # -- the dense pass -----------------------------------------------------------
@@ -700,6 +786,14 @@ def _step_from_the_seed(g):
 
 @given(g=_graphs())
 def test_steps_make_the_heap_pass_picks(g):
+    assert _step_from_the_seed(g) == _run(_heap_pass, g)[:2]
+
+
+@pytest.mark.parametrize("name", sorted(_LEAFY))
+def test_steps_pick_the_pendants_the_pass_colors_at_a_strike(name):
+    # observe picks every vertex, each pendant included, and the steps
+    # leave the pass's colors and saturations
+    g = _LEAFY[name]()
     assert _step_from_the_seed(g) == _run(_heap_pass, g)[:2]
 
 
